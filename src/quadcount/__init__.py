@@ -36,11 +36,9 @@ from .harness import ExperimentSeries, fit_slope, run_series
 from .polynomials import (
     PolyParseError,
     Polynomial,
-    UniPoly,
     bivariate_gcd,
     parse_poly,
     try_divide,
-    uni_roots_in,
 )
 from .separability import (
     DegenerateSurfaceError,
@@ -64,8 +62,7 @@ __all__ = [
     "concyclic_quadruples_naive", "coplanar_fast", "coplanar_naive",
     "four_point_circles",
     "ExperimentSeries", "fit_slope", "run_series",
-    "PolyParseError", "Polynomial", "UniPoly", "bivariate_gcd", "parse_poly",
-    "try_divide", "uni_roots_in",
+    "PolyParseError", "Polynomial", "bivariate_gcd", "parse_poly", "try_divide",
     "DegenerateSurfaceError", "FormVerdict", "SurfaceSample", "classify",
     "g_sample", "popular_components", "ratio_test", "sample_surface",
     "GridSets", "ZeroCountReport", "count_fiber", "count_naive",

@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", default=",".join(_VARS), help="comma-separated variable names")
     p.add_argument("--method", choices=("naive", "fiber"), default=None)
     p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method)")
-    p.add_argument("--threads", type=int, default=None, help="worker count for the fiber loop")
     common(p)
 
     p = sub.add_parser("detect-special", help="classify a polynomial as special / non-special")
@@ -141,7 +140,6 @@ _DEFAULTS = {
     "seed": DEFAULT_SEED,
     "out": "json",
     "method": None,
-    "threads": 1,
     "trials": 50,
     "box": separability.SAMPLING_BOX,
     "ratio_pass": separability.RATIO_PASS,
@@ -205,7 +203,7 @@ def _cmd_count_zeros(args) -> dict:
         if method == "naive":
             report = zerocount.count_naive(poly, sets)
         else:
-            report = zerocount.count_fiber(poly, sets, args.solve_var, workers=args.threads)
+            report = zerocount.count_fiber(poly, sets, args.solve_var)
     except ValueError as exc:
         raise DomainError("count", str(exc)) from exc
     out = {"command": "count-zeros", "poly": str(poly)}

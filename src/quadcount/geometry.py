@@ -25,6 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .polynomials import clear_denominators
+
 __all__ = [
     "PointSet2",
     "PointSet3",
@@ -132,11 +134,7 @@ def _require_distinct(points: Sequence[tuple]) -> None:
 
 def _integerize(points: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Scale each axis by the lcm of its denominators; incidences survive."""
-    dims = len(points[0])
-    scales = []
-    for i in range(dims):
-        scales.append(math.lcm(*(p[i].denominator for p in points)))
-    return [tuple(int(p[i] * scales[i]) for i in range(dims)) for p in points]
+    return list(zip(*(clear_denominators(axis)[1] for axis in zip(*points))))
 
 
 def _plane_key(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]):

@@ -27,9 +27,8 @@ from typing import Iterable, Mapping, Sequence
 __all__ = [
     "PolyParseError",
     "Polynomial",
-    "UniPoly",
     "parse_poly",
-    "uni_roots_in",
+    "clear_denominators",
     "bivariate_gcd",
     "try_divide",
 ]
@@ -253,17 +252,19 @@ class Polynomial:
                 out[rest] = nc
         return Polynomial([self.vars[i] for i in keep], out)
 
-    def to_unipoly(self) -> UniPoly:
-        """Dense univariate view; requires exactly one declared variable."""
-        if len(self.vars) != 1:
-            raise ValueError(f"polynomial in {len(self.vars)} variables is not univariate")
-        if self.is_zero:
-            return UniPoly([])
-        deg = max(e[0] for e in self.terms)
-        coeffs = [_ZERO] * (deg + 1)
-        for (e,), c in self.terms.items():
-            coeffs[e] = c
-        return UniPoly(coeffs)
+    def coefficients_in(self, name: str) -> list[Polynomial]:
+        """Coefficients of the polynomial in `name`, lowest power first.
+
+        Entry k is the coefficient of name^k, a polynomial in the other
+        variables in declared order, so F == sum_k P_k * name^k.  A variable
+        F does not involve, and the zero polynomial, give a single entry.
+        """
+        i = self._var_index(name)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        buckets: list[dict[Exponent, Fraction]] = [{} for _ in range(self.degree_in(name) + 1)]
+        for exp, coeff in self.terms.items():
+            buckets[exp[i]][exp[:i] + exp[i + 1:]] = coeff
+        return [Polynomial(rest, bucket) for bucket in buckets]
 
     # -- printing ------------------------------------------------------------
 
@@ -296,56 +297,11 @@ class Polynomial:
         return f"Polynomial({list(self.vars)!r}, {str(self)!r})"
 
 
-class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients (ascending)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int]):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    __call__ = evaluate
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)!r})"
-
-
-def uni_roots_in(g: UniPoly, candidates: Iterable[Fraction | int]) -> set[Fraction]:
-    """Exact roots of g among the candidate values.
-
-    The identically-zero polynomial is rejected: a degenerate slice must be
-    handled by the caller (it vanishes everywhere, not at a root set).
-    """
-    if g.is_zero:
-        raise ValueError("identically-zero polynomial: every candidate is a root")
-    return {Fraction(c) for c in candidates if g.evaluate(c) == 0}
+def clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """The lcm L of the values' denominators, and each value times L as an int."""
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 # -- parsing ------------------------------------------------------------------

@@ -158,27 +158,16 @@ class _Surface:
         self.residual_tol = residual_tol
         self.f = _FloatForm(poly)
         self.grads = tuple(_FloatForm(poly.partial(v)) for v in poly.vars)
-        ydeg = max((e[1] for e in poly.terms), default=0)
-        if ydeg == 0:
+        profile = poly.coefficients_in(poly.vars[1])
+        if len(profile) == 1:
             raise DegenerateSurfaceError(
                 f"F does not involve {poly.vars[1]!r}: no solvable fiber"
             )
-        profile: list[dict] = [dict() for _ in range(ydeg + 1)]
-        for exp, coeff in poly.terms.items():
-            reduced = (exp[0], exp[2], exp[3])
-            bucket = profile[exp[1]]
-            bucket[reduced] = bucket.get(reduced, Fraction(0)) + coeff
-        self.profile = [
-            _FloatForm(Polynomial((poly.vars[0], poly.vars[2], poly.vars[3]), bucket))
-            for bucket in profile
-        ]
+        self.profile = [_FloatForm(p) for p in profile]
 
     def slice_coeffs(self, x: float, s: float, t: float) -> np.ndarray:
         pt = np.array([x, s, t], dtype=float)
         return np.array([form(pt) for form in self.profile], dtype=float)
-
-    def _point(self, x: float, y: float, s: float, t: float) -> np.ndarray:
-        return np.array([x, y, s, t], dtype=float)
 
     def newton_y(self, x: float, s: float, t: float, y0: float) -> float | None:
         coeffs = self.slice_coeffs(x, s, t)
@@ -252,7 +241,7 @@ def sample_surface(
         ys = surf.solve_y(x, s, t)
         regular = []
         for y in ys:
-            pt = surf._point(x, y, s, t)
+            pt = np.array([x, y, s, t], dtype=float)
             grad = surf.gradient(pt)
             res = abs(surf.f(pt))
             if res < residual_tol and surf.regular(grad):
@@ -266,10 +255,6 @@ def sample_surface(
             f"found only {len(samples)}/{count} regular surface points"
         )
     return samples
-
-
-def _assemble(vars4: tuple[str, ...], values: dict[str, float]) -> np.ndarray:
-    return np.array([values[v] for v in vars4], dtype=float)
 
 
 def ratio_test(
@@ -343,7 +328,7 @@ def ratio_test(
             coords = dict(frozen_vals)
             coords[free] = free_val
             coords[solved] = y
-            pt = _assemble(names, coords)
+            pt = np.array([coords[v] for v in names], dtype=float)
             grad = surf.gradient(pt)
             if abs(surf.f(pt)) >= residual_tol or not surf.regular(grad):
                 ok = False

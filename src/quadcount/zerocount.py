@@ -1,20 +1,29 @@
 """Counting zeros of a quadrivariate polynomial on a product of four sets.
 
-Two routes to the same number: `count_naive` tests every quadruple of the
-Cartesian product, `count_fiber` fixes three coordinates and solves the
-remaining univariate slice against a hashed candidate set.  The two must
-agree exactly; the naive route is the ground truth.
+Two routes to the same number: `count_naive` evaluates F at every quadruple
+of the Cartesian product, `count_fiber` fixes three coordinates and solves
+the remaining univariate slice against a hashed candidate set.  The two
+share no counting code and must agree exactly; the naive route is the
+ground truth.
+
+Both routes first clear denominators.  Set i is scaled by the lcm L_i of its
+denominators, and F is replaced by G(X) = m * F(X_1/L_1, ..., X_4/L_4), where
+m is the lcm of the coefficient denominators of F(X/L).  The map
+a -> (L_1 a_1, ..., L_4 a_4) is a bijection of A x B x C x D onto the scaled
+grid, and F(a) = 0 exactly when G(L a) = 0, so every zero survives and all
+counting arithmetic runs on Python ints.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, clear_denominators
 
 __all__ = ["GridSets", "ZeroCountReport", "count_naive", "count_fiber"]
 
@@ -66,122 +75,102 @@ class ZeroCountReport:
         }
 
 
-def _check_inputs(poly: Polynomial, sets: GridSets) -> None:
+def _cleared(poly: Polynomial, sets: GridSets) -> tuple[Polynomial, list[list[int]]]:
+    """The integer polynomial G and the scaled sets of the module docstring."""
     if len(poly.vars) != 4:
         raise ValueError(f"expected a polynomial in 4 variables, got {len(poly.vars)}")
-
-
-def _count_roots_int(coeffs: list[int], values: list[int]) -> int:
-    # Horner per candidate; empty coefficient list is the zero polynomial,
-    # which vanishes at every candidate.
-    count = 0
-    for v in values:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * v + c
-        if acc == 0:
-            count += 1
-    return count
+    scales, int_sets = zip(*(clear_denominators(values) for values in sets.sets))
+    _, coeffs = clear_denominators(
+        c / math.prod(scale ** e for scale, e in zip(scales, exp))
+        for exp, c in poly.terms.items()
+    )
+    return Polynomial(poly.vars, dict(zip(poly.terms, coeffs))), list(int_sets)
 
 
 def count_naive(poly: Polynomial, sets: GridSets) -> ZeroCountReport:
-    """Exact |{(a,b,c,d) in A x B x C x D : poly(a,b,c,d) = 0}| by testing
-    every quadruple.  Theta(|A||B||C||D|) point tests."""
-    _check_inputs(poly, sets)
+    """Exact |{(a,b,c,d) in A x B x C x D : poly(a,b,c,d) = 0}| by evaluating
+    F at every quadruple.  Theta(|A||B||C||D|) point evaluations."""
     start = time.perf_counter()
-    va, vb, vc, _ = poly.vars
-    a_vals, b_vals, c_vals, d_vals = sets.sets
-    d_ints = [int(v) for v in d_vals] if all(v.denominator == 1 for v in d_vals) else None
+    g, int_sets = _cleared(poly, sets)
+    degrees = [g.degree_in(name) for name in g.vars]
+    # powers[i][j][e] = (j-th value of set i) ** e; d_columns[e] = every d ** e
+    powers = [
+        [[v ** e for e in range(deg + 1)] for v in values]
+        for deg, values in zip(degrees[:3], int_sets)
+    ]
+    d_columns = [[d ** e for d in int_sets[3]] for e in range(degrees[3] + 1)]
+    terms = [(int(c), *exp) for exp, c in g.terms.items()]
     count = 0
-    for a in a_vals:
-        pa = poly.specialize({va: a})
-        for b in b_vals:
-            pab = pa.specialize({vb: b})
-            for c in c_vals:
-                g = pab.specialize({vc: c}).to_unipoly()
-                if d_ints is not None and all(co.denominator == 1 for co in g.coeffs):
-                    count += _count_roots_int([int(co) for co in g.coeffs], d_ints)
-                else:
-                    count += sum(1 for d in d_vals if g.evaluate(d) == 0)
+    for pa in powers[0]:
+        ta = [(k * pa[e0], e1, e2, e3) for k, e0, e1, e2, e3 in terms]
+        for pb in powers[1]:
+            tb = [(k * pb[e1], e2, e3) for k, e1, e2, e3 in ta]
+            for pc in powers[2]:
+                values = [0] * len(int_sets[3])
+                for k, e2, e3 in tb:
+                    values = map(add, values, map((k * pc[e2]).__mul__, d_columns[e3]))
+                count += list(values).count(0)
     return ZeroCountReport(count, "naive", 0, time.perf_counter() - start, sets.sizes)
 
 
-def _fiber_partial(
-    poly: Polynomial,
-    loop_vars: tuple[str, str, str],
-    loop_sets: tuple[tuple[Fraction, ...], ...],
-    candidates: frozenset[Fraction],
-    solve_values: tuple[Fraction, ...],
-) -> tuple[int, int]:
-    v1, v2, v3 = loop_vars
-    s1, s2, s3 = loop_sets
-    count = 0
-    degenerate = 0
-    for a in s1:
-        p1 = poly.specialize({v1: a})
-        for b in s2:
-            p2 = p1.specialize({v2: b})
-            for c in s3:
-                g = p2.specialize({v3: c}).to_unipoly()
-                if g.is_zero:
-                    # the fiber is a full line through the candidate set
-                    count += len(candidates)
-                    degenerate += 1
-                elif g.degree == 0:
-                    continue
-                elif g.degree == 1:
-                    if -g.coeffs[0] / g.coeffs[1] in candidates:
-                        count += 1
-                else:
-                    count += sum(1 for v in solve_values if g.evaluate(v) == 0)
-    return count, degenerate
+def _bind(terms: list[tuple[int, ...]], value: int) -> list[tuple[int, ...]]:
+    # substitute `value` for the leading variable of each (coeff, e, *rest)
+    # term and merge the terms that then coincide
+    out: dict[tuple[int, ...], int] = {}
+    for k, e, *rest in terms:
+        key = tuple(rest)
+        out[key] = out.get(key, 0) + k * value ** e
+    return [(k, *rest) for rest, k in out.items() if k]
 
 
 def count_fiber(
-    poly: Polynomial,
-    sets: GridSets,
-    solve_var: str | None = None,
-    workers: int = 1,
+    poly: Polynomial, sets: GridSets, solve_var: str | None = None
 ) -> ZeroCountReport:
-    """Same count as `count_naive`, solving the last coordinate per fiber.
+    """Same count as `count_naive`, solving one coordinate per fiber.
 
-    For each assignment of three variables the remaining slice is univariate;
-    degree-1 slices are solved and looked up in a hash of the candidate set,
-    higher-degree slices fall back to scanning the candidates.  Identically
-    vanishing slices contribute the whole candidate set.
+    The coefficients of F in the solved variable are evaluated incrementally
+    over the three loop coordinates.  Degree-1 slices are solved exactly and
+    looked up in a hash of the candidate set, higher-degree slices scan the
+    candidates by Horner, and identically vanishing slices contribute the
+    whole candidate set.
     """
-    _check_inputs(poly, sets)
     if solve_var is None:
         solve_var = poly.vars[-1]
     if solve_var not in poly.vars:
         raise ValueError(f"undeclared variable {solve_var!r}")
     start = time.perf_counter()
-    solve_idx = poly.vars.index(solve_var)
-    loop_idx = [i for i in range(4) if i != solve_idx]
-    loop_vars = tuple(poly.vars[i] for i in loop_idx)
-    loop_sets = tuple(sets.sets[i] for i in loop_idx)
-    solve_values = sets.sets[solve_idx]
-    candidates = frozenset(solve_values)
-
-    if workers <= 1 or len(loop_sets[0]) < 2:
-        count, degenerate = _fiber_partial(
-            poly, loop_vars, loop_sets, candidates, solve_values
-        )
-    else:
-        # partition the outermost loop; partial counts combine by addition,
-        # so the result does not depend on the partitioning
-        chunks = [loop_sets[0][i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(
-                    lambda chunk: _fiber_partial(
-                        poly, loop_vars, (chunk,) + loop_sets[1:],
-                        candidates, solve_values,
-                    ),
-                    chunks,
-                )
-            )
-        count = sum(p[0] for p in parts)
-        degenerate = sum(p[1] for p in parts)
+    g, int_sets = _cleared(poly, sets)
+    solve_idx = g.vars.index(solve_var)
+    s1, s2, s3 = (int_sets[i] for i in range(4) if i != solve_idx)
+    solve_values = int_sets[solve_idx]
+    candidates = set(solve_values)
+    # profile[k]: the (coeff, e1, e2, e3) terms of the coefficient of solve_var^k
+    profile = [
+        [(int(c), *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(solve_var)
+    ]
+    count = 0
+    degenerate = 0
+    for a in s1:
+        pa = [_bind(terms, a) for terms in profile]
+        for b in s2:
+            pb = [_bind(terms, b) for terms in pa]
+            for c in s3:
+                coeffs = [sum(k * c ** e for k, e in terms) for terms in pb]
+                while coeffs and coeffs[-1] == 0:
+                    coeffs.pop()
+                if not coeffs:
+                    # the fiber is a full line through the candidate set
+                    count += len(solve_values)
+                    degenerate += 1
+                elif len(coeffs) == 2:
+                    root, rem = divmod(-coeffs[0], coeffs[1])
+                    if rem == 0 and root in candidates:
+                        count += 1
+                elif len(coeffs) > 2:
+                    for v in solve_values:
+                        acc = 0
+                        for co in reversed(coeffs):
+                            acc = acc * v + co
+                        if acc == 0:
+                            count += 1
     return ZeroCountReport(count, "fiber", degenerate, time.perf_counter() - start, sets.sizes)

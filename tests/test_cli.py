@@ -108,13 +108,6 @@ class TestCountZerosCommand:
             main(["count-zeros", "--poly", "x", "--sets", sets_file, "--bogus"])
         assert exc.value.code == 2
 
-    def test_threads_flag(self, capsys, sets_file):
-        code, out, _ = run_cli(
-            capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
-            "--threads", "3",
-        )
-        assert json.loads(out)["count"] == 27
-
 
 class TestDetectSpecialCommand:
     def test_non_special_verdict(self, capsys):

@@ -6,11 +6,10 @@ import pytest
 from quadcount.polynomials import (
     PolyParseError,
     Polynomial,
-    UniPoly,
     bivariate_gcd,
+    clear_denominators,
     parse_poly,
     try_divide,
-    uni_roots_in,
 )
 
 V4 = ("x", "y", "s", "t")
@@ -155,23 +154,54 @@ class TestSpecialize:
         assert P("x*y-s*t").specialize({"s": 2, "t": 3}) == parse_poly("x*y-6", V2)
 
 
-class TestUniPoly:
-    def test_roots_among_candidates(self):
-        g = UniPoly([6, -5, 1])  # t^2 - 5 t + 6
-        assert uni_roots_in(g, [1, 2, 3, 4]) == {2, 3}
+class TestCoefficientsIn:
+    def test_rebuilds_random_polynomials(self):
+        rng = np.random.default_rng(20240819)
+        for _ in range(100):
+            f = random_poly(rng)
+            for i, name in enumerate(V4):
+                profile = f.coefficients_in(name)
+                assert len(profile) == f.degree_in(name) + 1
+                rest = V4[:i] + V4[i + 1:]
+                rebuilt = Polynomial.zero(V4)
+                for k, p in enumerate(profile):
+                    assert p.vars == rest
+                    lifted = Polynomial(
+                        V4, {e[:i] + (0,) + e[i:]: c for e, c in p.terms.items()}
+                    )
+                    rebuilt = rebuilt + lifted * Polynomial.variable(V4, name) ** k
+                assert rebuilt == f, (str(f), name)
 
-    def test_no_roots(self):
-        g = UniPoly([1, 1])
-        assert uni_roots_in(g, [0, 1]) == set()
+    def test_lowest_power_first(self):
+        profile = P("t^2 - x*y*t + 1/2*s").coefficients_in("t")
+        assert profile == [
+            parse_poly("1/2*s", ("x", "y", "s")),
+            parse_poly("-x*y", ("x", "y", "s")),
+            parse_poly("1", ("x", "y", "s")),
+        ]
 
-    def test_fractional_root(self):
-        # (t - 1/2)(t - 7) = t^2 - 15/2 t + 7/2
-        g = UniPoly([Fraction(7, 2), Fraction(-15, 2), 1])
-        assert uni_roots_in(g, [Fraction(1, 2)]) == {Fraction(1, 2)}
+    def test_variable_not_involved_gives_one_entry(self):
+        f = P("x*y - s + 3")
+        assert f.coefficients_in("t") == [parse_poly("x*y - s + 3", ("x", "y", "s"))]
 
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            uni_roots_in(UniPoly([]), [1, 2])
+    def test_zero_polynomial(self):
+        profile = Polynomial.zero(V4).coefficients_in("y")
+        assert len(profile) == 1
+        assert profile[0].is_zero
+        assert profile[0].vars == ("x", "s", "t")
+
+    def test_undeclared_variable(self):
+        with pytest.raises(ValueError, match="undeclared variable"):
+            P("x").coefficients_in("z")
+
+
+class TestClearDenominators:
+    def test_lcm_scale(self):
+        assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 5]) == (6, [3, -4, 30])
+
+    def test_integers_and_empty(self):
+        assert clear_denominators([3, -1]) == (1, [3, -1])
+        assert clear_denominators([]) == (1, [])
 
 
 class TestBivariateGcd:

@@ -95,12 +95,6 @@ class TestCountFiber:
         poly = P("t^2 - x*y - s")
         assert count_fiber(poly, sets).count == brute_force(poly, sets)
 
-    def test_workers_do_not_change_the_count(self):
-        sets = grid(range(1, 7), range(1, 7), range(1, 7), range(-18, -2))
-        poly = P("x+y+s+t")
-        baseline = count_fiber(poly, sets).count
-        assert count_fiber(poly, sets, workers=3).count == baseline
-
 
 class TestEquivalenceAndProperties:
     def test_fiber_matches_naive_on_random_instances(self):
@@ -138,3 +132,68 @@ class TestEquivalenceAndProperties:
             )
             permuted_sets = GridSets(tuple(sets.sets[i] for i in perm))
             assert count_naive(renamed, permuted_sets).count == expected
+
+
+class TestRationalGrids:
+    """Non-integer coefficients and sets: both routes count after clearing
+    denominators, and must agree with the Fraction brute force."""
+
+    def check_all_routes(self, poly, sets):
+        expected = brute_force(poly, sets)
+        assert count_naive(poly, sets).count == expected
+        for solve_var in V4:
+            assert count_fiber(poly, sets, solve_var=solve_var).count == expected, solve_var
+        return expected
+
+    def test_degree_one_fibers(self):
+        poly = P("1/3*x*y - 5/2*s*t + 7/4")
+        sets = grid(
+            [Fraction(1, 2), Fraction(3, 4), 1, Fraction(3, 2), 3, Fraction(-3, 2)],
+            [Fraction(7, 2), Fraction(7, 6), Fraction(-7, 4), 7, Fraction(1, 3)],
+            [Fraction(1, 5), Fraction(7, 10), 1, Fraction(-1, 2), Fraction(1, 4)],
+            [Fraction(1, 3), Fraction(7, 6), 1, Fraction(2, 3), Fraction(-5, 9)],
+        )
+        assert self.check_all_routes(poly, sets) > 0
+
+    def test_degree_two_fibers(self):
+        poly = P("3/2*t^2 - 1/6*x*y - 1/4*s")
+        sets = grid(
+            [Fraction(1, 2), 1, Fraction(3, 2), 3, Fraction(-3, 4)],
+            [Fraction(1, 3), 3, Fraction(-1, 2), 6],
+            [Fraction(-1, 3), Fraction(2, 3), 2, Fraction(-2, 5)],
+            [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 1, -1],
+        )
+        assert self.check_all_routes(poly, sets) > 0
+
+    def test_vanishing_fibers(self):
+        # solving for x, the slice (2/3*s)*x - 1/4*t*y vanishes at s = 0, t*y = 0
+        poly = P("2/3*s*x - 1/4*t*y")
+        sets = grid(
+            [Fraction(3, 8), Fraction(-1, 2), 0, Fraction(9, 4)],
+            [0, Fraction(1, 2), Fraction(4, 3)],
+            [0, Fraction(1, 3), Fraction(-5, 6)],
+            [0, Fraction(1, 7), Fraction(2, 3)],
+        )
+        expected = self.check_all_routes(poly, sets)
+        report = count_fiber(poly, sets, solve_var="x")
+        # s = 0 with y = 0 (3 values of t) or t = 0 (2 more values of y)
+        assert report.degenerate_fibers == 5
+        assert report.count == expected
+
+    def test_random_rational_instances(self):
+        rng = np.random.default_rng(20240820)
+        denominators = (1, 2, 3, 4, 6)
+        for i in range(40):
+            terms = {}
+            for _ in range(int(rng.integers(2, 6))):
+                exp = tuple(int(e) for e in rng.integers(0, 3, size=4))
+                terms[exp] = Fraction(int(rng.integers(-4, 5)), int(rng.choice(denominators)))
+            poly = Polynomial(V4, terms)
+            values = []
+            for _ in range(4):
+                pool = {
+                    Fraction(int(rng.integers(-6, 7)), int(rng.choice(denominators)))
+                    for _ in range(int(rng.integers(1, 6)))
+                }
+                values.append(sorted(pool))
+            self.check_all_routes(poly, GridSets.from_values(*values))
