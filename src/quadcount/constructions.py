@@ -21,6 +21,17 @@ subgroup therefore spans coplanar quadruples indexed by 4-subsets of
 {1..n-1} with index sum divisible by n, which `coplanar_index_oracle`
 counts exactly.
 
+The arc integral is an elliptic integral of the first kind in Carlson's
+symmetric form,
+
+    integral_x^inf dt / sqrt(t^3 + a*t + b) = 2 * R_F(x - e0, x - e1, x - e2)
+
+with e0 the real root of the cubic (Cardano's formula) and e1, e2 its
+complex-conjugate pair (B. C. Carlson, "Numerical computation of real or
+complex elliptic integrals", Numer. Algorithms 10 (1995); DLMF 19.36).
+R_F is evaluated by duplication in complex arithmetic, and the angle map is
+inverted by Newton's method in u = sqrt(x - e0), safeguarded by bisection.
+
 Torsion coordinates are floats with stated tolerances: exact rational
 torsion on these curves is bounded by a small constant, so large subgroups
 are necessarily numeric.
@@ -31,15 +42,12 @@ at most three points, so it spans no coplanar quadruples at all.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
-
-import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .geometry import PointSet3
 from .polynomials import Polynomial, parse_poly
@@ -67,8 +75,11 @@ __all__ = [
 _VARS = ("x", "y", "s", "t")
 
 # Float-mode coplanarity tolerance validated against the index oracle for
-# torsion sets up to n = 32: truly coplanar quadruples stay below 2e-15 of
-# the distance-product scale, the nearest non-coplanar ones above 1e-10.
+# torsion sets up to n = 32 (coordinates from the R_F arc map): truly
+# coplanar quadruples stay below 1e-15 of the distance-product scale, the
+# nearest non-coplanar ones above 1e-10.  From n = 48 on, some non-coplanar
+# quadruples fall below it (8.9e-13 at n = 48); `coplanar_naive` reports the
+# accepted/rejected margin that exposes this.
 TORSION_COPLANAR_TOL = 1e-12
 
 
@@ -159,19 +170,21 @@ def _cubic(cfg: EllipticConfig, x: float) -> float:
 
 
 def make_curve(a=Fraction(1), b=Fraction(1), angle_tol: float = 1e-9) -> EllipticConfig:
-    """Validate the curve and compute its real period by quadrature."""
+    """Validate the curve; compute its real root and its real period."""
     a, b = Fraction(a), Fraction(b)
     disc = 4 * a ** 3 + 27 * b ** 2
     if disc == 0:
         raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
     if disc < 0:
         raise ValueError("curve has two real components; a single component is required")
-    roots = np.roots([1.0, 0.0, float(a), float(b)])
-    real = [r.real for r in roots if abs(r.imag) < 1e-9 * (1 + abs(r))]
-    e0 = float(min(real))
-    af = float(a)
+    af, bf = float(a), float(b)
+    # Cardano: e0 = u + v with u^3, v^3 = -b/2 -+ sqrt(disc/108) and u*v = -a/3;
+    # take u from the root of larger magnitude so that no cancellation occurs
+    w = -bf / 2 - math.copysign(math.sqrt(float(disc / 108)), bf)
+    u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+    e0 = u - af / (3 * u)
     for _ in range(60):  # Newton polish of the root
-        f = e0 ** 3 + af * e0 + float(b)
+        f = e0 ** 3 + af * e0 + bf
         df = 3 * e0 ** 2 + af
         if df == 0:
             break
@@ -179,28 +192,49 @@ def make_curve(a=Fraction(1), b=Fraction(1), angle_tol: float = 1e-9) -> Ellipti
         e0 -= step
         if abs(step) < 1e-16 * (1 + abs(e0)):
             break
-    period = 2.0 * _arc_integral(af, e0, e0)
+    period = 2.0 * _arc_integral(af, e0, 0.0)
     return EllipticConfig(a, b, period, e0, angle_tol)
 
 
-def _arc_integral(a: float, e0: float, x0: float) -> float:
-    """integral_x0^inf dt / sqrt(t^3 + a*t + b) for a one-root cubic.
+def _rf(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's R_F(x, y, z) = 1/2 integral_0^inf dt / sqrt((t+x)(t+y)(t+z)).
 
-    Substituting t = e0 + u^2 removes the inverse-square-root singularity at
-    the root: the integrand becomes 2 / sqrt(q(e0 + u^2)) with
-    q(w) = w^2 + e0*w + (e0^2 + a) positive on the real line.
+    Duplication (DLMF 19.36.1): each step shrinks the spread of the
+    arguments around their mean fourfold; once it is below 1e-3 of the mean,
+    the series through fifth order is exact to rounding.  Valid for arguments off
+    the negative real axis with at most one zero, and for a conjugate pair
+    next to a non-negative real one.
     """
-    c = e0 * e0 + a
+    for _ in range(60):
+        mu = (x + y + z) / 3
+        if max(abs(mu - x), abs(mu - y), abs(mu - z)) < 1e-3 * abs(mu):
+            dx, dy = 1 - x / mu, 1 - y / mu
+            dz = -dx - dy
+            e2 = dx * dy - dz * dz
+            e3 = dx * dy * dz
+            return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / cmath.sqrt(mu)
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    raise RuntimeError(f"R_F duplication did not converge for ({x}, {y}, {z})")
 
-    def integrand(u: float) -> float:
-        w = e0 + u * u
-        return 2.0 / math.sqrt(w * w + e0 * w + c)
 
-    u0 = math.sqrt(max(x0 - e0, 0.0))
-    value, err = quad(integrand, u0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300)
-    if not math.isfinite(value) or err > 1e-8 * (1.0 + abs(value)):
-        raise RuntimeError(f"arc quadrature did not converge (err={err:g})")
-    return value
+def _arc_integral(a: float, e0: float, d: float) -> float:
+    """integral_(e0+d)^inf dt / sqrt(t^3 + a*t + b) for a one-root cubic.
+
+    Equals 2 * R_F(d, x - e1, x - e2) at x = e0 + d, where e1, e2 =
+    -e0/2 +- i*sqrt(3*e0^2/4 + a) are the complex roots of the cubic.  The
+    offset d >= 0 from the real root is passed directly rather than as x:
+    next to the branch point x - e0 would lose all its digits to rounding.
+    """
+    pair = complex(d + 1.5 * e0, math.sqrt(0.75 * e0 * e0 + a))
+    return 2.0 * _rf(d, pair, pair.conjugate()).real
+
+
+def _quadratic_factor(cfg: EllipticConfig, x: float) -> float:
+    """q(x) = (x^3 + a*x + b) / (x - root) = x^2 + root*x + root^2 + a > 0."""
+    e0 = cfg.root
+    return x * x + e0 * x + e0 * e0 + float(cfg.a)
 
 
 def on_curve(cfg: EllipticConfig, p: CurvePoint, tol: float = 1e-9) -> bool:
@@ -257,7 +291,10 @@ def angle(cfg: EllipticConfig, p: CurvePoint) -> float:
         return 0.0
     if not on_curve(cfg, p):
         raise ValueError(f"point {p!r} is not on the curve within tolerance")
-    theta = _arc_integral(float(cfg.a), cfg.root, max(p.x, cfg.root)) / cfg.period
+    # x - root = y^2 / q(x) on the curve, to full relative precision even
+    # where x itself cannot resolve the distance from the branch point
+    d = p.y * p.y / _quadratic_factor(cfg, p.x)
+    theta = _arc_integral(float(cfg.a), cfg.root, d) / cfg.period
     theta = min(max(theta, 0.0), 0.5)
     if p.y < 0:
         theta = 1.0 - theta
@@ -265,31 +302,54 @@ def angle(cfg: EllipticConfig, p: CurvePoint) -> float:
 
 
 def point_at_angle(cfg: EllipticConfig, theta: float) -> CurvePoint:
-    """Invert the angle map; theta = 0 gives the identity."""
+    """Invert the angle map; theta = 0 gives the identity.
+
+    Solves I(u) = theta * period for u = sqrt(x - root), where I(u) is the
+    arc integral from root + u^2.  In u the integral is smooth and strictly
+    decreasing, dI/du = -2 / sqrt(q(root + u^2)) with q the cubic divided
+    by (x - root), so Newton converges fast; steps that leave the current
+    bracket are replaced by bisection.
+    """
     theta = theta % 1.0
     if theta < 1e-15 or 1.0 - theta < 1e-15:
         return IDENTITY
     if theta > 0.5:
         return group_neg(point_at_angle(cfg, 1.0 - theta))
     target = theta * cfg.period
-    a = float(cfg.a)
-    lo = cfg.root
-    if _arc_integral(a, cfg.root, lo) <= target:
-        return CurvePoint(cfg.root, 0.0)
+    a, e0 = float(cfg.a), cfg.root
 
-    def f(x: float) -> float:
-        return _arc_integral(a, cfg.root, x) - target
+    def residual(u: float) -> float:
+        return _arc_integral(a, e0, u * u) - target
 
-    hi = cfg.root + 1.0
-    for _ in range(200):
-        if f(hi) < 0:
+    if residual(0.0) <= 0.0:
+        return CurvePoint(e0, 0.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):  # doubling bracket: residual(lo) > 0 >= residual(hi)
+        if residual(hi) <= 0.0:
             break
-        hi = cfg.root + 2.0 * (hi - cfg.root)
+        lo, hi = hi, 2.0 * hi
     else:
         raise RuntimeError("angle inversion failed to bracket the target")
-    x = float(brentq(f, lo, hi, xtol=1e-13, maxiter=200))
-    y = math.sqrt(max(_cubic(cfg, x), 0.0))
-    pt = CurvePoint(x, y)
+    u = hi
+    for _ in range(200):
+        f = residual(u)
+        if f == 0.0:
+            break
+        if f > 0.0:
+            lo = u
+        else:
+            hi = u
+        nxt = u + 0.5 * f * math.sqrt(_quadratic_factor(cfg, e0 + u * u))  # u - f / (dI/du)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - u) <= 4e-16 * nxt
+        u = nxt
+        if done:
+            break
+    else:
+        raise RuntimeError("angle inversion did not converge")
+    x = e0 + u * u
+    pt = CurvePoint(x, u * math.sqrt(_quadratic_factor(cfg, x)))
     if abs(angle(cfg, pt) - theta) > cfg.angle_tol:
         raise RuntimeError("angle inversion missed the requested tolerance")
     return pt

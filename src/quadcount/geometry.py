@@ -11,6 +11,8 @@ big integers.
 Float inputs (the numeric elliptic construction) only get the quadruple-at-
 a-time determinant test with a dimensionally normalized tolerance; float
 counts are validated against the exact index oracle, never trusted alone.
+Their reports carry the margin the tolerance had to fall into: the largest
+normalized |det| accepted and the smallest rejected.
 
 Counts are reported unordered; reports carry the x24 / x6 ordered
 equivalents, exact for proper tuples.
@@ -108,6 +110,9 @@ class CountReport:
     elapsed: float
     circles: int | None = None
     degeneracy: dict[str, int] = field(default_factory=dict)
+    # float coplanarity only: {"max_accepted": ..., "min_rejected": ...} of
+    # |det| / scale, each None when no quadruple fell on that side
+    margin: dict[str, float | None] | None = None
 
     @property
     def ordered_count(self) -> int:
@@ -124,6 +129,8 @@ class CountReport:
         }
         if self.circles is not None:
             out["circles"] = self.circles
+        if self.margin is not None:
+            out.update(self.margin)
         return out
 
 
@@ -198,13 +205,15 @@ def _det3(u, v, w) -> float | int:
 def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
     """Count coplanar 4-subsets by testing the 4x4 determinant of every one.
 
-    Exact inputs test det == 0 exactly; float inputs test |det| against
-    tol times the product of the three largest pairwise distances of the
-    quadruple (a volume-scale normalization).
+    Exact inputs test det == 0 exactly; float inputs test |det| / scale < tol,
+    with scale the product of the three largest pairwise distances of the
+    quadruple (a volume-scale normalization).  Float reports also carry the
+    margin: the largest |det| / scale accepted and the smallest rejected.
     """
     _require_distinct(points.points)
     start = time.perf_counter()
     count = 0
+    margin = None
     if points.kind == "exact":
         pts = _integerize(points.points)
         for a, b, c, d in combinations(pts, 4):
@@ -215,19 +224,25 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
                 count += 1
     else:
         pts = points.points
-        for quad in combinations(pts, 4):
-            a, b, c, d = quad
+        max_accepted, min_rejected = 0.0, math.inf
+        dist = math.dist
+        for a, b, c, d in combinations(pts, 4):
             u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
             v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
             w = (d[0] - a[0], d[1] - a[1], d[2] - a[2])
             det = _det3(u, v, w)
-            dists = sorted(
-                (math.dist(p, q) for p, q in combinations(quad, 2)), reverse=True
-            )
-            scale = dists[0] * dists[1] * dists[2]
-            if abs(det) < tol * scale:
+            dists = sorted((dist(a, b), dist(a, c), dist(a, d),
+                            dist(b, c), dist(b, d), dist(c, d)))
+            ratio = abs(det) / (dists[5] * dists[4] * dists[3])
+            if ratio < tol:
                 count += 1
-    return CountReport(count, "naive", 4, time.perf_counter() - start)
+                if ratio > max_accepted:
+                    max_accepted = ratio
+            elif ratio < min_rejected:
+                min_rejected = ratio
+        margin = {"max_accepted": max_accepted if count else None,
+                  "min_rejected": min_rejected if min_rejected < math.inf else None}
+    return CountReport(count, "naive", 4, time.perf_counter() - start, margin=margin)
 
 
 def coplanar_fast(points: PointSet3) -> CountReport:

@@ -136,9 +136,19 @@ def _count_grid_fiber(config) -> int:
 
 def _count_coplanar_naive(points) -> int:
     # float points come from the torsion construction; its determinant gap
-    # was measured at >= 1e-10 * scale for n <= 32, so 1e-12 separates cleanly
+    # was measured at >= 1e-10 * scale for n <= 32, so 1e-12 separates cleanly.
+    # A float count is refused once the accepted and rejected |det| / scale
+    # come within a factor 100 of each other, as they do from n = 48 on.
     tol = constructions.TORSION_COPLANAR_TOL if points.kind == "float" else 1e-7
-    return geometry.coplanar_naive(points, tol=tol).count
+    report = geometry.coplanar_naive(points, tol=tol)
+    if report.margin is not None:
+        hi, lo = report.margin["max_accepted"], report.margin["min_rejected"]
+        if hi is not None and lo is not None and 100 * hi > lo:
+            raise ValueError(
+                f"float coplanarity margin collapsed at {len(points)} points: "
+                f"accepted |det|/scale up to {hi:.2e}, rejected from {lo:.2e}"
+            )
+    return report.count
 
 def _count_coplanar_fast(points) -> int:
     return geometry.coplanar_fast(points).count

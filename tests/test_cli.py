@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quadcount
 from quadcount.cli import main
 from quadcount.fileio import (
     points_from_csv,
@@ -177,6 +182,7 @@ class TestGeometryCommands:
         payload = json.loads(out)
         assert payload["method"] == "naive"
         assert payload["count"] == 1
+        assert payload["max_accepted"] < 1e-7 <= payload["min_rejected"]
 
     def test_float_fast_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
@@ -247,3 +253,15 @@ class TestConfigFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["count"] == 27
+
+
+def test_cli_import_path_loads_no_scipy():
+    # every CLI job pays this import; scipy alone used to cost ~0.7 s of it
+    src = str(Path(quadcount.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import quadcount.cli, sys; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "False"

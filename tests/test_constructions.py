@@ -9,6 +9,7 @@ from quadcount.constructions import (
     TORSION_COPLANAR_TOL,
     CurvePoint,
     _coplanar_index_brute,
+    _rf,
     angle,
     ap_grid,
     coplanar_index_oracle,
@@ -102,6 +103,49 @@ class TestCurveBasics:
             if not lhs.infinity:
                 scale = 1 + max(abs(lhs.x), abs(lhs.y))
                 assert math.hypot(lhs.x - rhs.x, lhs.y - rhs.y) < 1e-7 * scale
+
+
+class TestCarlsonNumerics:
+    """The arc map runs on Carlson's R_F, a safeguarded Newton inversion and
+    Cardano's root; these pin each piece to closed forms or fixed values."""
+
+    def test_rf_closed_forms(self):
+        for x in (0.25, 1.0, 7.0):
+            assert _rf(x, x, x).real == pytest.approx(x ** -0.5, rel=1e-15)
+        for y in (0.5, 1.0, 9.0):
+            assert _rf(0.0, y, y).real == pytest.approx(math.pi / (2 * math.sqrt(y)), rel=1e-15)
+
+    def test_rf_carlson_test_values(self):
+        # test values from Carlson (1995): R_F(0, 1, 2) and the lemniscate R_F(i, -i, 0)
+        assert _rf(0.0, 1.0, 2.0).real == pytest.approx(1.3110287771460599, rel=1e-15)
+        value = _rf(1j, -1j, 0.0)
+        assert value.real == pytest.approx(1.8540746773013719, rel=1e-15)
+        assert abs(value.imag) < 1e-16
+
+    def test_rf_nonconvergence_raises(self):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _rf(float("nan"), 1.0, 2.0)
+
+    def test_period_matches_reference(self, cfg):
+        # the period y^2 = x^3 + x + 1 had under adaptive quadrature
+        assert cfg.period == pytest.approx(7.499885956188686, rel=1e-13)
+
+    def test_two_torsion_angle_is_exactly_half(self, cfg):
+        assert angle(cfg, CurvePoint(cfg.root, 0.0)) == 0.5
+
+    def test_round_trip_within_angle_tol(self, cfg):
+        rng = np.random.default_rng(41)
+        thetas = [1e-6, 0.5 - 1e-9, 0.5 + 1e-9] + [float(t) for t in rng.uniform(0, 1, 50)]
+        for theta in thetas:
+            delta = abs(angle(cfg, point_at_angle(cfg, theta)) - theta)
+            assert min(delta, 1 - delta) <= cfg.angle_tol, theta
+
+    def test_cardano_root_residual(self):
+        for a, b in ((-1, 1), (2, -3), (Fraction(1, 3), Fraction(7, 5))):
+            curve = make_curve(Fraction(a), Fraction(b))
+            e0, af, bf = curve.root, float(curve.a), float(curve.b)
+            scale = abs(e0) ** 3 + abs(af * e0) + abs(bf)
+            assert abs(e0 ** 3 + af * e0 + bf) < 1e-14 * scale, (a, b)
 
 
 class TestAngle:

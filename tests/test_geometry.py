@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from _generators import random_mixed_point_instance as random_mixed_instance
-from quadcount.constructions import moment_curve_points
+from quadcount.constructions import (
+    TORSION_COPLANAR_TOL,
+    embed_quartic,
+    make_curve,
+    moment_curve_points,
+    torsion_points,
+)
 from quadcount.geometry import (
     PointSet2,
     PointSet3,
@@ -46,6 +52,19 @@ class TestCoplanarNaive:
         )
         assert points.kind == "float"
         assert coplanar_naive(points, tol=1e-7).count == 1
+
+    def test_float_margin_is_wide_on_torsion_32(self):
+        cfg = make_curve()
+        report = coplanar_naive(embed_quartic(cfg, torsion_points(cfg, 32)[1:]),
+                                tol=TORSION_COPLANAR_TOL)
+        out = report.to_json()
+        assert out["max_accepted"] < 1e-15
+        assert out["min_rejected"] > 1e-10
+
+    def test_exact_report_has_no_margin(self):
+        report = coplanar_naive(pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)]))
+        out = report.to_json()
+        assert "max_accepted" not in out and "min_rejected" not in out
 
     def test_ordered_count_factor(self):
         points = pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)])

@@ -50,6 +50,12 @@ class TestRunSeries:
         geom = run_series("elliptic", "coplanar-naive", [8, 12, 16])
         assert [r.count for r in oracle.rows] == [r.count for r in geom.rows]
 
+    def test_collapsed_float_margin_raises(self):
+        # at n = 48 wrongly accepted quadruples reach |det|/scale 9.6e-13,
+        # within a factor 2 of the smallest rejected one
+        with pytest.raises(ValueError, match="margin collapsed"):
+            run_series("elliptic", "coplanar-naive", [16, 32, 48])
+
     def test_deterministic(self):
         # everything except wall-clock timings must be bit-identical
         a = run_series("ap-additive", "fiber", [4, 8, 16], seed=1)
