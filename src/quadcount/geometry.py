@@ -1,12 +1,23 @@
 """Counting coplanar quadruples, collinear triples, and four-point circles.
 
-Exact inputs (integer or Fraction coordinates) use canonical hashing of
-planes and lines: a plane is keyed by its primitive integer normal vector
-and offset, a line by its primitive direction and moment, so coincident
-flats collide in a dictionary.  Before hashing, each axis is scaled by the
-lcm of its coordinate denominators; a diagonal linear map preserves every
-incidence being counted, and it moves all arithmetic to machine-assisted
-big integers.
+Exact inputs (integer or Fraction coordinates) are counted by hashing flats
+in pivot form.  Each axis is first scaled by the lcm of its coordinate
+denominators: a diagonal linear map preserves every incidence counted here
+and leaves only integers.  Then, for each point P_i, only the flats through
+P_i and the points after it are hashed:
+
+- a line through P_i is keyed by the primitive, sign-normalized direction
+  P_j - P_i, and l is its number of later points;
+- a plane through P_i is keyed by the primitive, sign-normalized cross
+  product of two of those line directions, m is its number of later points,
+  and c is the sum of C(l, 3) over its lines.
+
+Every key passes through P_i, so it needs no offset term, and each subset
+is counted once, at its smallest index, so lines need no correction.  The
+keys live in int64 numpy arrays when 8 span^2 < 2^62, where span is the
+largest absolute integer coordinate: pivot differences stay below 2 span,
+so every cross product fits.  Past that bound the same code runs on
+dtype=object arrays of Python ints.  No float enters an exact count.
 
 Float inputs (the numeric elliptic construction) only get the quadruple-at-
 a-time determinant test with a dimensionally normalized tolerance; float
@@ -25,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .polynomials import clear_denominators
 
@@ -41,65 +52,45 @@ __all__ = [
 ]
 
 _EXACT_TYPES = (int, Fraction)
-
-
-def _classify_rows(rows: Iterable[Sequence]) -> tuple[tuple, str]:
-    pts = []
-    exact = True
-    for row in rows:
-        row = tuple(row)
-        if not all(isinstance(v, _EXACT_TYPES) for v in row):
-            exact = False
-        pts.append(row)
-    if exact:
-        pts = [tuple(Fraction(v) for v in row) for row in pts]
-    else:
-        pts = [tuple(float(v) for v in row) for row in pts]
-    return tuple(pts), ("exact" if exact else "float")
+# keys fit int64 when 8 span^2 stays below this (see the module docstring)
+_INT64_BOUND = 2**62
 
 
 @dataclass(frozen=True)
-class PointSet3:
+class _PointSet:
+    """Finite list of points, exact (Fraction) or float coordinates."""
+
+    points: tuple[tuple, ...]
+    kind: str
+    dimension: ClassVar[int]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence]):
+        pts = [tuple(row) for row in rows]
+        for p in pts:
+            if len(p) != cls.dimension:
+                raise ValueError(f"expected {cls.dimension} coordinates, got {len(p)}")
+        if all(isinstance(v, _EXACT_TYPES) for p in pts for v in p):
+            return cls(tuple(tuple(Fraction(v) for v in p) for p in pts), "exact")
+        return cls(tuple(tuple(float(v) for v in p) for p in pts), "float")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        return iter(self.points)
+
+
+class PointSet3(_PointSet):
     """Finite list of 3D points, exact (Fraction) or float coordinates."""
 
-    points: tuple[tuple, ...]
-    kind: str
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence]) -> PointSet3:
-        pts, kind = _classify_rows(rows)
-        for p in pts:
-            if len(p) != 3:
-                raise ValueError(f"expected 3 coordinates, got {len(p)}")
-        return cls(pts, kind)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
+    dimension = 3
 
 
-@dataclass(frozen=True)
-class PointSet2:
+class PointSet2(_PointSet):
     """Finite list of 2D points, exact (Fraction) or float coordinates."""
 
-    points: tuple[tuple, ...]
-    kind: str
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence]) -> PointSet2:
-        pts, kind = _classify_rows(rows)
-        for p in pts:
-            if len(p) != 2:
-                raise ValueError(f"expected 2 coordinates, got {len(p)}")
-        return cls(pts, kind)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
+    dimension = 2
 
 
 @dataclass
@@ -113,6 +104,8 @@ class CountReport:
     # float coplanarity only: {"max_accepted": ..., "min_rejected": ...} of
     # |det| / scale, each None when no quadruple fell on that side
     margin: dict[str, float | None] | None = None
+    # exact hashing only: {"lines": ..., "planes": ..., "kernel": ...}
+    hashing: dict[str, int | str] | None = None
 
     @property
     def ordered_count(self) -> int:
@@ -131,6 +124,8 @@ class CountReport:
             out["circles"] = self.circles
         if self.margin is not None:
             out.update(self.margin)
+        if self.hashing is not None:
+            out.update(self.hashing)
         return out
 
 
@@ -142,56 +137,6 @@ def _require_distinct(points: Sequence[tuple]) -> None:
 def _integerize(points: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Scale each axis by the lcm of its denominators; incidences survive."""
     return list(zip(*(clear_denominators(axis)[1] for axis in zip(*points))))
-
-
-def _plane_key(p: tuple[int, int, int], q: tuple[int, int, int], r: tuple[int, int, int]):
-    """Canonical (n1, n2, n3, n0) for the plane n.X = n0, or None if collinear."""
-    u = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
-    v = (r[0] - p[0], r[1] - p[1], r[2] - p[2])
-    n1 = u[1] * v[2] - u[2] * v[1]
-    n2 = u[2] * v[0] - u[0] * v[2]
-    n3 = u[0] * v[1] - u[1] * v[0]
-    if n1 == 0 and n2 == 0 and n3 == 0:
-        return None
-    n0 = n1 * p[0] + n2 * p[1] + n3 * p[2]
-    g = math.gcd(n1, n2, n3, n0)
-    n1, n2, n3, n0 = n1 // g, n2 // g, n3 // g, n0 // g
-    for lead in (n1, n2, n3):
-        if lead != 0:
-            if lead < 0:
-                n1, n2, n3, n0 = -n1, -n2, -n3, -n0
-            break
-    return (n1, n2, n3, n0)
-
-
-def _line_key_3d(p: tuple[int, int, int], q: tuple[int, int, int]):
-    """Canonical (direction, moment) for the line through two integer points."""
-    d = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
-    g = math.gcd(*d)
-    d = (d[0] // g, d[1] // g, d[2] // g)
-    for lead in d:
-        if lead != 0:
-            if lead < 0:
-                d = (-d[0], -d[1], -d[2])
-            break
-    m = (
-        p[1] * d[2] - p[2] * d[1],
-        p[2] * d[0] - p[0] * d[2],
-        p[0] * d[1] - p[1] * d[0],
-    )
-    return d + m
-
-
-def _line_key_2d(p: tuple[int, int], q: tuple[int, int]):
-    """Canonical (a, b, c) for the line a*x + b*y = c through two points."""
-    a = q[1] - p[1]
-    b = p[0] - q[0]
-    c = a * p[0] + b * p[1]
-    g = math.gcd(a, b, c)
-    a, b, c = a // g, b // g, c // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return (a, b, c)
 
 
 def _det3(u, v, w) -> float | int:
@@ -245,75 +190,128 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
     return CountReport(count, "naive", 4, time.perf_counter() - start, margin=margin)
 
 
-def coplanar_fast(points: PointSet3) -> CountReport:
-    """Same count as exact `coplanar_naive`, via canonical plane hashing.
+@dataclass
+class _Flats:
+    """Lines and planes through each pivot and its later points, summed over pivots."""
 
-    Non-collinear triples are hashed to their plane; a plane with m points
-    contributes C(m, 4).  All-collinear 4-subsets would be counted once per
-    hashed plane through their line, so lines with >= 4 points get a
-    correction: subtract (pi - 1) * C(l, 4) when pi >= 1 planes contain the
-    line, add C(l, 4) when no hashed plane does (the whole set is on one
-    line).  Expected O(n^3).
+    kernel: str
+    lines: int = 0          # (pivot, line) pairs
+    planes: int = 0         # (pivot, plane) pairs
+    max_line: int = 0       # most points on one line, 0 when there is no line
+    max_plane: int = 0      # most points on one plane, 0 when there is no plane
+    line_pairs: int = 0     # sum of C(l, 2): collinear triples
+    line_triples: int = 0   # sum of C(l, 3): collinear quadruples
+    plane_triples: int = 0  # sum of C(m, 3) - c: coplanar, not collinear, quadruples
+    planes_of_3: int = 0    # planes with m == 3
+
+    def counters(self) -> dict[str, int | str]:
+        return {"lines": self.lines, "planes": self.planes, "kernel": self.kernel}
+
+
+def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) -> _Flats:
+    """Hash the lines, and for 3D points the planes, through each point P_i
+    and the points after it; `skip_vertical` drops planes whose normal has
+    third component 0.
+
+    Equal keys are grouped by a lexsort and a run split.  Per pivot this
+    holds O(n^2) line pairs; m and c are accumulated over the distinct
+    (plane, line) pairs.
     """
+    import numpy as np
+
+    def primitive(rows):
+        rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
+        lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+        return rows * np.where(lead < 0, -1, 1)[:, None]
+
+    def runs(keys):
+        """(group of each row, distinct rows, group sizes) of equal rows."""
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        group = np.empty(len(keys), dtype=np.intp)
+        group[order] = np.cumsum(first) - 1
+        return group, ordered[first], np.diff(np.append(np.flatnonzero(first), len(keys)))
+
+    span = max((abs(v) for p in pts for v in p), default=0)
+    flats = _Flats("int64" if 8 * span * span < _INT64_BOUND else "int")
+    coords = np.array(pts, dtype=np.int64 if flats.kernel == "int64" else object)
+    for i in range(len(pts) - 1):
+        _, dirs, l = runs(primitive(coords[i + 1:] - coords[i]))
+        l3 = l * (l - 1) * (l - 2) // 6
+        flats.lines += len(l)
+        flats.max_line = max(flats.max_line, int(l.max()) + 1)
+        flats.line_pairs += int((l * (l - 1) // 2).sum())
+        flats.line_triples += int(l3.sum())
+        if coords.shape[1] != 3:
+            continue
+        a, b = np.triu_indices(len(l), 1)
+        u, v = dirs[a], dirs[b]
+        normals = primitive(np.stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+                                      u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                                      u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]], axis=1))
+        if skip_vertical:
+            keep = normals[:, 2] != 0
+            a, b, normals = a[keep], b[keep], normals[keep]
+        if not len(normals):
+            continue
+        plane, _, sizes = runs(normals)
+        # a plane's lines are its first line and the lines paired with it
+        first = np.full(len(sizes), len(l))
+        np.minimum.at(first, plane, a)
+        other = a == first[plane]
+        m, c = l[first], l3[first]
+        np.add.at(m, plane[other], l[b[other]])
+        np.add.at(c, plane[other], l3[b[other]])
+        flats.planes += len(m)
+        flats.max_plane = max(flats.max_plane, int(m.max()) + 1)
+        flats.plane_triples += int((m * (m - 1) * (m - 2) // 6 - c).sum())
+        flats.planes_of_3 += int((m == 3).sum())
+    return flats
+
+
+def _exact_points(points, name: str) -> tuple[tuple, ...]:
     if points.kind != "exact":
-        raise ValueError("coplanar_fast requires exact coordinates")
+        raise ValueError(f"{name} requires exact coordinates")
     _require_distinct(points.points)
+    return points.points
+
+
+def coplanar_fast(points: PointSet3) -> CountReport:
+    """Same count as exact `coplanar_naive`, by hashing flats in pivot form.
+
+    Three later points are coplanar with P_i exactly when they lie on one
+    line through P_i or span one plane through it, never both.  So the
+    coplanar 4-subsets whose smallest index is i number
+    sum_lines C(l, 3) + sum_planes (C(m, 3) - c), and four collinear points
+    are counted once without a line correction.  O(n^3 log n) time, O(n^2)
+    memory per pivot.
+    """
+    pts = _exact_points(points, "coplanar_fast")
     start = time.perf_counter()
-    pts = _integerize(points.points)
-    n = len(pts)
-
-    planes: dict[tuple, set[int]] = {}
-    for i, j, k in combinations(range(n), 3):
-        key = _plane_key(pts[i], pts[j], pts[k])
-        if key is None:
-            continue
-        planes.setdefault(key, set()).update((i, j, k))
-    total = sum(math.comb(len(idx), 4) for idx in planes.values())
-
-    lines: dict[tuple, set[int]] = {}
-    for i, j in combinations(range(n), 2):
-        lines.setdefault(_line_key_3d(pts[i], pts[j]), set()).update((i, j))
-    max_line = max((len(idx) for idx in lines.values()), default=0)
-    for idx in lines.values():
-        l = len(idx)
-        if l < 4:
-            continue
-        members = sorted(idx)
-        p, q = pts[members[0]], pts[members[1]]
-        through = {
-            _plane_key(p, q, pts[r]) for r in range(n) if r not in idx
-        }
-        pi = len(through)
-        if pi == 0:
-            total += math.comb(l, 4)
-        else:
-            total -= (pi - 1) * math.comb(l, 4)
-
-    max_plane = max((len(idx) for idx in planes.values()), default=0)
+    flats = _pivot_flats(_integerize(pts))
     return CountReport(
-        total,
+        flats.line_triples + flats.plane_triples,
         "fast",
         4,
         time.perf_counter() - start,
-        degeneracy={"max_points_per_plane": max_plane, "max_points_per_line": max_line},
+        degeneracy={"max_points_per_plane": flats.max_plane,
+                    "max_points_per_line": flats.max_line},
+        hashing=flats.counters(),
     )
 
 
 def collinear_triples(points: PointSet2) -> CountReport:
-    """Count collinear 3-subsets via canonical line hashing over pairs."""
-    if points.kind != "exact":
-        raise ValueError("collinear_triples requires exact coordinates")
-    _require_distinct(points.points)
+    """Count collinear 3-subsets as sum C(l, 2) over the lines through each
+    point and its later points (pivot form, lines only)."""
+    pts = _exact_points(points, "collinear_triples")
     start = time.perf_counter()
-    pts = _integerize(points.points)
-    lines: dict[tuple, set[int]] = {}
-    for i, j in combinations(range(len(pts)), 2):
-        lines.setdefault(_line_key_2d(pts[i], pts[j]), set()).update((i, j))
-    count = sum(math.comb(len(idx), 3) for idx in lines.values())
-    max_line = max((len(idx) for idx in lines.values()), default=0)
+    flats = _pivot_flats(_integerize(pts))
     return CountReport(
-        count, "line-hash", 3, time.perf_counter() - start,
-        degeneracy={"max_points_per_line": max_line},
+        flats.line_pairs, "line-hash", 3, time.perf_counter() - start,
+        degeneracy={"max_points_per_line": flats.max_line},
+        hashing=flats.counters(),
     )
 
 
@@ -322,32 +320,24 @@ def four_point_circles(points: PointSet2) -> CountReport:
 
     Lifting (x, y) to (x, y, x^2 + y^2) turns circles into non-vertical
     plane sections; vertical planes encode lines and are skipped.  No three
-    lifted points are collinear (a line meets the paraboloid twice), so
-    plane hashing needs no collinearity corrections here.  Returns both the
-    number of distinct circles and the number of concyclic 4-subsets.
+    lifted points are collinear (a line meets the paraboloid twice), so in
+    pivot form every l is 1, c is 0, and the concyclic 4-subsets number
+    sum C(m, 3).  A circle through M >= 4 points has exactly 3 later points
+    at exactly one of its members, so the circles are the planes with
+    m == 3.
     """
-    if points.kind != "exact":
-        raise ValueError("four_point_circles requires exact coordinates")
-    _require_distinct(points.points)
+    pts = _exact_points(points, "four_point_circles")
     start = time.perf_counter()
-    lifted = [(x, y, x * x + y * y) for x, y in points.points]
-    pts = _integerize(lifted)
-    planes: dict[tuple, set[int]] = {}
-    for i, j, k in combinations(range(len(pts)), 3):
-        key = _plane_key(pts[i], pts[j], pts[k])
-        if key is None or key[2] == 0:
-            continue  # vertical plane: the three source points are collinear
-        planes.setdefault(key, set()).update((i, j, k))
-    circles = sum(1 for idx in planes.values() if len(idx) >= 4)
-    quadruples = sum(math.comb(len(idx), 4) for idx in planes.values())
-    max_circle = max((len(idx) for idx in planes.values()), default=0)
+    flats = _pivot_flats(_integerize([(x, y, x * x + y * y) for x, y in pts]),
+                         skip_vertical=True)
     return CountReport(
-        quadruples,
+        flats.plane_triples,
         "lift-hash",
         4,
         time.perf_counter() - start,
-        circles=circles,
-        degeneracy={"max_points_per_circle": max_circle},
+        circles=flats.planes_of_3,
+        degeneracy={"max_points_per_circle": flats.max_plane},
+        hashing=flats.counters(),
     )
 
 

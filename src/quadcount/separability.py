@@ -39,9 +39,22 @@ from fractions import Fraction
 from statistics import median
 from typing import Sequence
 
-import numpy as np
-
 from .polynomials import Polynomial, bivariate_gcd, try_divide
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy until the detector first uses it, then rebinds
+    this module's `np` to numpy itself.  The package imports this module for
+    every CLI job, and loading numpy here would add about 0.1 s to each."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 __all__ = [
     "SAMPLING_BOX",

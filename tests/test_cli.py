@@ -174,6 +174,7 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, "count-coplanar", "--points", str(path))
         payload = json.loads(out)
         assert (payload["count"], payload["method"]) == (1, "fast")
+        assert (payload["lines"], payload["planes"], payload["kernel"]) == (10, 8, "int64")
 
     def test_count_coplanar_float_naive(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
@@ -197,7 +198,9 @@ class TestGeometryCommands:
         path = tmp_path / "pts.csv"
         path.write_text("0,0\n1,1\n2,2\n5,0\n")
         code, out, _ = run_cli(capsys, "count-collinear", "--points", str(path))
-        assert json.loads(out)["count"] == 1
+        payload = json.loads(out)
+        assert payload["count"] == 1
+        assert (payload["lines"], payload["planes"], payload["kernel"]) == (5, 0, "int64")
 
     def test_count_circles(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
@@ -205,6 +208,7 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, "count-circles", "--points", str(path))
         payload = json.loads(out)
         assert (payload["circles"], payload["count"]) == (1, 5)
+        assert payload["kernel"] == "int64"
 
 
 class TestFitExponentCommand:
@@ -265,3 +269,19 @@ def test_cli_import_path_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
+    # numpy serves only the detector and exact hashing; every other job skips
+    # its import
+    src = str(Path(quadcount.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys; import quadcount.cli; print('numpy' in sys.modules); "
+            "quadcount.cli.main(['count-zeros', '--poly', 'x+y+s+t', '--sets', sys.argv[1], "
+            "'--out-path', sys.argv[2]]); print('numpy' in sys.modules)")
+    report = tmp_path / "report.json"
+    result = subprocess.run([sys.executable, "-c", code, sets_file, str(report)],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == ["False", "False"]
+    assert json.loads(report.read_text())["count"] == 27

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -74,7 +77,7 @@ class TestCoplanarNaive:
 
 class TestCoplanarFast:
     def test_line_with_generic_satellites(self):
-        # 4 collinear points plus 2 off-line exercises the correction path
+        # 4 collinear points plus 2 off-line: the collinear quadruple counts once
         rows = [(i, 0, 0) for i in range(4)] + [(0, 1, 5), (2, 3, 1)]
         points = pts3(rows)
         assert coplanar_fast(points).count == coplanar_naive(points).count
@@ -203,3 +206,165 @@ class TestFourPointCircles:
         assert report.count == concyclic_quadruples_naive(points).count
         assert report.circles >= 1
         assert report.degeneracy["max_points_per_circle"] == 8
+
+
+# -- pivot hashing against direct oracles, on both integer kernels -----------------
+
+
+def _cross2(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _collinear3(p, q, r):
+    u = [b - a for a, b in zip(p, q)]
+    v = [c - a for a, c in zip(p, r)]
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+def _coplanar4(p, q, r, s):
+    u, v, w = ([b - a for a, b in zip(p, x)] for x in (q, r, s))
+    return (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0])) == 0
+
+
+def _concyclic4(p, q, r, s):
+    lift = lambda a: (a[0], a[1], a[0] ** 2 + a[1] ** 2)
+    return _coplanar4(lift(p), lift(q), lift(r), lift(s))
+
+
+def _max_line(pts):
+    return max((sum(_collinear3(p, q, r) for r in pts if r not in (p, q)) + 2
+                for p, q in combinations(pts, 2)), default=0)
+
+
+def _max_plane(pts):
+    return max((sum(_coplanar4(p, q, r, s) for s in pts if s not in (p, q, r)) + 3
+                for p, q, r in combinations(pts, 3) if not _collinear3(p, q, r)), default=0)
+
+
+def _circles(pts):
+    """(circles through >= 4 points, most points on one circle), by member sets."""
+    members = {frozenset([p, q, r, *(s for s in pts if s not in (p, q, r)
+                                     and _concyclic4(p, q, r, s))])
+               for p, q, r in combinations(pts, 3) if _cross2(p, q, r) != 0}
+    return sum(len(m) >= 4 for m in members), max(map(len, members), default=0)
+
+
+def _ints(points):
+    """The points scaled by one common factor to integers (incidences survive)."""
+    scale = math.lcm(*(v.denominator for p in points for v in p))
+    return [tuple(int(v * scale) for v in p) for p in points]
+
+
+def _check_space(rows, kernel):
+    points = pts3(rows)
+    report = coplanar_fast(points)
+    assert report.count == coplanar_naive(points).count
+    ints = _ints(points)
+    assert report.degeneracy == {"max_points_per_plane": _max_plane(ints),
+                                 "max_points_per_line": _max_line(ints)}
+    assert report.to_json()["kernel"] == kernel
+
+
+def _check_plane(rows, kernel):
+    points = pts2(rows)
+    circles = four_point_circles(points)
+    assert circles.count == concyclic_quadruples_naive(points).count
+    ints = _ints(points)
+    expected_circles, max_circle = _circles(ints)
+    assert circles.circles == expected_circles
+    assert circles.degeneracy == {"max_points_per_circle": max_circle}
+    lines = collinear_triples(points)
+    assert lines.count == sum(_cross2(*t) == 0 for t in combinations(ints, 3))
+    assert lines.degeneracy == {"max_points_per_line": _max_line(ints)}
+    for report in (circles, lines):
+        assert report.to_json()["kernel"] == kernel
+
+
+def _random_rows(rng, dim, box, denominators=(1,)):
+    rows = {tuple(Fraction(rng.randint(-box, box), rng.choice(denominators)) for _ in range(dim))
+            for _ in range(rng.randint(4, 10))}
+    return sorted(rows)
+
+
+# moved and stretched copies of a set: the first stays within the int64
+# bound of the keys, the others do not
+_TRANSFORMS = [
+    pytest.param("int64", lambda v: v, id="as-is"),
+    pytest.param("int", lambda v: v + 2**40, id="shifted"),
+    pytest.param("int", lambda v: v * 2**31 - 7, id="scaled"),
+]
+
+
+class TestPivotKernels:
+    @pytest.mark.parametrize("kernel,move", _TRANSFORMS)
+    def test_random_space_sets(self, kernel, move):
+        rng = random.Random(5150)
+        for _ in range(30):
+            rows = _random_rows(rng, 3, rng.choice((1, 2, 4)), rng.choice(((1,), (1, 2, 3))))
+            _check_space([tuple(map(move, p)) for p in rows], kernel)
+
+    @pytest.mark.parametrize("kernel,move", _TRANSFORMS)
+    def test_random_plane_sets(self, kernel, move):
+        rng = random.Random(5151)
+        for _ in range(30):
+            rows = _random_rows(rng, 2, rng.choice((2, 3, 6)), rng.choice(((1,), (1, 2, 5))))
+            _check_plane([tuple(map(move, p)) for p in rows], kernel)
+
+    @pytest.mark.parametrize("kernel,move", _TRANSFORMS)
+    def test_lattices_with_long_lines(self, kernel, move):
+        cube = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+        _check_space([tuple(map(move, p)) for p in cube[:12]], kernel)
+        line = [(i, 2 * i, -i) for i in range(6)] + [(0, 1, 5), (2, 3, 1)]
+        _check_space([tuple(map(move, p)) for p in line], kernel)
+        grid = [(Fraction(x, 2), Fraction(y, 3)) for x in range(3) for y in range(4)]
+        _check_plane([tuple(map(move, p)) for p in grid], kernel)
+
+    def test_moment_curve_past_the_bound(self):
+        shifted = pts3([(t + 2**40, t * t + 2**40, t ** 3 + 2**40) for t in range(1, 13)])
+        report = coplanar_fast(shifted)
+        assert report.count == coplanar_naive(shifted).count == 0
+        assert report.to_json()["kernel"] == "int"
+
+    def test_kernel_switches_at_the_bound(self):
+        # 8 span^2 < 2^62 holds for span = 2^29 and fails for span = 2^30
+        for span, kernel in ((2**29, "int64"), (2**30, "int")):
+            rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, span)]
+            report = coplanar_fast(pts3(rows))
+            assert (report.count, report.to_json()["kernel"]) == (1, kernel)
+
+    def test_report_counts_lines_and_planes(self):
+        out = coplanar_fast(pts3([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])).to_json()
+        # pivot 0 sees 3 lines and 3 planes, pivot 1 sees 2 lines and 1 plane
+        assert (out["lines"], out["planes"], out["kernel"]) == (6, 4, "int64")
+        out = collinear_triples(pts2([(0, 0), (1, 1), (2, 2)])).to_json()
+        assert (out["lines"], out["planes"]) == (2, 0)
+
+
+class TestSmallInputs:
+    @pytest.mark.parametrize("rows,plane,line", [
+        ([], 0, 0),
+        ([(0, 0, 0)], 0, 0),
+        ([(0, 0, 0), (1, 2, 3)], 0, 2),
+        ([(0, 0, 0), (1, 2, 3), (2, 4, 6)], 0, 3),
+        ([(0, 0, 0), (1, 2, 3), (1, 0, 0)], 3, 2),
+    ])
+    def test_coplanar_fast(self, rows, plane, line):
+        report = coplanar_fast(pts3(rows))
+        assert report.count == 0
+        assert report.degeneracy == {"max_points_per_plane": plane, "max_points_per_line": line}
+
+    @pytest.mark.parametrize("rows,circle,line", [
+        ([], 0, 0),
+        ([(0, 0)], 0, 0),
+        ([(0, 0), (1, 2)], 0, 2),
+        ([(0, 0), (1, 2), (2, 4)], 0, 3),
+        ([(0, 0), (1, 2), (1, 0)], 3, 2),
+    ])
+    def test_circles_and_lines(self, rows, circle, line):
+        circles = four_point_circles(pts2(rows))
+        assert (circles.count, circles.circles) == (0, 0)
+        assert circles.degeneracy == {"max_points_per_circle": circle}
+        lines = collinear_triples(pts2(rows))
+        assert lines.count == (1 if line == 3 else 0)
+        assert lines.degeneracy == {"max_points_per_line": line}
