@@ -383,18 +383,20 @@ def coplanar_index_oracle(n: int) -> int:
     """4-subsets of {1..n-1} with pairwise-distinct entries summing to 0 mod n.
 
     Ground truth for the coplanar count of the embedded torsion construction.
-    O(n^3): the largest element is determined by the other three.
+    O(n^2): for the two smallest entries i < j, with r = -(i+j) mod n, the
+    third entry k > j fixes the largest as l = -(i+j+k) mod n, which is
+    r - k for k < r and r - k + n for k > r (k = r gives l = 0, not an
+    entry).  Requiring l > k leaves j < k <= (r-1)//2 in the first case and
+    max(j, r) < k <= min(n-1, (r+n-1)//2) in the second.
     """
     if n < 5:
         raise ValueError("n must be >= 5")
     count = 0
     for i in range(1, n - 2):
         for j in range(i + 1, n - 1):
-            ij = i + j
-            for k in range(j + 1, n):
-                l = (-(ij + k)) % n
-                if l > k:
-                    count += 1
+            r = -(i + j) % n
+            count += max(0, (r - 1) // 2 - j)
+            count += max(0, min(n - 1, (r + n - 1) // 2) - max(j, r))
     return count
 
 

@@ -40,6 +40,7 @@ from statistics import median
 from typing import Sequence
 
 from .polynomials import Polynomial, bivariate_gcd, try_divide
+from .stages import Stages
 
 
 class _NumpyOnFirstUse:
@@ -83,6 +84,12 @@ RATIO_FAIL = 1e-2         # ratio spread above this is a decisive failure
 G_VANISH = 1e-8           # normalized |G| below this across all trials
 _POSITIONS = 5            # points per fiber walk in the ratio test
 
+# Why a sampler attempt was abandoned: the slice had no real root Newton
+# could polish, a walked point left the surface, a gradient component fell
+# below the floor, Newton continuation lost the fiber, or the G sampler drew
+# two x values closer than 5% of the box.
+_REJECTIONS = ("no_real_root", "residual", "gradient_floor", "continuation", "close_pair")
+
 
 class DegenerateSurfaceError(RuntimeError):
     """The sampler could not produce enough regular surface points."""
@@ -117,13 +124,20 @@ class PopularScan:
 
 @dataclass
 class FormVerdict:
-    """Combined detector output: special | non-special | inconclusive."""
+    """Combined detector output: special | non-special | inconclusive.
+
+    `stages` holds the seconds spent in each stage that ran (h1, h2, h3,
+    g_sample, popular); `sampler` holds the attempts of the ratio walks and
+    the G sampler together, and the abandoned ones by reason.
+    """
 
     classification: str
     ratio_spreads: dict[str, float]
     g_max: float
     popular: list[tuple[Polynomial, int]]
     notes: list[str] = field(default_factory=list)
+    stages: dict[str, float] = field(default_factory=dict)
+    sampler: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -132,24 +146,76 @@ class FormVerdict:
             "g_max": self.g_max,
             "popular_components": [[str(p), m] for p, m in self.popular],
             "notes": self.notes,
+            "stages": self.stages,
+            "sampler": self.sampler,
         }
 
 
 class _FloatForm:
-    """Vectorized float64 view of an exact polynomial."""
+    """Float view of an exact polynomial: `(coeff, factors)` terms, where
+    `factors` lists `(variable index, exponent)` for the nonzero exponents.
 
-    __slots__ = ("coeffs", "exps")
+    Evaluation runs on Python floats and makes no numpy call; the detector
+    calls it a dozen times per surface point, on 3 or 4 coordinates, where
+    array set-up would cost more than the arithmetic.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, poly: Polynomial):
-        n = len(poly.vars)
-        items = sorted(poly.terms.items())
-        self.coeffs = np.array([float(c) for _, c in items], dtype=float)
-        self.exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), n)
+        self.terms = [
+            (float(c), tuple((i, e) for i, e in enumerate(exps) if e))
+            for exps, c in sorted(poly.terms.items())
+        ]
 
-    def __call__(self, point: np.ndarray) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        return float(np.dot(self.coeffs, np.prod(point ** self.exps, axis=1)))
+    def __call__(self, point: Sequence[float]) -> float:
+        total = 0.0
+        for coeff, factors in self.terms:
+            monomial = 1.0
+            for i, e in factors:
+                monomial *= point[i] if e == 1 else point[i] ** e
+            total += coeff * monomial
+        return total
+
+
+def _horner(coeffs: Sequence[float], y: float) -> float:
+    # coefficients lowest power first
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def _slice_roots(coeffs: Sequence[float]) -> Sequence[complex]:
+    """Roots of the slice `sum coeffs[j] y^j` after trimming leading
+    coefficients below 1e-13 of the largest one.
+
+    Degrees 1 and 2 are solved in closed form (the quadratic by the stable
+    `q = -(b + sign(b) sqrt(disc)) / 2`, a negative discriminant giving the
+    conjugate pair); degree 3 and up go to `np.roots`.
+    """
+    scale = max((abs(c) for c in coeffs), default=0.0)
+    if scale == 0.0:
+        return []
+    trimmed = list(coeffs)
+    while trimmed and abs(trimmed[-1]) < 1e-13 * scale:
+        trimmed.pop()
+    if len(trimmed) < 2:
+        return []
+    if len(trimmed) == 2:
+        return [-trimmed[0] / trimmed[1]]
+    if len(trimmed) == 3:
+        c, b, a = trimmed
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            re = -b / (2.0 * a)
+            im = math.sqrt(-disc) / (2.0 * abs(a))
+            return [complex(re, im), complex(re, -im)]
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        if q == 0.0:
+            return [0.0, 0.0]  # b = c = 0
+        return [q / a, c / q]
+    return np.roots(trimmed[::-1])
 
 
 class _Surface:
@@ -157,7 +223,9 @@ class _Surface:
 
     The second declared variable is the solved one; the univariate slice in
     it is rebuilt from a coefficient profile precomputed over the other
-    three variables.
+    three variables.  Points are tuples of Python floats, and the per-point
+    path (slice, Newton, closed-form roots up to degree 2, gradient) makes
+    no numpy call.
     """
 
     def __init__(self, poly: Polynomial, box: float, grad_floor: float, residual_tol: float):
@@ -178,44 +246,35 @@ class _Surface:
             )
         self.profile = [_FloatForm(p) for p in profile]
 
-    def slice_coeffs(self, x: float, s: float, t: float) -> np.ndarray:
-        pt = np.array([x, s, t], dtype=float)
-        return np.array([form(pt) for form in self.profile], dtype=float)
+    def slice_coeffs(self, x: float, s: float, t: float) -> list[float]:
+        pt = (x, s, t)
+        return [form(pt) for form in self.profile]
 
     def newton_y(self, x: float, s: float, t: float, y0: float) -> float | None:
-        coeffs = self.slice_coeffs(x, s, t)
-        dcoeffs = np.array([j * c for j, c in enumerate(coeffs)][1:], dtype=float)
-        y = y0
+        return self._newton(self.slice_coeffs(x, s, t), y0)
+
+    def _newton(self, coeffs: list[float], y: float) -> float | None:
+        dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]
         for _ in range(80):
-            g = float(np.polyval(coeffs[::-1], y))
+            g = _horner(coeffs, y)
             if abs(g) < self.residual_tol:
                 return y
-            dg = float(np.polyval(dcoeffs[::-1], y)) if dcoeffs.size else 0.0
+            dg = _horner(dcoeffs, y)
             if dg == 0.0 or not math.isfinite(dg):
                 return None
-            step = g / dg
-            y -= step
+            y -= g / dg
             if not math.isfinite(y):
                 return None
-        return y if abs(float(np.polyval(coeffs[::-1], y))) < self.residual_tol else None
+        return y if abs(_horner(coeffs, y)) < self.residual_tol else None
 
     def solve_y(self, x: float, s: float, t: float) -> list[float]:
         """All real solutions of the univariate slice, polished by Newton."""
         coeffs = self.slice_coeffs(x, s, t)
-        scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-        if scale == 0.0:
-            return []
-        trimmed = list(coeffs)
-        while trimmed and abs(trimmed[-1]) < 1e-13 * scale:
-            trimmed.pop()
-        if len(trimmed) < 2:
-            return []
-        roots = np.roots(trimmed[::-1])
         out: list[float] = []
-        for r in roots:
+        for r in _slice_roots(coeffs):
             if abs(r.imag) > 1e-8 * (1.0 + abs(r)):
                 continue
-            y = self.newton_y(x, s, t, float(r.real))
+            y = self._newton(coeffs, float(r.real))
             if y is None:
                 continue
             if all(abs(y - prev) > 1e-9 * (1.0 + abs(y)) for prev in out):
@@ -223,11 +282,11 @@ class _Surface:
         out.sort()
         return out
 
-    def gradient(self, point: np.ndarray) -> np.ndarray:
-        return np.array([g(point) for g in self.grads], dtype=float)
+    def gradient(self, point: Sequence[float]) -> tuple[float, ...]:
+        return tuple(g(point) for g in self.grads)
 
-    def regular(self, grad: np.ndarray) -> bool:
-        return bool(np.all(np.abs(grad) >= self.grad_floor))
+    def regular(self, grad: Sequence[float]) -> bool:
+        return all(abs(g) >= self.grad_floor for g in grad)
 
 
 def sample_surface(
@@ -250,19 +309,18 @@ def sample_surface(
     budget = 200 * max(count, 1)
     while len(samples) < count and budget > 0:
         budget -= 1
-        x, s, t = rng.uniform(-box, box, size=3)
+        x, s, t = rng.uniform(-box, box, size=3).tolist()
         ys = surf.solve_y(x, s, t)
         regular = []
         for y in ys:
-            pt = np.array([x, y, s, t], dtype=float)
+            pt = (x, y, s, t)
             grad = surf.gradient(pt)
             res = abs(surf.f(pt))
             if res < residual_tol and surf.regular(grad):
                 regular.append((pt, res, grad))
         if not regular:
             continue
-        pt, res, grad = regular[int(rng.integers(len(regular)))]
-        samples.append(SurfaceSample(tuple(pt), res, tuple(grad)))
+        samples.append(SurfaceSample(*regular[int(rng.integers(len(regular)))]))
     if len(samples) < count:
         raise DegenerateSurfaceError(
             f"found only {len(samples)}/{count} regular surface points"
@@ -280,6 +338,7 @@ def ratio_test(
     grad_floor: float = GRADIENT_FLOOR,
     residual_tol: float = RESIDUAL_TOL,
     positions: int = _POSITIONS,
+    stages: Stages | None = None,
 ) -> float:
     """Max relative spread of F_num/F_den along fibers of the surface.
 
@@ -288,9 +347,11 @@ def ratio_test(
     Newton continuation at each step), and the ratio of the two partial
     derivatives is recorded at every position.  For a separable polynomial
     the ratio is a function of the frozen pair only, so its spread along the
-    fiber vanishes up to solver noise.
+    fiber vanishes up to solver noise.  Each walk counts one "attempts" in
+    `stages`, and each abandoned one its reason (see `_REJECTIONS`).
     """
     surf = _Surface(poly, box, grad_floor, residual_tol)
+    tally = (stages if stages is not None else Stages()).count
     names = poly.vars
     solved = names[1]
     num_var, den_var = pair
@@ -312,6 +373,7 @@ def ratio_test(
     budget = 40 * trials
     while successes < trials and budget > 0:
         budget -= 1
+        tally("attempts")
         frozen_vals = {v: float(rng.uniform(-box, box)) for v in frozen}
         base = float(rng.uniform(-box, box - step * (positions - 1)))
 
@@ -322,10 +384,11 @@ def ratio_test(
 
         roots = surf.solve_y(*slice_args(base))
         if not roots:
+            tally("no_real_root")
             continue
         y = roots[int(rng.integers(len(roots)))]
         ratios: list[float] = []
-        ok = True
+        rejected = None
         for k in range(positions):
             free_val = base + k * step
             if k > 0:
@@ -335,22 +398,23 @@ def ratio_test(
                     y_mid = surf.newton_y(*slice_args(free_val - 0.5 * step), y)
                     y_next = surf.newton_y(*slice_args(free_val), y_mid) if y_mid is not None else None
                 if y_next is None:
-                    ok = False
+                    rejected = "continuation"
                     break
                 y = y_next
             coords = dict(frozen_vals)
             coords[free] = free_val
             coords[solved] = y
-            pt = np.array([coords[v] for v in names], dtype=float)
-            grad = surf.gradient(pt)
-            if abs(surf.f(pt)) >= residual_tol or not surf.regular(grad):
-                ok = False
+            pt = tuple(coords[v] for v in names)
+            if abs(surf.f(pt)) >= residual_tol:
+                rejected = "residual"
                 break
-            if abs(grad[den_idx]) < grad_floor:
-                ok = False
+            grad = surf.gradient(pt)
+            if not surf.regular(grad):
+                rejected = "gradient_floor"
                 break
             ratios.append(grad[num_idx] / grad[den_idx])
-        if not ok or len(ratios) < positions:
+        if rejected is not None:
+            tally(rejected)
             continue
         spread = (max(ratios) - min(ratios)) / (abs(median(ratios)) + 1e-12)
         max_spread = max(max_spread, spread)
@@ -369,15 +433,18 @@ def g_sample(
     box: float = SAMPLING_BOX,
     grad_floor: float = GRADIENT_FLOOR,
     residual_tol: float = RESIDUAL_TOL,
+    stages: Stages | None = None,
 ) -> float:
     """Max normalized |G| over pairs of surface points sharing an (s, t) slice.
 
     G is the 2x2 determinant of the (F_s, F_t) gradients at the two points,
     normalized by the product of the full gradient norms.  Vanishing across
-    all trials is evidence of separable structure.
+    all trials is evidence of separable structure.  Each drawn pair counts
+    one "attempts" in `stages`, and each discarded one its reason (see
+    `_REJECTIONS`).
     """
     surf = _Surface(poly, box, grad_floor, residual_tol)
-    names = poly.vars
+    tally = (stages if stages is not None else Stages()).count
     rng = np.random.default_rng(seed)
     g_max = 0.0
     successes = 0
@@ -385,28 +452,30 @@ def g_sample(
     thin_slices = 0
     while successes < trials and budget > 0:
         budget -= 1
-        s, t = rng.uniform(-box, box, size=2)
+        tally("attempts")
+        s, t = rng.uniform(-box, box, size=2).tolist()
         x1 = float(rng.uniform(-box, box))
         x2 = float(rng.uniform(-box, box))
         if abs(x1 - x2) < 0.05 * box:
+            tally("close_pair")
             continue
         roots1 = surf.solve_y(x1, s, t)
         roots2 = surf.solve_y(x2, s, t)
         if not roots1 or not roots2:
+            tally("no_real_root")
             thin_slices += 1
             if thin_slices > 30 * trials:
                 raise DegenerateSurfaceError("slices rarely admit two solvable fibers in the box")
             continue
         y1 = roots1[int(rng.integers(len(roots1)))]
         y2 = roots2[int(rng.integers(len(roots2)))]
-        p1 = np.array([x1, y1, s, t])
-        p2 = np.array([x2, y2, s, t])
-        g1 = surf.gradient(p1)
-        g2 = surf.gradient(p2)
+        g1 = surf.gradient((x1, y1, s, t))
+        g2 = surf.gradient((x2, y2, s, t))
         if not (surf.regular(g1) and surf.regular(g2)):
+            tally("gradient_floor")
             continue
         det = g1[2] * g2[3] - g2[2] * g1[3]
-        norm = float(np.linalg.norm(g1) * np.linalg.norm(g2))
+        norm = math.hypot(*g1) * math.hypot(*g2)
         g_max = max(g_max, abs(det) / norm)
         successes += 1
     if successes < trials:
@@ -511,24 +580,28 @@ def classify(
     spreads: dict[str, float] = {}
     g_max = math.nan
     failed = False
+    stages = Stages()
     try:
         for (label, pair), sd in zip(_ratio_pairs(names).items(), seeds[:3]):
-            spreads[label] = ratio_test(
-                poly, pair, trials=trials, seed=sd, box=box,
-                grad_floor=grad_floor, residual_tol=residual_tol,
+            with stages.timed(label):
+                spreads[label] = ratio_test(
+                    poly, pair, trials=trials, seed=sd, box=box,
+                    grad_floor=grad_floor, residual_tol=residual_tol, stages=stages,
+                )
+        with stages.timed("g_sample"):
+            g_max = g_sample(
+                poly, trials=trials, seed=seeds[3], box=box,
+                grad_floor=grad_floor, residual_tol=residual_tol, stages=stages,
             )
-        g_max = g_sample(
-            poly, trials=trials, seed=seeds[3], box=box,
-            grad_floor=grad_floor, residual_tol=residual_tol,
-        )
     except DegenerateSurfaceError as exc:
         notes.append(f"sampler failure: {exc}")
         failed = True
 
     popular: list[tuple[Polynomial, int]] = []
     try:
-        params = _random_params(poly, np.random.default_rng(seeds[4]), param_count)
-        scan = popular_components(poly, params)
+        with stages.timed("popular"):
+            params = _random_params(poly, np.random.default_rng(seeds[4]), param_count)
+            scan = popular_components(poly, params)
         popular = scan.popular
         if scan.degenerate_params:
             notes.append(f"{len(scan.degenerate_params)} parameter pairs gave vanishing slices")
@@ -543,4 +616,6 @@ def classify(
         classification = "special"
     else:
         classification = "inconclusive"
-    return FormVerdict(classification, spreads, g_max, popular, notes)
+    sampler = {"attempts": stages.counts.get("attempts", 0),
+               "rejections": {r: stages.counts.get(r, 0) for r in _REJECTIONS}}
+    return FormVerdict(classification, spreads, g_max, popular, notes, stages.seconds, sampler)

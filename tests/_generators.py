@@ -1,5 +1,6 @@
 """Seeded random instance generators shared by unit and acceptance tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,3 +50,21 @@ def random_mixed_point_instance(rng):
     if len(unique) < 4:
         return None
     return PointSet3.from_rows(unique)
+
+
+def zero_sum_subsets(n, k):
+    """k-subsets of Z_n summing to 0 mod n (closed form by Moebius inversion).
+
+    N_k(n) = (1/n) sum over d | gcd(n, k) of
+    (-1)^(k + k/d) phi(d) C(n/d, k/d).
+    """
+    def phi(d):
+        return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+    g = math.gcd(n, k)
+    total = sum(
+        (-1) ** (k + k // d) * phi(d) * math.comb(n // d, k // d)
+        for d in range(1, g + 1) if g % d == 0
+    )
+    assert total % n == 0
+    return total // n

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from _generators import random_grid_instance, random_mixed_point_instance
+from _generators import random_grid_instance, random_mixed_point_instance, zero_sum_subsets
 from quadcount.constructions import (
     TORSION_COPLANAR_TOL,
     angle,
@@ -114,24 +114,6 @@ def _extrapolated_exponent(counts):
     return 2 * math.log2(c2 / c1) - math.log2(c1 / c0)
 
 
-def _zero_sum_subsets(n, k):
-    """k-subsets of Z_n summing to 0 mod n (closed form by Moebius inversion).
-
-    N_k(n) = (1/n) sum over d | gcd(n, k) of
-    (-1)^(k + k/d) phi(d) C(n/d, k/d).
-    """
-    def phi(d):
-        return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
-
-    g = math.gcd(n, k)
-    total = sum(
-        (-1) ** (k + k // d) * phi(d) * math.comb(n // d, k // d)
-        for d in range(1, g + 1) if g % d == 0
-    )
-    assert total % n == 0
-    return total // n
-
-
 def test_criterion_3b_elliptic_oracle_slope():
     """Growth exponent of oracle counts over {16, 32, 64, 128} within 3.0 +/- 0.1.
 
@@ -146,8 +128,8 @@ def test_criterion_3b_elliptic_oracle_slope():
     counts = [(n, coplanar_index_oracle(n)) for n in ns]
     elapsed = time.perf_counter() - start
     closed = [
-        (n, _zero_sum_subsets(n, 4) - _zero_sum_subsets(n, 3)
-         + _zero_sum_subsets(n, 2))
+        (n, zero_sum_subsets(n, 4) - zero_sum_subsets(n, 3)
+         + zero_sum_subsets(n, 2))
         for n in ns
     ]
     exponent = _extrapolated_exponent(counts)

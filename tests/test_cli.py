@@ -122,6 +122,8 @@ class TestDetectSpecialCommand:
         assert payload["classification"] == "non-special"
         assert payload["ratio_spreads"]["h1"] > 1e-2
         assert payload["seed"] == 1729
+        assert set(payload["stages"]) == {"h1", "h2", "h3", "g_sample", "popular"}
+        assert payload["sampler"]["attempts"] >= 4 * 50
 
     def test_special_verdict_with_trials_flag(self, capsys):
         code, out, _ = run_cli(

@@ -1,10 +1,16 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quadcount.polynomials import parse_poly
+from quadcount.polynomials import Polynomial, parse_poly
 from quadcount.separability import (
+    G_VANISH,
+    RATIO_PASS,
     DegenerateSurfaceError,
+    _FloatForm,
+    _slice_roots,
     classify,
     g_sample,
     popular_components,
@@ -148,3 +154,154 @@ class TestClassify:
         verdict = classify(P("x + s + t"), seed=0, trials=5)
         assert verdict.classification == "inconclusive"
         assert verdict.notes
+
+
+# -- the float kernel ----------------------------------------------------------
+
+
+def random_poly(rng, nvars):
+    terms = {}
+    for _ in range(int(rng.integers(1, 9))):
+        exp = tuple(int(e) for e in rng.integers(0, 4, size=nvars))
+        terms[exp] = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9)))
+    return Polynomial(V4[:nvars], terms)
+
+
+class TestFloatForm:
+    def test_matches_exact_evaluation(self):
+        # the error bound of a float sum scales with the sum of |terms|, so
+        # that is the reference magnitude, not the (possibly cancelled) value
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            nvars = int(rng.integers(3, 5))
+            poly = random_poly(rng, nvars)
+            form = _FloatForm(poly)
+            for _ in range(5):
+                point = tuple(rng.uniform(-2.0, 2.0, size=nvars).tolist())
+                exact = poly.evaluate([Fraction(v) for v in point])
+                scale = sum(abs(c) * math.prod(abs(Fraction(v)) ** e for v, e in zip(point, exp))
+                            for exp, c in poly.terms.items())
+                assert abs(Fraction(form(point)) - exact) <= Fraction(1e-12) * scale
+
+    def test_zero_polynomial_is_zero(self):
+        assert _FloatForm(Polynomial(V4, {}))((1.0, 2.0, 3.0, 4.0)) == 0.0
+
+
+def np_slice_roots(coeffs):
+    # the reference route: the same trimming, then the companion matrix
+    scale = max(abs(c) for c in coeffs)
+    trimmed = list(coeffs)
+    while trimmed and abs(trimmed[-1]) < 1e-13 * scale:
+        trimmed.pop()
+    return np.roots(trimmed[::-1]) if len(trimmed) >= 2 else np.array([])
+
+
+def assert_same_roots(coeffs, rel):
+    ours = sorted(_slice_roots(coeffs), key=lambda r: (r.real, r.imag))
+    ref = sorted(np_slice_roots(coeffs), key=lambda r: (r.real, r.imag))
+    assert len(ours) == len(ref)
+    real = lambda r: abs(r.imag) <= 1e-8 * (1.0 + abs(r))  # solve_y's filter
+    assert [real(r) for r in ours] == [real(r) for r in ref]
+    for a, b in zip(ours, ref):
+        assert abs(complex(a) - complex(b)) <= rel * (1.0 + abs(b))
+
+
+class TestSliceRoots:
+    def test_random_linear_and_quadratic_slices(self):
+        rng = np.random.default_rng(77)
+        for degree in (1, 2):
+            for _ in range(500):
+                coeffs = rng.uniform(-3.0, 3.0, size=degree + 1).tolist()
+                assert_same_roots(coeffs, 1e-12)
+
+    def test_double_root(self):
+        # (y - 1.5)^2: disc = 0
+        assert_same_roots([2.25, -3.0, 1.0], 1e-12)
+        assert _slice_roots([2.25, -3.0, 1.0]) == [1.5, 1.5]
+
+    def test_slightly_negative_discriminant_stays_real(self):
+        # disc = -8.9e-16: the conjugate pair's imaginary part 1.5e-8 is
+        # under the filter, so both routes keep the root
+        coeffs = [1.0 + 2.0 ** -52, -2.0, 1.0]
+        assert 1.0 + 2.0 ** -52 > 1.0
+        assert_same_roots(coeffs, 1e-12)
+        assert all(abs(r.imag) < 1e-8 * (1.0 + abs(r)) for r in _slice_roots(coeffs))
+
+    def test_trimmed_leading_coefficient(self):
+        # 1e-14 y^2 is below 1e-13 of the largest coefficient: a linear slice
+        assert_same_roots([1.0, 2.0, 1e-14], 1e-12)
+        assert _slice_roots([1.0, 2.0, 1e-14]) == [-0.5]
+
+    def test_zero_constant_terms(self):
+        assert_same_roots([0.0, 2.0, 3.0], 1e-12)
+        assert _slice_roots([0.0, 0.0, 3.0]) == [0.0, 0.0]
+        assert _slice_roots([0.0, 0.0, 0.0]) == []
+        assert _slice_roots([4.0, 1e-15]) == []
+
+    def test_cubic_goes_to_the_companion_matrix(self):
+        assert_same_roots([-6.0, 11.0, -6.0, 1.0], 1e-12)  # roots 1, 2, 3
+
+
+# -- verdicts of the benchmark polynomials at the CLI's default seed -----------
+
+# (classification, ratio spreads, g_max), None where the sampler stopped first
+PINNED = {
+    "x*y - s*t": ("special", {"h1": 0.0, "h2": 6.2e-15, "h3": 9.1e-16}, 0.0),
+    "t - (x + y*s)": ("non-special",
+                      {"h1": 6.979261335863966, "h2": 42.14922249624455, "h3": 0.0},
+                      0.6435649345175893),
+    "x^2 + y^3 + s + t^2": ("special", {"h1": 0.0, "h2": 0.0, "h3": 0.0}, 0.0),
+    "(x+y)^2 + s - t": ("non-special",
+                        {"h1": 0.0, "h2": 2.472752606242819, "h3": 3.73047131905585}, 0.0),
+    "x + y + s + t": ("special", {"h1": 0.0, "h2": 0.0, "h3": 0.0}, 0.0),
+    "x + s + t": ("inconclusive", {}, None),
+    "x*s - t": ("inconclusive", {}, None),
+    "x^2 + y^2 + s^2 + t^2 - 1": ("inconclusive", {"h1": 0.0, "h2": 0.0, "h3": 0.0}, None),
+}
+
+
+def assert_pinned(value, pinned, floor):
+    if pinned > 1e-6:
+        assert value == pytest.approx(pinned, rel=1e-9)
+    else:
+        assert value < floor
+
+
+@pytest.mark.parametrize("text", PINNED)
+def test_benchmark_verdicts_are_pinned(text):
+    classification, spreads, g_max = PINNED[text]
+    verdict = classify(P(text), seed=1729)
+    assert verdict.classification == classification
+    assert verdict.ratio_spreads.keys() == spreads.keys()
+    for label, pinned in spreads.items():
+        assert_pinned(verdict.ratio_spreads[label], pinned, RATIO_PASS)
+    if g_max is None:
+        assert math.isnan(verdict.g_max)
+    else:
+        assert_pinned(verdict.g_max, g_max, G_VANISH)
+
+
+# -- stage timings and sampler counters in the verdict -------------------------
+
+
+class TestVerdictReport:
+    def test_stages_and_sampler_account_for_every_attempt(self):
+        out = classify(P("t - (x + y*s)"), seed=5, trials=20).to_json()
+        assert set(out["stages"]) == {"h1", "h2", "h3", "g_sample", "popular"}
+        assert all(v >= 0.0 for v in out["stages"].values())
+        rejections = out["sampler"]["rejections"]
+        assert set(rejections) == {"no_real_root", "residual", "gradient_floor",
+                                   "continuation", "close_pair"}
+        # three ratio tests and the G sampler, 20 accepted draws each
+        assert out["sampler"]["attempts"] - sum(rejections.values()) == 4 * 20
+
+    def test_sampler_failure_says_why(self):
+        out = classify(P("x^2 + y^2 + s^2 + t^2 - 1"), seed=1729).to_json()
+        assert out["classification"] == "inconclusive"
+        assert out["sampler"]["rejections"]["no_real_root"] > 30 * 50
+        assert "g_sample" in out["stages"] and "popular" in out["stages"]
+
+    def test_unsolvable_surface_reports_no_attempts(self):
+        out = classify(P("x + s + t"), seed=0, trials=5).to_json()
+        assert out["sampler"]["attempts"] == 0
+        assert set(out["stages"]) == {"h1", "popular"}
