@@ -6,17 +6,20 @@ sizes of its `fit-exponent --experiment elliptic-oracle` job, in one
 process.  Every timing is written next to the verdict, spreads or count it
 produced, so a speedup that changes a result shows in the same file.
 
-    PYTHONPATH=src python bench/detector_oracle.py [--repeat 3] [--out PATH]
+    PYTHONPATH=src python bench/detector_oracle.py [--out PATH]
 
-`--repeat` runs each call that many times and keeps every timing; the
-results of the repeats must agree, or the script exits 1.  Point PYTHONPATH
-at another checkout's `src` to time that checkout with the same script.
+Each call runs REPEAT = 5 times and every timing is kept (the printed
+figures are medians of 5); the results of the repeats must agree, or the
+script exits 1.  A `g_max` the sampler never reached is written as null.
+Point PYTHONPATH at another checkout's `src` to time that checkout with the
+same script.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -40,13 +43,14 @@ POLYS = (
     "x^2 + y^2 + s^2 + t^2 - 1",
 )
 ORACLE_NS = (128, 256, 384)
+REPEAT = 5
 
 
-def timed(fn, repeat: int):
+def timed(fn):
     """(result of the last call, seconds of every call); exits if the results
     of two calls differ."""
     results, seconds = [], []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         results.append(fn())
         seconds.append(time.perf_counter() - start)
@@ -55,7 +59,7 @@ def timed(fn, repeat: int):
     return results[-1], seconds
 
 
-def detector_row(text: str, repeat: int) -> dict:
+def detector_row(text: str) -> dict:
     poly = parse_poly(text, VARS)
     stages = []
 
@@ -64,10 +68,11 @@ def detector_row(text: str, repeat: int) -> dict:
         stages.append(out.pop("stages", {}))
         return out
 
-    verdict, seconds = timed(run, repeat)
+    verdict, seconds = timed(run)
+    g_max = None if math.isnan(verdict["g_max"]) else verdict["g_max"]
     return {"poly": text, "seconds": seconds, "stages": stages,
             "classification": verdict["classification"],
-            "ratio_spreads": verdict["ratio_spreads"], "g_max": verdict["g_max"],
+            "ratio_spreads": verdict["ratio_spreads"], "g_max": g_max,
             "sampler": verdict.get("sampler"), "notes": verdict["notes"]}
 
 
@@ -77,29 +82,26 @@ def median_total(rows: list[dict]) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", default="BENCH_detector_oracle.json")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
-    detector = [detector_row(text, args.repeat) for text in POLYS]
+    detector = [detector_row(text) for text in POLYS]
     oracle = []
     for n in ORACLE_NS:
-        count, seconds = timed(lambda: coplanar_index_oracle(n), args.repeat)
+        count, seconds = timed(lambda: coplanar_index_oracle(n))
         oracle.append({"n": n, "count": count, "seconds": seconds})
     record = {
         "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
                     "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count()},
         "seed": SEED,
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "detector_median_total_s": median_total(detector),
         "oracle_median_total_s": median_total(oracle),
         "detector": detector,
         "oracle": oracle,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
+        json.dump(record, fh, indent=1, allow_nan=False)
         fh.write("\n")
     for row in detector:
         print(f"{row['poly']:28s} {row['classification']:13s} "

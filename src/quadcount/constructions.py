@@ -387,7 +387,7 @@ def coplanar_index_oracle(n: int) -> int:
     third entry k > j fixes the largest as l = -(i+j+k) mod n, which is
     r - k for k < r and r - k + n for k > r (k = r gives l = 0, not an
     entry).  Requiring l > k leaves j < k <= (r-1)//2 in the first case and
-    max(j, r) < k <= min(n-1, (r+n-1)//2) in the second.
+    max(j, r) < k <= (r+n-1)//2 in the second.
     """
     if n < 5:
         raise ValueError("n must be >= 5")
@@ -396,7 +396,7 @@ def coplanar_index_oracle(n: int) -> int:
         for j in range(i + 1, n - 1):
             r = -(i + j) % n
             count += max(0, (r - 1) // 2 - j)
-            count += max(0, min(n - 1, (r + n - 1) // 2) - max(j, r))
+            count += max(0, (r + n - 1) // 2 - max(j, r))
     return count
 
 

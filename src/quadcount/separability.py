@@ -186,46 +186,14 @@ def _horner(coeffs: Sequence[float], y: float) -> float:
     return acc
 
 
-def _slice_roots(coeffs: Sequence[float]) -> Sequence[complex]:
-    """Roots of the slice `sum coeffs[j] y^j` after trimming leading
-    coefficients below 1e-13 of the largest one.
-
-    Degrees 1 and 2 are solved in closed form (the quadratic by the stable
-    `q = -(b + sign(b) sqrt(disc)) / 2`, a negative discriminant giving the
-    conjugate pair); degree 3 and up go to `np.roots`.
-    """
-    scale = max((abs(c) for c in coeffs), default=0.0)
-    if scale == 0.0:
-        return []
-    trimmed = list(coeffs)
-    while trimmed and abs(trimmed[-1]) < 1e-13 * scale:
-        trimmed.pop()
-    if len(trimmed) < 2:
-        return []
-    if len(trimmed) == 2:
-        return [-trimmed[0] / trimmed[1]]
-    if len(trimmed) == 3:
-        c, b, a = trimmed
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            re = -b / (2.0 * a)
-            im = math.sqrt(-disc) / (2.0 * abs(a))
-            return [complex(re, im), complex(re, -im)]
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        if q == 0.0:
-            return [0.0, 0.0]  # b = c = 0
-        return [q / a, c / q]
-    return np.roots(trimmed[::-1])
-
-
 class _Surface:
     """Float-side solver for y on the surface F(x, y, s, t) = 0.
 
     The second declared variable is the solved one; the univariate slice in
     it is rebuilt from a coefficient profile precomputed over the other
     three variables.  Points are tuples of Python floats, and the per-point
-    path (slice, Newton, closed-form roots up to degree 2, gradient) makes
-    no numpy call.
+    path (slice, Newton, gradient) makes no numpy call apart from `np.roots`
+    on the slice.
     """
 
     def __init__(self, poly: Polynomial, box: float, grad_floor: float, residual_tol: float):
@@ -270,8 +238,16 @@ class _Surface:
     def solve_y(self, x: float, s: float, t: float) -> list[float]:
         """All real solutions of the univariate slice, polished by Newton."""
         coeffs = self.slice_coeffs(x, s, t)
+        scale = max((abs(c) for c in coeffs), default=0.0)
+        if scale == 0.0:
+            return []
+        trimmed = list(coeffs)
+        while trimmed and abs(trimmed[-1]) < 1e-13 * scale:
+            trimmed.pop()
+        if len(trimmed) < 2:
+            return []
         out: list[float] = []
-        for r in _slice_roots(coeffs):
+        for r in np.roots(trimmed[::-1]):
             if abs(r.imag) > 1e-8 * (1.0 + abs(r)):
                 continue
             y = self._newton(coeffs, float(r.real))

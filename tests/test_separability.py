@@ -10,7 +10,6 @@ from quadcount.separability import (
     RATIO_PASS,
     DegenerateSurfaceError,
     _FloatForm,
-    _slice_roots,
     classify,
     g_sample,
     popular_components,
@@ -185,61 +184,6 @@ class TestFloatForm:
 
     def test_zero_polynomial_is_zero(self):
         assert _FloatForm(Polynomial(V4, {}))((1.0, 2.0, 3.0, 4.0)) == 0.0
-
-
-def np_slice_roots(coeffs):
-    # the reference route: the same trimming, then the companion matrix
-    scale = max(abs(c) for c in coeffs)
-    trimmed = list(coeffs)
-    while trimmed and abs(trimmed[-1]) < 1e-13 * scale:
-        trimmed.pop()
-    return np.roots(trimmed[::-1]) if len(trimmed) >= 2 else np.array([])
-
-
-def assert_same_roots(coeffs, rel):
-    ours = sorted(_slice_roots(coeffs), key=lambda r: (r.real, r.imag))
-    ref = sorted(np_slice_roots(coeffs), key=lambda r: (r.real, r.imag))
-    assert len(ours) == len(ref)
-    real = lambda r: abs(r.imag) <= 1e-8 * (1.0 + abs(r))  # solve_y's filter
-    assert [real(r) for r in ours] == [real(r) for r in ref]
-    for a, b in zip(ours, ref):
-        assert abs(complex(a) - complex(b)) <= rel * (1.0 + abs(b))
-
-
-class TestSliceRoots:
-    def test_random_linear_and_quadratic_slices(self):
-        rng = np.random.default_rng(77)
-        for degree in (1, 2):
-            for _ in range(500):
-                coeffs = rng.uniform(-3.0, 3.0, size=degree + 1).tolist()
-                assert_same_roots(coeffs, 1e-12)
-
-    def test_double_root(self):
-        # (y - 1.5)^2: disc = 0
-        assert_same_roots([2.25, -3.0, 1.0], 1e-12)
-        assert _slice_roots([2.25, -3.0, 1.0]) == [1.5, 1.5]
-
-    def test_slightly_negative_discriminant_stays_real(self):
-        # disc = -8.9e-16: the conjugate pair's imaginary part 1.5e-8 is
-        # under the filter, so both routes keep the root
-        coeffs = [1.0 + 2.0 ** -52, -2.0, 1.0]
-        assert 1.0 + 2.0 ** -52 > 1.0
-        assert_same_roots(coeffs, 1e-12)
-        assert all(abs(r.imag) < 1e-8 * (1.0 + abs(r)) for r in _slice_roots(coeffs))
-
-    def test_trimmed_leading_coefficient(self):
-        # 1e-14 y^2 is below 1e-13 of the largest coefficient: a linear slice
-        assert_same_roots([1.0, 2.0, 1e-14], 1e-12)
-        assert _slice_roots([1.0, 2.0, 1e-14]) == [-0.5]
-
-    def test_zero_constant_terms(self):
-        assert_same_roots([0.0, 2.0, 3.0], 1e-12)
-        assert _slice_roots([0.0, 0.0, 3.0]) == [0.0, 0.0]
-        assert _slice_roots([0.0, 0.0, 0.0]) == []
-        assert _slice_roots([4.0, 1e-15]) == []
-
-    def test_cubic_goes_to_the_companion_matrix(self):
-        assert_same_roots([-6.0, 11.0, -6.0, 1.0], 1e-12)  # roots 1, 2, 3
 
 
 # -- verdicts of the benchmark polynomials at the CLI's default seed -----------
