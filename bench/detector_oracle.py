@@ -4,7 +4,10 @@ Runs `classify` on the eight polynomials of the `incidences-numeric`
 benchmark at the CLI's default seed, and `coplanar_index_oracle` at the
 sizes of its `fit-exponent --experiment elliptic-oracle` job, in one
 process.  Every timing is written next to the verdict, spreads or count it
-produced, so a speedup that changes a result shows in the same file.
+produced, so a speedup that changes a result shows in the same file.  It
+also times one cold `detect-special` process per polynomial, from
+interpreter start to JSON out, next to its verdict and whether the process
+loaded numpy; a cold verdict that differs from the in-process one exits 1.
 
     PYTHONPATH=src python bench/detector_oracle.py [--out PATH]
 
@@ -23,10 +26,9 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
-
-import numpy
 
 from quadcount import classify, coplanar_index_oracle, parse_poly
 
@@ -44,6 +46,10 @@ POLYS = (
 )
 ORACLE_NS = (128, 256, 384)
 REPEAT = 5
+# a detect-special job in a fresh interpreter; reports on stderr whether
+# numpy was loaded by the time the job finished
+COLD_JOB = ("import sys; from quadcount.cli import main; code = main(sys.argv[1:]); "
+            "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
 
 
 def timed(fn):
@@ -76,6 +82,16 @@ def detector_row(text: str) -> dict:
             "sampler": verdict.get("sampler"), "notes": verdict["notes"]}
 
 
+def cold_row(text: str) -> dict:
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", COLD_JOB, "detect-special", f"--poly={text}"],
+                          capture_output=True, text=True, check=True)
+    seconds = time.perf_counter() - start
+    return {"poly": text, "seconds": seconds,
+            "classification": json.loads(proc.stdout)["classification"],
+            "numpy_loaded": proc.stderr == "True"}
+
+
 def median_total(rows: list[dict]) -> float:
     return sum(statistics.median(r["seconds"]) for r in rows)
 
@@ -85,32 +101,39 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_detector_oracle.json")
     args = parser.parse_args(argv)
     detector = [detector_row(text) for text in POLYS]
+    cold = [cold_row(text) for text in POLYS]
+    for warm, row in zip(detector, cold):
+        if row["classification"] != warm["classification"]:
+            sys.exit(f"cold verdict differs for {row['poly']}: {row['classification']}")
     oracle = []
     for n in ORACLE_NS:
         count, seconds = timed(lambda: coplanar_index_oracle(n))
         oracle.append({"n": n, "count": count, "seconds": seconds})
     record = {
-        "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
+        "machine": {"python": platform.python_version(),
                     "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count()},
         "seed": SEED,
         "repeat": REPEAT,
         "detector_median_total_s": median_total(detector),
         "oracle_median_total_s": median_total(oracle),
+        "cold_total_s": sum(r["seconds"] for r in cold),
         "detector": detector,
+        "cold": cold,
         "oracle": oracle,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, allow_nan=False)
         fh.write("\n")
-    for row in detector:
+    for row, cold_job in zip(detector, cold):
         print(f"{row['poly']:28s} {row['classification']:13s} "
-              f"{statistics.median(row['seconds']):7.3f} s")
+              f"{statistics.median(row['seconds']):7.3f} s, cold {cold_job['seconds']:.3f} s"
+              f"{' (numpy loaded)' if cold_job['numpy_loaded'] else ''}")
     for row in oracle:
         print(f"oracle n={row['n']:<4d} {row['count']:>20d} "
               f"{statistics.median(row['seconds']):7.3f} s")
     print(f"detector {record['detector_median_total_s']:.3f} s, "
-          f"oracle {record['oracle_median_total_s']:.3f} s -> {args.out}")
+          f"cold {record['cold_total_s']:.3f} s, oracle {record['oracle_median_total_s']:.3f} s -> {args.out}")
     return 0
 
 

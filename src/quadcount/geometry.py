@@ -23,7 +23,8 @@ Float inputs (the numeric elliptic construction) only get the quadruple-at-
 a-time determinant test with a dimensionally normalized tolerance; float
 counts are validated against the exact index oracle, never trusted alone.
 Their reports carry the margin the tolerance had to fall into: the largest
-normalized |det| accepted and the smallest rejected.
+normalized |det| accepted and the smallest rejected.  `check_margin`
+refuses a float count whose margin has collapsed.
 
 Counts are reported unordered; reports carry the x24 / x6 ordered
 equivalents, exact for proper tuples.
@@ -39,12 +40,14 @@ from itertools import combinations
 from typing import ClassVar, Iterable, Sequence
 
 from .polynomials import clear_denominators
+from .stages import Stages
 
 __all__ = [
     "PointSet2",
     "PointSet3",
     "CountReport",
     "coplanar_naive",
+    "check_margin",
     "coplanar_fast",
     "collinear_triples",
     "four_point_circles",
@@ -54,6 +57,9 @@ __all__ = [
 _EXACT_TYPES = (int, Fraction)
 # keys fit int64 when 8 span^2 stays below this (see the module docstring)
 _INT64_BOUND = 2**62
+# a float count needs its largest accepted |det| / scale at least this factor
+# below its smallest rejected one
+_MARGIN_FACTOR = 100
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,8 @@ class CountReport:
     margin: dict[str, float | None] | None = None
     # exact hashing only: {"lines": ..., "planes": ..., "kernel": ...}
     hashing: dict[str, int | str] | None = None
+    # exact hashing only: seconds per stage, {"import_numpy": ...}
+    stages: dict[str, float] | None = None
 
     @property
     def ordered_count(self) -> int:
@@ -126,6 +134,8 @@ class CountReport:
             out.update(self.margin)
         if self.hashing is not None:
             out.update(self.hashing)
+        if self.stages is not None:
+            out["stages"] = self.stages
         return out
 
 
@@ -190,6 +200,24 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
     return CountReport(count, "naive", 4, time.perf_counter() - start, margin=margin)
 
 
+def check_margin(report: CountReport) -> CountReport:
+    """Return `report` unless it is a float count whose margin collapsed.
+
+    A float count is refused, with ValueError, once the largest accepted
+    |det| / scale comes within a factor 100 of the smallest rejected one:
+    no tolerance then separates coplanar quadruples from rounding noise.
+    On the torsion construction this happens from n = 48 on.
+    """
+    if report.margin is not None:
+        hi, lo = report.margin["max_accepted"], report.margin["min_rejected"]
+        if hi is not None and lo is not None and _MARGIN_FACTOR * hi > lo:
+            raise ValueError(
+                f"float coplanarity margin collapsed: accepted |det|/scale up to "
+                f"{hi:.2e}, rejected from {lo:.2e}"
+            )
+    return report
+
+
 @dataclass
 class _Flats:
     """Lines and planes through each pivot and its later points, summed over pivots."""
@@ -208,16 +236,20 @@ class _Flats:
         return {"lines": self.lines, "planes": self.planes, "kernel": self.kernel}
 
 
-def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) -> _Flats:
+def _pivot_flats(
+    pts: Sequence[tuple[int, ...]], stages: Stages, skip_vertical: bool = False
+) -> _Flats:
     """Hash the lines, and for 3D points the planes, through each point P_i
     and the points after it; `skip_vertical` drops planes whose normal has
     third component 0.
 
     Equal keys are grouped by a lexsort and a run split.  Per pivot this
     holds O(n^2) line pairs; m and c are accumulated over the distinct
-    (plane, line) pairs.
+    (plane, line) pairs.  The numpy import is timed as the "import_numpy"
+    stage: the first hashing call of a process pays it.
     """
-    import numpy as np
+    with stages.timed("import_numpy"):
+        import numpy as np
 
     def primitive(rows):
         rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
@@ -290,7 +322,8 @@ def coplanar_fast(points: PointSet3) -> CountReport:
     """
     pts = _exact_points(points, "coplanar_fast")
     start = time.perf_counter()
-    flats = _pivot_flats(_integerize(pts))
+    stages = Stages()
+    flats = _pivot_flats(_integerize(pts), stages)
     return CountReport(
         flats.line_triples + flats.plane_triples,
         "fast",
@@ -299,6 +332,7 @@ def coplanar_fast(points: PointSet3) -> CountReport:
         degeneracy={"max_points_per_plane": flats.max_plane,
                     "max_points_per_line": flats.max_line},
         hashing=flats.counters(),
+        stages=stages.seconds,
     )
 
 
@@ -307,11 +341,13 @@ def collinear_triples(points: PointSet2) -> CountReport:
     point and its later points (pivot form, lines only)."""
     pts = _exact_points(points, "collinear_triples")
     start = time.perf_counter()
-    flats = _pivot_flats(_integerize(pts))
+    stages = Stages()
+    flats = _pivot_flats(_integerize(pts), stages)
     return CountReport(
         flats.line_pairs, "line-hash", 3, time.perf_counter() - start,
         degeneracy={"max_points_per_line": flats.max_line},
         hashing=flats.counters(),
+        stages=stages.seconds,
     )
 
 
@@ -328,7 +364,8 @@ def four_point_circles(points: PointSet2) -> CountReport:
     """
     pts = _exact_points(points, "four_point_circles")
     start = time.perf_counter()
-    flats = _pivot_flats(_integerize([(x, y, x * x + y * y) for x, y in pts]),
+    stages = Stages()
+    flats = _pivot_flats(_integerize([(x, y, x * x + y * y) for x, y in pts]), stages,
                          skip_vertical=True)
     return CountReport(
         flats.plane_triples,
@@ -338,6 +375,7 @@ def four_point_circles(points: PointSet2) -> CountReport:
         circles=flats.planes_of_3,
         degeneracy={"max_points_per_circle": flats.max_plane},
         hashing=flats.counters(),
+        stages=stages.seconds,
     )
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import constructions, geometry, zerocount
 from .polynomials import parse_poly
+from .stages import Stages
 
 __all__ = ["SeriesRow", "ExperimentSeries", "fit_slope", "run_series",
            "GENERATORS", "COUNTERS", "EXPERIMENTS"]
@@ -30,12 +31,16 @@ class SeriesRow:
 
 @dataclass
 class ExperimentSeries:
+    """`stages` holds the seconds each row spent building its configuration
+    ("build_<n>") and counting it ("count_<n>")."""
+
     experiment: str
     rows: list[SeriesRow]
     slope: float | None
     intercept: float | None
     residual: float | None
     seed: int
+    stages: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -45,6 +50,7 @@ class ExperimentSeries:
             "intercept": self.intercept,
             "residual": self.residual,
             "seed": self.seed,
+            "stages": self.stages,
         }
 
     def to_csv(self) -> str:
@@ -137,18 +143,8 @@ def _count_grid_fiber(config) -> int:
 def _count_coplanar_naive(points) -> int:
     # float points come from the torsion construction; its determinant gap
     # was measured at >= 1e-10 * scale for n <= 32, so 1e-12 separates cleanly.
-    # A float count is refused once the accepted and rejected |det| / scale
-    # come within a factor 100 of each other, as they do from n = 48 on.
     tol = constructions.TORSION_COPLANAR_TOL if points.kind == "float" else 1e-7
-    report = geometry.coplanar_naive(points, tol=tol)
-    if report.margin is not None:
-        hi, lo = report.margin["max_accepted"], report.margin["min_rejected"]
-        if hi is not None and lo is not None and 100 * hi > lo:
-            raise ValueError(
-                f"float coplanarity margin collapsed at {len(points)} points: "
-                f"accepted |det|/scale up to {hi:.2e}, rejected from {lo:.2e}"
-            )
-    return report.count
+    return geometry.check_margin(geometry.coplanar_naive(points, tol=tol)).count
 
 def _count_coplanar_fast(points) -> int:
     return geometry.coplanar_fast(points).count
@@ -202,16 +198,22 @@ def run_series(
             f"generator {generator!r} builds {family}"
         )
     rows: list[SeriesRow] = []
+    stages = Stages()
     for n in n_list:
         start = time.perf_counter()
         if needs == "index":
-            count = constructions.coplanar_index_oracle(n)
+            with stages.timed(f"count_{n}"):
+                count = constructions.coplanar_index_oracle(n)
         else:
-            count = count_fn(build(n, seed))
+            with stages.timed(f"build_{n}"):
+                config = build(n, seed)
+            with stages.timed(f"count_{n}"):
+                count = count_fn(config)
         rows.append(SeriesRow(n, count, (time.perf_counter() - start) * 1000.0))
     positives = [(r.n, r.count) for r in rows if r.count > 0]
     if len(positives) >= 3:
         slope, intercept, residual = fit_slope(positives)
     else:
         slope = intercept = residual = None
-    return ExperimentSeries(f"{generator}/{counter}", rows, slope, intercept, residual, seed)
+    return ExperimentSeries(f"{generator}/{counter}", rows, slope, intercept, residual, seed,
+                            stages.seconds)

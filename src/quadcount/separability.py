@@ -29,6 +29,11 @@ This is a sampler with explicit tolerances, not a certificate: separability
 is a local-analytic property and cannot be decided by finitely many float
 evaluations.  The thresholds below are fixed for reproducibility and can be
 overridden per call (or via CLI flags).
+
+The module runs on Python floats and ints and never loads numpy.  Its
+seeded draws come from `quadcount.rng`, which reproduces numpy's
+`SeedSequence` and PCG64 streams bit for bit: a seed draws what
+`np.random.default_rng(seed)` would.
 """
 
 from __future__ import annotations
@@ -40,22 +45,9 @@ from statistics import median
 from typing import Sequence
 
 from .polynomials import Polynomial, bivariate_gcd, try_divide
+from .rng import Generator, spawned_seeds
 from .stages import Stages
 
-
-class _NumpyOnFirstUse:
-    """Stands in for numpy until the detector first uses it, then rebinds
-    this module's `np` to numpy itself.  The package imports this module for
-    every CLI job, and loading numpy here would add about 0.1 s to each."""
-
-    def __getattr__(self, name: str):
-        global np
-        import numpy as np
-
-        return getattr(np, name)
-
-
-np = _NumpyOnFirstUse()
 
 __all__ = [
     "SAMPLING_BOX",
@@ -155,9 +147,9 @@ class _FloatForm:
     """Float view of an exact polynomial: `(coeff, factors)` terms, where
     `factors` lists `(variable index, exponent)` for the nonzero exponents.
 
-    Evaluation runs on Python floats and makes no numpy call; the detector
-    calls it a dozen times per surface point, on 3 or 4 coordinates, where
-    array set-up would cost more than the arithmetic.
+    Evaluation runs on Python floats; the detector calls it a dozen times
+    per surface point, on 3 or 4 coordinates, where array set-up would cost
+    more than the arithmetic.
     """
 
     __slots__ = ("terms",)
@@ -186,14 +178,61 @@ def _horner(coeffs: Sequence[float], y: float) -> float:
     return acc
 
 
+def _real_roots(coeffs: Sequence[float]) -> list[float]:
+    """Real roots, ascending, of the polynomial with `coeffs` (lowest power
+    first, nonzero leading coefficient, degree >= 1).
+
+    Degrees 1 and 2 use the closed form.  The quadratic counts a complex
+    pair whose imaginary part is at most 1e-8 (1 + |r|) as a double root at
+    its real part, the rule under which `np.roots`, an eigenvalue solver
+    that reports near-double roots with a small imaginary part, kept them.
+    Higher degrees find the real critical points by recursion on the
+    derivative; between consecutive ones, and out to the Cauchy bound, the
+    polynomial is monotone, so each bracket whose ends differ in sign holds
+    one root, found by bisection to the float resolution.
+    """
+    if len(coeffs) == 2:
+        return [-coeffs[0] / coeffs[1]]
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            re, im = -b / (2.0 * a), math.sqrt(-disc) / (2.0 * abs(a))
+            return [re] if im <= 1e-8 * (1.0 + math.hypot(re, im)) else []
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return [0.0] if q == 0.0 else sorted((q / a, c / q))
+    bound = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+    critical = _real_roots([j * c for j, c in enumerate(coeffs)][1:])
+    edges = [-bound, *(r for r in critical if -bound < r < bound), bound]
+    values = [_horner(coeffs, e) for e in edges]
+    roots: list[float] = []
+    for k in range(len(edges) - 1):
+        lo, hi, plo = edges[k], edges[k + 1], values[k]
+        if plo == 0.0:
+            roots.append(lo)
+        elif plo * values[k + 1] < 0.0:
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                pm = _horner(coeffs, mid)
+                if pm == 0.0:
+                    lo = hi = mid
+                elif (pm < 0.0) == (plo < 0.0):
+                    lo, plo = mid, pm
+                else:
+                    hi = mid
+            roots.append(lo)
+    return roots
+
+
 class _Surface:
     """Float-side solver for y on the surface F(x, y, s, t) = 0.
 
     The second declared variable is the solved one; the univariate slice in
     it is rebuilt from a coefficient profile precomputed over the other
     three variables.  Points are tuples of Python floats, and the per-point
-    path (slice, Newton, gradient) makes no numpy call apart from `np.roots`
-    on the slice.
+    path (slice, `_real_roots`, Newton, gradient) is plain Python.
     """
 
     def __init__(self, poly: Polynomial, box: float, grad_floor: float, residual_tol: float):
@@ -247,10 +286,8 @@ class _Surface:
         if len(trimmed) < 2:
             return []
         out: list[float] = []
-        for r in np.roots(trimmed[::-1]):
-            if abs(r.imag) > 1e-8 * (1.0 + abs(r)):
-                continue
-            y = self._newton(coeffs, float(r.real))
+        for r in _real_roots(trimmed):
+            y = self._newton(coeffs, r)
             if y is None:
                 continue
             if all(abs(y - prev) > 1e-9 * (1.0 + abs(y)) for prev in out):
@@ -280,12 +317,12 @@ def sample_surface(
     retries signals a degenerate polynomial.
     """
     surf = _Surface(poly, box, grad_floor, residual_tol)
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     samples: list[SurfaceSample] = []
     budget = 200 * max(count, 1)
     while len(samples) < count and budget > 0:
         budget -= 1
-        x, s, t = rng.uniform(-box, box, size=3).tolist()
+        x, s, t = rng.uniform(-box, box, size=3)
         ys = surf.solve_y(x, s, t)
         regular = []
         for y in ys:
@@ -296,7 +333,7 @@ def sample_surface(
                 regular.append((pt, res, grad))
         if not regular:
             continue
-        samples.append(SurfaceSample(*regular[int(rng.integers(len(regular)))]))
+        samples.append(SurfaceSample(*regular[rng.integers(len(regular))]))
     if len(samples) < count:
         raise DegenerateSurfaceError(
             f"found only {len(samples)}/{count} regular surface points"
@@ -342,7 +379,7 @@ def ratio_test(
     num_idx = names.index(num_var)
     den_idx = names.index(den_var)
 
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     step = box / (2.0 * (positions - 1))
     max_spread = 0.0
     successes = 0
@@ -350,8 +387,8 @@ def ratio_test(
     while successes < trials and budget > 0:
         budget -= 1
         tally("attempts")
-        frozen_vals = {v: float(rng.uniform(-box, box)) for v in frozen}
-        base = float(rng.uniform(-box, box - step * (positions - 1)))
+        frozen_vals = {v: rng.uniform(-box, box) for v in frozen}
+        base = rng.uniform(-box, box - step * (positions - 1))
 
         def slice_args(free_val: float) -> tuple[float, float, float]:
             c = dict(frozen_vals)
@@ -362,7 +399,7 @@ def ratio_test(
         if not roots:
             tally("no_real_root")
             continue
-        y = roots[int(rng.integers(len(roots)))]
+        y = roots[rng.integers(len(roots))]
         ratios: list[float] = []
         rejected = None
         for k in range(positions):
@@ -421,7 +458,7 @@ def g_sample(
     """
     surf = _Surface(poly, box, grad_floor, residual_tol)
     tally = (stages if stages is not None else Stages()).count
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     g_max = 0.0
     successes = 0
     budget = 60 * trials
@@ -429,9 +466,9 @@ def g_sample(
     while successes < trials and budget > 0:
         budget -= 1
         tally("attempts")
-        s, t = rng.uniform(-box, box, size=2).tolist()
-        x1 = float(rng.uniform(-box, box))
-        x2 = float(rng.uniform(-box, box))
+        s, t = rng.uniform(-box, box, size=2)
+        x1 = rng.uniform(-box, box)
+        x2 = rng.uniform(-box, box)
         if abs(x1 - x2) < 0.05 * box:
             tally("close_pair")
             continue
@@ -443,8 +480,8 @@ def g_sample(
             if thin_slices > 30 * trials:
                 raise DegenerateSurfaceError("slices rarely admit two solvable fibers in the box")
             continue
-        y1 = roots1[int(rng.integers(len(roots1)))]
-        y2 = roots2[int(rng.integers(len(roots2)))]
+        y1 = roots1[rng.integers(len(roots1))]
+        y2 = roots2[rng.integers(len(roots2))]
         g1 = surf.gradient((x1, y1, s, t))
         g2 = surf.gradient((x2, y2, s, t))
         if not (surf.regular(g1) and surf.regular(g2)):
@@ -512,7 +549,7 @@ def _ratio_pairs(names: tuple[str, ...]) -> dict[str, tuple[str, str]]:
 
 
 def _random_params(
-    poly: Polynomial, rng: np.random.Generator, count: int
+    poly: Polynomial, rng: Generator, count: int
 ) -> list[tuple[Fraction, Fraction]]:
     vc, vd = poly.vars[2], poly.vars[3]
     out: list[tuple[Fraction, Fraction]] = []
@@ -520,8 +557,8 @@ def _random_params(
     budget = 50 * count
     while len(out) < count and budget > 0:
         budget -= 1
-        c = Fraction(int(rng.integers(-16, 17)), 8)
-        d = Fraction(int(rng.integers(-16, 17)), 8)
+        c = Fraction(rng.integers(-16, 17), 8)
+        d = Fraction(rng.integers(-16, 17), 8)
         if (c, d) in seen:
             continue
         seen.add((c, d))
@@ -551,7 +588,7 @@ def classify(
     inconclusive  -- anything in between, or sampler failure.
     """
     names = poly.vars
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(5)]
+    seeds = spawned_seeds(seed, 5)
     notes: list[str] = []
     spreads: dict[str, float] = {}
     g_max = math.nan
@@ -576,7 +613,7 @@ def classify(
     popular: list[tuple[Polynomial, int]] = []
     try:
         with stages.timed("popular"):
-            params = _random_params(poly, np.random.default_rng(seeds[4]), param_count)
+            params = _random_params(poly, Generator(seeds[4]), param_count)
             scan = popular_components(poly, params)
         popular = scan.popular
         if scan.degenerate_params:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Sequence
 
 from .polynomials import Polynomial, clear_denominators
+from .stages import Stages
 
 __all__ = ["GridSets", "ZeroCountReport", "count_naive", "count_fiber"]
 
@@ -59,11 +60,15 @@ class GridSets:
 
 @dataclass
 class ZeroCountReport:
+    """`stages` holds the seconds spent clearing denominators, building the
+    power tables (naive) or the coefficient profile (fiber), and counting."""
+
     count: int
     method: str
     degenerate_fibers: int
     elapsed: float
     sizes: tuple[int, int, int, int]
+    stages: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -72,6 +77,7 @@ class ZeroCountReport:
             "degenerate_fibers": self.degenerate_fibers,
             "elapsed_s": self.elapsed,
             "sizes": list(self.sizes),
+            "stages": self.stages,
         }
 
 
@@ -91,26 +97,31 @@ def count_naive(poly: Polynomial, sets: GridSets) -> ZeroCountReport:
     """Exact |{(a,b,c,d) in A x B x C x D : poly(a,b,c,d) = 0}| by evaluating
     F at every quadruple.  Theta(|A||B||C||D|) point evaluations."""
     start = time.perf_counter()
-    g, int_sets = _cleared(poly, sets)
-    degrees = [g.degree_in(name) for name in g.vars]
-    # powers[i][j][e] = (j-th value of set i) ** e; d_columns[e] = every d ** e
-    powers = [
-        [[v ** e for e in range(deg + 1)] for v in values]
-        for deg, values in zip(degrees[:3], int_sets)
-    ]
-    d_columns = [[d ** e for d in int_sets[3]] for e in range(degrees[3] + 1)]
-    terms = [(int(c), *exp) for exp, c in g.terms.items()]
+    stages = Stages()
+    with stages.timed("clear_denominators"):
+        g, int_sets = _cleared(poly, sets)
+    with stages.timed("power_tables"):
+        degrees = [g.degree_in(name) for name in g.vars]
+        # powers[i][j][e] = (j-th value of set i) ** e; d_columns[e] = every d ** e
+        powers = [
+            [[v ** e for e in range(deg + 1)] for v in values]
+            for deg, values in zip(degrees[:3], int_sets)
+        ]
+        d_columns = [[d ** e for d in int_sets[3]] for e in range(degrees[3] + 1)]
+        terms = [(int(c), *exp) for exp, c in g.terms.items()]
     count = 0
-    for pa in powers[0]:
-        ta = [(k * pa[e0], e1, e2, e3) for k, e0, e1, e2, e3 in terms]
-        for pb in powers[1]:
-            tb = [(k * pb[e1], e2, e3) for k, e1, e2, e3 in ta]
-            for pc in powers[2]:
-                values = [0] * len(int_sets[3])
-                for k, e2, e3 in tb:
-                    values = map(add, values, map((k * pc[e2]).__mul__, d_columns[e3]))
-                count += list(values).count(0)
-    return ZeroCountReport(count, "naive", 0, time.perf_counter() - start, sets.sizes)
+    with stages.timed("count"):
+        for pa in powers[0]:
+            ta = [(k * pa[e0], e1, e2, e3) for k, e0, e1, e2, e3 in terms]
+            for pb in powers[1]:
+                tb = [(k * pb[e1], e2, e3) for k, e1, e2, e3 in ta]
+                for pc in powers[2]:
+                    values = [0] * len(int_sets[3])
+                    for k, e2, e3 in tb:
+                        values = map(add, values, map((k * pc[e2]).__mul__, d_columns[e3]))
+                    count += list(values).count(0)
+    return ZeroCountReport(count, "naive", 0, time.perf_counter() - start, sets.sizes,
+                           stages.seconds)
 
 
 def _bind(terms: list[tuple[int, ...]], value: int) -> list[tuple[int, ...]]:
@@ -139,38 +150,43 @@ def count_fiber(
     if solve_var not in poly.vars:
         raise ValueError(f"undeclared variable {solve_var!r}")
     start = time.perf_counter()
-    g, int_sets = _cleared(poly, sets)
+    stages = Stages()
+    with stages.timed("clear_denominators"):
+        g, int_sets = _cleared(poly, sets)
     solve_idx = g.vars.index(solve_var)
     s1, s2, s3 = (int_sets[i] for i in range(4) if i != solve_idx)
     solve_values = int_sets[solve_idx]
     candidates = set(solve_values)
-    # profile[k]: the (coeff, e1, e2, e3) terms of the coefficient of solve_var^k
-    profile = [
-        [(int(c), *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(solve_var)
-    ]
+    with stages.timed("profile"):
+        # profile[k]: the (coeff, e1, e2, e3) terms of the coefficient of solve_var^k
+        profile = [
+            [(int(c), *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(solve_var)
+        ]
     count = 0
     degenerate = 0
-    for a in s1:
-        pa = [_bind(terms, a) for terms in profile]
-        for b in s2:
-            pb = [_bind(terms, b) for terms in pa]
-            for c in s3:
-                coeffs = [sum(k * c ** e for k, e in terms) for terms in pb]
-                while coeffs and coeffs[-1] == 0:
-                    coeffs.pop()
-                if not coeffs:
-                    # the fiber is a full line through the candidate set
-                    count += len(solve_values)
-                    degenerate += 1
-                elif len(coeffs) == 2:
-                    root, rem = divmod(-coeffs[0], coeffs[1])
-                    if rem == 0 and root in candidates:
-                        count += 1
-                elif len(coeffs) > 2:
-                    for v in solve_values:
-                        acc = 0
-                        for co in reversed(coeffs):
-                            acc = acc * v + co
-                        if acc == 0:
+    with stages.timed("count"):
+        for a in s1:
+            pa = [_bind(terms, a) for terms in profile]
+            for b in s2:
+                pb = [_bind(terms, b) for terms in pa]
+                for c in s3:
+                    coeffs = [sum(k * c ** e for k, e in terms) for terms in pb]
+                    while coeffs and coeffs[-1] == 0:
+                        coeffs.pop()
+                    if not coeffs:
+                        # the fiber is a full line through the candidate set
+                        count += len(solve_values)
+                        degenerate += 1
+                    elif len(coeffs) == 2:
+                        root, rem = divmod(-coeffs[0], coeffs[1])
+                        if rem == 0 and root in candidates:
                             count += 1
-    return ZeroCountReport(count, "fiber", degenerate, time.perf_counter() - start, sets.sizes)
+                    elif len(coeffs) > 2:
+                        for v in solve_values:
+                            acc = 0
+                            for co in reversed(coeffs):
+                                acc = acc * v + co
+                            if acc == 0:
+                                count += 1
+    return ZeroCountReport(count, "fiber", degenerate, time.perf_counter() - start, sets.sizes,
+                           stages.seconds)

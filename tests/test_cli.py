@@ -92,6 +92,16 @@ class TestCountZerosCommand:
         )
         assert json.loads(out)["count"] == 27
 
+    @pytest.mark.parametrize("method,tables", [("fiber", "profile"), ("naive", "power_tables")])
+    def test_stages(self, capsys, sets_file, method, tables):
+        code, out, _ = run_cli(
+            capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
+            "--method", method,
+        )
+        payload = json.loads(out)
+        assert set(payload["stages"]) == {"clear_denominators", tables, "count"}
+        assert 0.0 <= sum(payload["stages"].values()) <= payload["elapsed_s"]
+
     def test_poly_from_file(self, capsys, sets_file, tmp_path):
         poly_path = tmp_path / "poly.txt"
         poly_path.write_text("x + y + s + t\n")
@@ -187,6 +197,22 @@ class TestGeometryCommands:
         assert payload["count"] == 1
         assert payload["max_accepted"] < 1e-7 <= payload["min_rejected"]
 
+    def test_collapsed_float_margin_is_domain_error(self, capsys, tmp_path):
+        # accepted |det|/scale reaches 7.9e-8, rejected starts at 1.1e-7
+        path = tmp_path / "pts.csv"
+        path.write_text("0.0,0.0,0.0\n1.0,0.0,0.0\n0.0,1.0,0.0\n1.0,1.0,1e-9\n1.0,2.0,5e-7\n")
+        code, out, err = run_cli(capsys, "count-coplanar", "--points", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:count:") and "margin collapsed" in err
+
+    def test_hashing_reports_time_the_numpy_import(self, capsys, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
+        code, out, _ = run_cli(capsys, "count-coplanar", "--points", str(path))
+        payload = json.loads(out)
+        assert set(payload["stages"]) == {"import_numpy"}
+        assert 0.0 <= payload["stages"]["import_numpy"] <= payload["elapsed_s"]
+
     def test_float_fast_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("0.5,0.0,0.0\n1.0,0.0,0.0\n0.0,1.0,0.0\n1.0,1.0,1.0\n")
@@ -233,6 +259,8 @@ class TestFitExponentCommand:
         payload = json.loads(out)
         assert payload["slope"] == pytest.approx(3.0, abs=1e-12)
         assert [row[1] for row in payload["rows"]] == [64, 512, 4096]
+        assert set(payload["stages"]) == {f"{stage}_{n}" for stage in ("build", "count")
+                                          for n in (4, 8, 16)}
 
 
 class TestConfigFile:
@@ -274,8 +302,7 @@ def test_cli_import_path_loads_no_scipy():
 
 
 def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
-    # numpy serves only the detector and exact hashing; every other job skips
-    # its import
+    # numpy serves only exact hashing; every other job skips its import
     src = str(Path(quadcount.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -287,3 +314,20 @@ def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
                             capture_output=True, text=True, env=env, check=True)
     assert result.stdout.split() == ["False", "False"]
     assert json.loads(report.read_text())["count"] == 27
+
+
+def test_detect_special_job_loads_no_numpy():
+    # the detector draws from quadcount.rng and finds slice roots in Python
+    src = str(Path(quadcount.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys; import quadcount.cli; "
+            "quadcount.cli.main(['detect-special', '--poly', sys.argv[1]]); "
+            "print('numpy' in sys.modules)")
+    # a linear and a cubic slice in the solved variable
+    for poly, expected in (("t - (x + y*s)", "non-special"), ("x^2 + y^3 + s + t^2", "special")):
+        result = subprocess.run([sys.executable, "-c", code, poly],
+                                capture_output=True, text=True, env=env, check=True)
+        *report, loaded = result.stdout.splitlines()
+        assert loaded == "False"
+        assert json.loads("\n".join(report))["classification"] == expected

@@ -15,8 +15,10 @@ from quadcount.constructions import (
     torsion_points,
 )
 from quadcount.geometry import (
+    CountReport,
     PointSet2,
     PointSet3,
+    check_margin,
     collinear_triples,
     concyclic_quadruples_naive,
     coplanar_fast,
@@ -63,6 +65,17 @@ class TestCoplanarNaive:
         out = report.to_json()
         assert out["max_accepted"] < 1e-15
         assert out["min_rejected"] > 1e-10
+
+    def test_check_margin_refuses_within_a_factor_100(self):
+        def report(hi, lo):
+            return CountReport(1, "naive", 4, 0.0, margin={"max_accepted": hi, "min_rejected": lo})
+
+        for hi, lo in ((1e-12, 1e-10), (None, 1e-12), (1e-12, None), (0.0, 0.0)):
+            assert check_margin(report(hi, lo)).count == 1
+        with pytest.raises(ValueError, match="margin collapsed"):
+            check_margin(report(1e-12, 9.9e-11))
+        exact = coplanar_naive(pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]))
+        assert check_margin(exact) is exact
 
     def test_exact_report_has_no_margin(self):
         report = coplanar_naive(pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)]))

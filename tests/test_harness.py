@@ -60,7 +60,8 @@ class TestRunSeries:
         # everything except wall-clock timings must be bit-identical
         a = run_series("ap-additive", "fiber", [4, 8, 16], seed=1)
         b = run_series("ap-additive", "fiber", [4, 8, 16], seed=1)
-        strip = lambda s: {**s.to_json(), "rows": [(r.n, r.count) for r in s.rows]}
+        strip = lambda s: {**s.to_json(), "rows": [(r.n, r.count) for r in s.rows],
+                           "stages": sorted(s.stages)}
         assert strip(a) == strip(b)
 
     def test_mismatched_counter_rejected(self):

@@ -10,6 +10,8 @@ from quadcount.separability import (
     RATIO_PASS,
     DegenerateSurfaceError,
     _FloatForm,
+    _horner,
+    _real_roots,
     classify,
     g_sample,
     popular_components,
@@ -184,6 +186,62 @@ class TestFloatForm:
 
     def test_zero_polynomial_is_zero(self):
         assert _FloatForm(Polynomial(V4, {}))((1.0, 2.0, 3.0, 4.0)) == 0.0
+
+
+# -- real roots of the slice -----------------------------------------------------
+
+
+def polished(coeffs, starts):
+    # Newton as `_Surface` polishes a root, then the same near-duplicate rule
+    dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]
+    out = []
+    for y in starts:
+        for _ in range(80):
+            g = _horner(coeffs, y)
+            if abs(g) < 1e-12:
+                break
+            y -= g / _horner(dcoeffs, y)
+        if abs(_horner(coeffs, y)) < 1e-12 and all(abs(y - p) > 1e-9 * (1 + abs(y)) for p in out):
+            out.append(y)
+    return sorted(out)
+
+
+def np_real_roots(coeffs):
+    return [float(r.real) for r in np.roots(coeffs[::-1])
+            if abs(r.imag) <= 1e-8 * (1.0 + abs(r))]
+
+
+class TestRealRoots:
+    def test_matches_np_roots_after_polish(self):
+        rng = np.random.default_rng(11)
+        for degree in range(1, 7):
+            for _ in range(300):
+                coeffs = rng.uniform(-2.0, 2.0, size=degree + 1).tolist()
+                ours, theirs = _real_roots(coeffs), np_real_roots(coeffs)
+                assert ours == sorted(ours)
+                a, b = polished(coeffs, ours), polished(coeffs, theirs)
+                assert len(a) == len(b), coeffs
+                assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+    def test_products_of_known_roots(self):
+        for roots in ([0.5], [-1.0, 3.0], [-1.5, 0.25, 2.0], [-1.0, -0.5, 0.5, 1.0, 1.5, 1.75]):
+            coeffs = [1.0]
+            for r in roots:  # multiply by (y - r), lowest power first
+                coeffs = [a - r * b for a, b in zip([0.0] + coeffs, coeffs + [0.0])]
+            assert _real_roots(coeffs) == pytest.approx(roots, rel=1e-12)
+
+    def test_double_and_missing_roots(self):
+        assert _real_roots([1.0, -2.0, 1.0]) == [1.0, 1.0]   # (y - 1)^2
+        # a complex pair counts as a double root while |imag| <= 1e-8 (1 + |r|)
+        assert _real_roots([1.0 + 2**-52, -2.0, 1.0]) == [1.0]  # |imag| 1.5e-8
+        assert _real_roots([1.0 + 2**-40, -2.0, 1.0]) == []     # |imag| 9.5e-7
+        assert _real_roots([1.0, 0.0, 1.0]) == []              # y^2 + 1
+        assert _real_roots([0.0, 0.0, 1.0]) == [0.0]           # y^2
+        assert _real_roots([2.0, 0.0, 0.0, 1.0, 0.0, 1.0]) == pytest.approx(
+            np_real_roots([2.0, 0.0, 0.0, 1.0, 0.0, 1.0]))    # y^5 + y^3 + 2
+        assert _real_roots([1.0, 0.0, 0.0, 0.0, 1.0]) == []    # y^4 + 1
+        # (y + 1)^2 (y - 2): the double root is a critical point, found once
+        assert _real_roots([-2.0, -3.0, 0.0, 1.0]) == [-1.0, 2.0]
 
 
 # -- verdicts of the benchmark polynomials at the CLI's default seed -----------
