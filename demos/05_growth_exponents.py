@@ -24,7 +24,7 @@ for row in series.rows:
 print(f"  fitted slope: {series.slope:.4f}  (stays below 8/3 + 0.1 = {8 / 3 + 0.1:.4f})")
 
 print("\ncoplanar quadruples of the embedded torsion subgroup (index oracle):")
-series = run_series("elliptic", "index-oracle", [16, 32, 64, 128])
+series = run_series("torsion-index", "index-oracle", [16, 32, 64, 128])
 for row in series.rows:
     print(f"  n={row.n:3d}  count={row.count:6d}  ({row.elapsed_ms:.1f} ms)")
 counts = [row.count for row in series.rows]

@@ -3,8 +3,9 @@
 Subcommands: count-zeros, detect-special, construct, count-coplanar,
 count-collinear, count-circles, fit-exponent.  Exit codes: 0 success,
 1 domain error (reported as `error:<code>: message` on stderr), 2 usage
-error.  All randomness flows from --seed (default 1729), so runs are
-reproducible by default.  A flat key=value file passed via --config supplies
+error.  The detector's randomness flows from detect-special's --seed
+(default 1729), so runs are reproducible by default; no other subcommand
+draws at random.  A flat key=value file passed via --config supplies
 defaults that explicit flags override.
 """
 
@@ -84,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})")
         p.add_argument("--out", choices=("json", "csv"), default=None, help="output format")
         p.add_argument("--out-path", default=None, help="write output to a file instead of stdout")
         p.add_argument("--config", default=None, help="flat key=value file with defaults")
@@ -106,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio-fail", type=float, default=None)
     p.add_argument("--grad-floor", type=float, default=None)
     p.add_argument("--g-pass", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})")
     common(p)
 
     p = sub.add_parser("construct", help="emit an extremal or control configuration")
@@ -172,9 +173,7 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         if key in file_values:
             raw = file_values[key]
             default = _DEFAULTS.get(key)
-            if isinstance(default, bool):
-                parsed = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int) and not isinstance(default, bool):
+            if isinstance(default, int):
                 parsed = int(raw)
             elif isinstance(default, float):
                 parsed = float(raw)
@@ -314,7 +313,7 @@ def _cmd_count_circles(args) -> dict:
 def _cmd_fit_exponent(args) -> dict:
     generator, counter = harness.EXPERIMENTS[args.experiment]
     try:
-        series = harness.run_series(generator, counter, args.ns, seed=args.seed)
+        series = harness.run_series(generator, counter, args.ns)
     except ValueError as exc:
         raise DomainError("experiment", str(exc)) from exc
     out = {"command": "fit-exponent", "name": args.experiment}

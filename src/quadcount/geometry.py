@@ -14,10 +14,8 @@ P_i and the points after it are hashed:
 
 Every key passes through P_i, so it needs no offset term, and each subset
 is counted once, at its smallest index, so lines need no correction.  The
-keys live in int64 numpy arrays when 8 span^2 < 2^62, where span is the
-largest absolute integer coordinate: pivot differences stay below 2 span,
-so every cross product fits.  Past that bound the same code runs on
-dtype=object arrays of Python ints.  No float enters an exact count.
+keys are tuples of Python ints in plain dicts, so one path serves every
+coordinate size.  No float enters an exact count.
 
 Float inputs (the numeric elliptic construction) only get the quadruple-at-
 a-time determinant test with a dimensionally normalized tolerance; float
@@ -36,11 +34,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from math import comb, gcd
 from typing import ClassVar, Iterable, Sequence
 
 from .polynomials import clear_denominators
-from .stages import Stages
 
 __all__ = [
     "PointSet2",
@@ -55,8 +53,6 @@ __all__ = [
 ]
 
 _EXACT_TYPES = (int, Fraction)
-# keys fit int64 when 8 span^2 stays below this (see the module docstring)
-_INT64_BOUND = 2**62
 # a float count needs its largest accepted |det| / scale at least this factor
 # below its smallest rejected one
 _MARGIN_FACTOR = 100
@@ -110,10 +106,8 @@ class CountReport:
     # float coplanarity only: {"max_accepted": ..., "min_rejected": ...} of
     # |det| / scale, each None when no quadruple fell on that side
     margin: dict[str, float | None] | None = None
-    # exact hashing only: {"lines": ..., "planes": ..., "kernel": ...}
-    hashing: dict[str, int | str] | None = None
-    # exact hashing only: seconds per stage, {"import_numpy": ...}
-    stages: dict[str, float] | None = None
+    # exact hashing only: {"lines": ..., "planes": ...}
+    hashing: dict[str, int] | None = None
 
     @property
     def ordered_count(self) -> int:
@@ -134,8 +128,6 @@ class CountReport:
             out.update(self.margin)
         if self.hashing is not None:
             out.update(self.hashing)
-        if self.stages is not None:
-            out["stages"] = self.stages
         return out
 
 
@@ -222,7 +214,6 @@ def check_margin(report: CountReport) -> CountReport:
 class _Flats:
     """Lines and planes through each pivot and its later points, summed over pivots."""
 
-    kernel: str
     lines: int = 0          # (pivot, line) pairs
     planes: int = 0         # (pivot, plane) pairs
     max_line: int = 0       # most points on one line, 0 when there is no line
@@ -232,75 +223,81 @@ class _Flats:
     plane_triples: int = 0  # sum of C(m, 3) - c: coplanar, not collinear, quadruples
     planes_of_3: int = 0    # planes with m == 3
 
-    def counters(self) -> dict[str, int | str]:
-        return {"lines": self.lines, "planes": self.planes, "kernel": self.kernel}
+    def counters(self) -> dict[str, int]:
+        return {"lines": self.lines, "planes": self.planes}
 
 
-def _pivot_flats(
-    pts: Sequence[tuple[int, ...]], stages: Stages, skip_vertical: bool = False
-) -> _Flats:
+def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) -> _Flats:
     """Hash the lines, and for 3D points the planes, through each point P_i
     and the points after it; `skip_vertical` drops planes whose normal has
     third component 0.
 
-    Equal keys are grouped by a lexsort and a run split.  Per pivot this
-    holds O(n^2) line pairs; m and c are accumulated over the distinct
-    (plane, line) pairs.  The numpy import is timed as the "import_numpy"
-    stage: the first hashing call of a process pays it.
+    Lines are keyed by direction in one dict per pivot.  A plane is found
+    from each pair of its lines, keyed by their primitive normal; its m and
+    c are summed at its first line only, over the pairs that start there,
+    and `seen` drops it at every later line.  Per pivot this holds O(n^2)
+    keys.
     """
-    with stages.timed("import_numpy"):
-        import numpy as np
-
-    def primitive(rows):
-        rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
-        lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-        return rows * np.where(lead < 0, -1, 1)[:, None]
-
-    def runs(keys):
-        """(group of each row, distinct rows, group sizes) of equal rows."""
-        order = np.lexsort(keys.T)
-        ordered = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        group = np.empty(len(keys), dtype=np.intp)
-        group[order] = np.cumsum(first) - 1
-        return group, ordered[first], np.diff(np.append(np.flatnonzero(first), len(keys)))
-
-    span = max((abs(v) for p in pts for v in p), default=0)
-    flats = _Flats("int64" if 8 * span * span < _INT64_BOUND else "int")
-    coords = np.array(pts, dtype=np.int64 if flats.kernel == "int64" else object)
+    n_lines = n_planes = max_line = max_plane = 0
+    line_pairs = line_triples = plane_triples = planes_of_3 = 0
     for i in range(len(pts) - 1):
-        _, dirs, l = runs(primitive(coords[i + 1:] - coords[i]))
-        l3 = l * (l - 1) * (l - 2) // 6
-        flats.lines += len(l)
-        flats.max_line = max(flats.max_line, int(l.max()) + 1)
-        flats.line_pairs += int((l * (l - 1) // 2).sum())
-        flats.line_triples += int(l3.sum())
-        if coords.shape[1] != 3:
+        # one loop per dimension: unpacking the coordinates by name is much
+        # faster than a generic tuple(v // g for v in d)
+        lines: dict[tuple[int, ...], int] = {}
+        if len(pts[i]) == 2:
+            px, py = pts[i]
+            for x, y in pts[i + 1:]:
+                dx, dy = x - px, y - py
+                g = gcd(dx, dy)
+                if dx < 0 or (not dx and dy < 0):
+                    g = -g
+                key = (dx // g, dy // g)
+                lines[key] = lines.get(key, 0) + 1
+        else:
+            px, py, pz = pts[i]
+            for x, y, z in pts[i + 1:]:
+                dx, dy, dz = x - px, y - py, z - pz
+                g = gcd(dx, dy, dz)
+                if dx < 0 or (not dx and (dy < 0 or (not dy and dz < 0))):
+                    g = -g
+                key = (dx // g, dy // g, dz // g)
+                lines[key] = lines.get(key, 0) + 1
+        ls = lines.values()
+        n_lines += len(ls)
+        max_line = max(max_line, max(ls) + 1)
+        line_pairs += sum(map(comb, ls, repeat(2)))
+        line_triples += sum(map(comb, ls, repeat(3)))
+        if len(pts[i]) != 3:
             continue
-        a, b = np.triu_indices(len(l), 1)
-        u, v = dirs[a], dirs[b]
-        normals = primitive(np.stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
-                                      u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
-                                      u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]], axis=1))
-        if skip_vertical:
-            keep = normals[:, 2] != 0
-            a, b, normals = a[keep], b[keep], normals[keep]
-        if not len(normals):
-            continue
-        plane, _, sizes = runs(normals)
-        # a plane's lines are its first line and the lines paired with it
-        first = np.full(len(sizes), len(l))
-        np.minimum.at(first, plane, a)
-        other = a == first[plane]
-        m, c = l[first], l3[first]
-        np.add.at(m, plane[other], l[b[other]])
-        np.add.at(c, plane[other], l3[b[other]])
-        flats.planes += len(m)
-        flats.max_plane = max(flats.max_plane, int(m.max()) + 1)
-        flats.plane_triples += int((m * (m - 1) * (m - 2) // 6 - c).sum())
-        flats.planes_of_3 += int((m == 3).sum())
-    return flats
+        dirs = list(lines.items())
+        seen: set[tuple[int, int, int]] = set()
+        for a, ((ux, uy, uz), la) in enumerate(dirs):
+            # m and c of each plane through line a, over the lines after it
+            m: dict[tuple[int, int, int], int] = {}
+            c: dict[tuple[int, int, int], int] = {}
+            for (vx, vy, vz), lb in dirs[a + 1:]:
+                nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+                if skip_vertical and not nz:
+                    continue
+                g = gcd(nx, ny, nz)
+                if nx < 0 or (not nx and (ny < 0 or (not ny and nz < 0))):
+                    g = -g
+                key = (nx // g, ny // g, nz // g)
+                m[key] = m.get(key, la) + lb
+                if lb > 2:
+                    c[key] = c.get(key, comb(la, 3)) + comb(lb, 3)
+            la3 = comb(la, 3)
+            for key, mk in m.items():
+                if key in seen:
+                    continue
+                seen.add(key)
+                n_planes += 1
+                if mk >= max_plane:
+                    max_plane = mk + 1
+                plane_triples += comb(mk, 3) - c.get(key, la3)
+                planes_of_3 += mk == 3
+    return _Flats(n_lines, n_planes, max_line, max_plane,
+                  line_pairs, line_triples, plane_triples, planes_of_3)
 
 
 def _exact_points(points, name: str) -> tuple[tuple, ...]:
@@ -317,13 +314,12 @@ def coplanar_fast(points: PointSet3) -> CountReport:
     line through P_i or span one plane through it, never both.  So the
     coplanar 4-subsets whose smallest index is i number
     sum_lines C(l, 3) + sum_planes (C(m, 3) - c), and four collinear points
-    are counted once without a line correction.  O(n^3 log n) time, O(n^2)
-    memory per pivot.
+    are counted once without a line correction.  O(n^3) dict operations,
+    O(n^2) memory per pivot.
     """
     pts = _exact_points(points, "coplanar_fast")
     start = time.perf_counter()
-    stages = Stages()
-    flats = _pivot_flats(_integerize(pts), stages)
+    flats = _pivot_flats(_integerize(pts))
     return CountReport(
         flats.line_triples + flats.plane_triples,
         "fast",
@@ -332,7 +328,6 @@ def coplanar_fast(points: PointSet3) -> CountReport:
         degeneracy={"max_points_per_plane": flats.max_plane,
                     "max_points_per_line": flats.max_line},
         hashing=flats.counters(),
-        stages=stages.seconds,
     )
 
 
@@ -341,13 +336,11 @@ def collinear_triples(points: PointSet2) -> CountReport:
     point and its later points (pivot form, lines only)."""
     pts = _exact_points(points, "collinear_triples")
     start = time.perf_counter()
-    stages = Stages()
-    flats = _pivot_flats(_integerize(pts), stages)
+    flats = _pivot_flats(_integerize(pts))
     return CountReport(
         flats.line_pairs, "line-hash", 3, time.perf_counter() - start,
         degeneracy={"max_points_per_line": flats.max_line},
         hashing=flats.counters(),
-        stages=stages.seconds,
     )
 
 
@@ -364,8 +357,7 @@ def four_point_circles(points: PointSet2) -> CountReport:
     """
     pts = _exact_points(points, "four_point_circles")
     start = time.perf_counter()
-    stages = Stages()
-    flats = _pivot_flats(_integerize([(x, y, x * x + y * y) for x, y in pts]), stages,
+    flats = _pivot_flats(_integerize([(x, y, x * x + y * y) for x, y in pts]),
                          skip_vertical=True)
     return CountReport(
         flats.plane_triples,
@@ -375,7 +367,6 @@ def four_point_circles(points: PointSet2) -> CountReport:
         circles=flats.planes_of_3,
         degeneracy={"max_points_per_circle": flats.max_plane},
         hashing=flats.counters(),
-        stages=stages.seconds,
     )
 
 

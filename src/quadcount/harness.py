@@ -39,7 +39,6 @@ class ExperimentSeries:
     slope: float | None
     intercept: float | None
     residual: float | None
-    seed: int
     stages: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -49,7 +48,6 @@ class ExperimentSeries:
             "slope": self.slope,
             "intercept": self.intercept,
             "residual": self.residual,
-            "seed": self.seed,
             "stages": self.stages,
         }
 
@@ -100,28 +98,33 @@ class _GridConfig:
     sets: object
 
 
-def _gen_ap_additive(n: int, seed: int):
+def _gen_ap_additive(n: int):
     return constructions.ap_grid("additive", n)
 
-def _gen_ap_multiplicative(n: int, seed: int):
+def _gen_ap_multiplicative(n: int):
     return constructions.ap_grid("multiplicative", n)
 
 
-def _gen_nonspecial_grid(n: int, seed: int):
+def _gen_nonspecial_grid(n: int):
     poly = parse_poly("t - (x + y*s)", ("x", "y", "s", "t"))
     values = [Fraction(i) for i in range(1, n + 1)]
     sets = zerocount.GridSets.from_values(values, values, values, values)
     return _GridConfig(poly, sets)
 
 
-def _gen_elliptic(n: int, seed: int):
+def _gen_elliptic(n: int):
     cfg = constructions.make_curve()
     pts = constructions.torsion_points(cfg, n)[1:]  # strip the identity
     return constructions.embed_quartic(cfg, pts)
 
 
-def _gen_moment(n: int, seed: int):
+def _gen_moment(n: int):
     return constructions.moment_curve_points(n)
+
+
+def _gen_torsion_index(n: int):
+    # the index oracle counts the order-n torsion subgroup from n alone
+    return n
 
 
 GENERATORS: dict[str, tuple[Callable, str]] = {
@@ -131,6 +134,7 @@ GENERATORS: dict[str, tuple[Callable, str]] = {
     "nonspecial-grid": (_gen_nonspecial_grid, "grid"),
     "elliptic": (_gen_elliptic, "points3"),
     "moment": (_gen_moment, "points3"),
+    "torsion-index": (_gen_torsion_index, "index"),
 }
 
 
@@ -155,7 +159,7 @@ COUNTERS: dict[str, tuple[Callable, str]] = {
     "fiber": (_count_grid_fiber, "grid"),
     "coplanar-naive": (_count_coplanar_naive, "points3"),
     "coplanar-fast": (_count_coplanar_fast, "points3"),
-    "index-oracle": (None, "index"),  # handled inline: counts by index sums
+    "index-oracle": (constructions.coplanar_index_oracle, "index"),
 }
 
 # Named experiments exposed on the command line.
@@ -164,7 +168,7 @@ EXPERIMENTS: dict[str, tuple[str, str]] = {
     "ap-multiplicative-zeros": ("ap-multiplicative", "fiber"),
     "nonspecial-grid-zeros": ("nonspecial-grid", "fiber"),
     "elliptic-coplanar": ("elliptic", "coplanar-naive"),
-    "elliptic-oracle": ("elliptic", "index-oracle"),
+    "elliptic-oracle": ("torsion-index", "index-oracle"),
     "moment-coplanar": ("moment", "coplanar-fast"),
 }
 
@@ -173,7 +177,6 @@ def run_series(
     generator: str,
     counter: str,
     n_list: Sequence[int],
-    seed: int = 0,
 ) -> ExperimentSeries:
     """Build each configuration, count it, and fit the growth exponent.
 
@@ -189,31 +192,24 @@ def run_series(
         raise ValueError("n_list must be strictly increasing with length >= 3")
     build, family = GENERATORS[generator]
     count_fn, needs = COUNTERS[counter]
-    if needs == "index":
-        if generator != "elliptic":
-            raise ValueError("index-oracle only counts the elliptic construction")
-    elif needs != family:
+    if needs != family:
         raise ValueError(
-            f"counter {counter!r} expects a {needs} configuration, "
-            f"generator {generator!r} builds {family}"
+            f"counter {counter!r} expects a {needs!r} configuration, "
+            f"generator {generator!r} builds {family!r}"
         )
     rows: list[SeriesRow] = []
     stages = Stages()
     for n in n_list:
         start = time.perf_counter()
-        if needs == "index":
-            with stages.timed(f"count_{n}"):
-                count = constructions.coplanar_index_oracle(n)
-        else:
-            with stages.timed(f"build_{n}"):
-                config = build(n, seed)
-            with stages.timed(f"count_{n}"):
-                count = count_fn(config)
+        with stages.timed(f"build_{n}"):
+            config = build(n)
+        with stages.timed(f"count_{n}"):
+            count = count_fn(config)
         rows.append(SeriesRow(n, count, (time.perf_counter() - start) * 1000.0))
     positives = [(r.n, r.count) for r in rows if r.count > 0]
     if len(positives) >= 3:
         slope, intercept, residual = fit_slope(positives)
     else:
         slope = intercept = residual = None
-    return ExperimentSeries(f"{generator}/{counter}", rows, slope, intercept, residual, seed,
+    return ExperimentSeries(f"{generator}/{counter}", rows, slope, intercept, residual,
                             stages.seconds)

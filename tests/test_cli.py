@@ -186,7 +186,7 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, "count-coplanar", "--points", str(path))
         payload = json.loads(out)
         assert (payload["count"], payload["method"]) == (1, "fast")
-        assert (payload["lines"], payload["planes"], payload["kernel"]) == (10, 8, "int64")
+        assert (payload["lines"], payload["planes"]) == (10, 8)
 
     def test_count_coplanar_float_naive(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
@@ -205,14 +205,6 @@ class TestGeometryCommands:
         assert (code, out) == (1, "")
         assert err.startswith("error:count:") and "margin collapsed" in err
 
-    def test_hashing_reports_time_the_numpy_import(self, capsys, tmp_path):
-        path = tmp_path / "pts.csv"
-        path.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
-        code, out, _ = run_cli(capsys, "count-coplanar", "--points", str(path))
-        payload = json.loads(out)
-        assert set(payload["stages"]) == {"import_numpy"}
-        assert 0.0 <= payload["stages"]["import_numpy"] <= payload["elapsed_s"]
-
     def test_float_fast_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("0.5,0.0,0.0\n1.0,0.0,0.0\n0.0,1.0,0.0\n1.0,1.0,1.0\n")
@@ -228,7 +220,7 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, "count-collinear", "--points", str(path))
         payload = json.loads(out)
         assert payload["count"] == 1
-        assert (payload["lines"], payload["planes"], payload["kernel"]) == (5, 0, "int64")
+        assert (payload["lines"], payload["planes"]) == (5, 0)
 
     def test_count_circles(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
@@ -236,7 +228,6 @@ class TestGeometryCommands:
         code, out, _ = run_cli(capsys, "count-circles", "--points", str(path))
         payload = json.loads(out)
         assert (payload["circles"], payload["count"]) == (1, 5)
-        assert payload["kernel"] == "int64"
 
 
 class TestFitExponentCommand:
@@ -261,6 +252,15 @@ class TestFitExponentCommand:
         assert [row[1] for row in payload["rows"]] == [64, 512, 4096]
         assert set(payload["stages"]) == {f"{stage}_{n}" for stage in ("build", "count")
                                           for n in (4, 8, 16)}
+        assert "seed" not in payload
+
+    def test_elliptic_oracle_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fit-exponent", "--experiment", "elliptic-oracle", "--ns", "16,32,64",
+        )
+        payload = json.loads(out)
+        assert payload["experiment"] == "torsion-index/index-oracle"
+        assert [row[:2] for row in payload["rows"]] == [[16, 87], [32, 987], [64, 9315]]
 
 
 class TestConfigFile:
@@ -277,6 +277,16 @@ class TestConfigFile:
             "--config", str(cfg), "--method", "fiber",
         )
         assert json.loads(out)["method"] == "fiber"
+
+    def test_seed_is_a_detect_special_option_only(self, capsys, tmp_path, sets_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file, "--seed", "7"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=7\n")
+        code, out, _ = run_cli(capsys, "detect-special", "--poly", "x*y - s*t",
+                               "--trials", "5", "--config", str(cfg))
+        assert (code, json.loads(out)["seed"]) == (0, 7)
 
     def test_out_path_writes_file(self, capsys, tmp_path, sets_file):
         target = tmp_path / "report.json"
@@ -301,33 +311,34 @@ def test_cli_import_path_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
-def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
-    # numpy serves only exact hashing; every other job skips its import
+def test_no_cli_job_loads_numpy(tmp_path, sets_file):
+    # the program runs on the standard library alone: every subcommand, in
+    # one interpreter, and numpy never enters sys.modules
     src = str(Path(quadcount.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys; import quadcount.cli; print('numpy' in sys.modules); "
-            "quadcount.cli.main(['count-zeros', '--poly', 'x+y+s+t', '--sets', sys.argv[1], "
-            "'--out-path', sys.argv[2]]); print('numpy' in sys.modules)")
-    report = tmp_path / "report.json"
-    result = subprocess.run([sys.executable, "-c", code, sets_file, str(report)],
+    exact3, float3, plane = tmp_path / "e3.csv", tmp_path / "f3.csv", tmp_path / "p2.csv"
+    exact3.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
+    float3.write_text("0.0,0.0,0.0\n1.0,0.0,0.0\n0.25,1.0,0.0\n1.0,1.5,0.0\n0.0,0.25,1.0\n")
+    plane.write_text("1,0\n0,1\n-1,0\n0,-1\n3/5,4/5\n")
+    jobs = [
+        ["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file],
+        # a linear and a cubic slice in the solved variable
+        ["detect-special", "--poly", "t - (x + y*s)"],
+        ["detect-special", "--poly", "x^2 + y^3 + s + t^2"],
+        ["construct", "--kind", "elliptic", "--n", "8"],
+        ["count-coplanar", "--points", str(exact3)],
+        ["count-coplanar", "--points", str(float3)],
+        ["count-collinear", "--points", str(plane)],
+        ["count-circles", "--points", str(plane)],
+        ["fit-exponent", "--experiment", "moment-coplanar", "--ns", "8,12,16"],
+    ]
+    code = ("import json, sys; from quadcount.cli import main\n"
+            "for job in json.loads(sys.argv[1]):\n"
+            "    assert main(job + ['--out-path', sys.argv[2]]) == 0, job\n"
+            "    out = json.load(open(sys.argv[2]))\n"
+            "    print(out['command'], out.get('classification'), 'numpy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(jobs), str(tmp_path / "out")],
                             capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.split() == ["False", "False"]
-    assert json.loads(report.read_text())["count"] == 27
-
-
-def test_detect_special_job_loads_no_numpy():
-    # the detector draws from quadcount.rng and finds slice roots in Python
-    src = str(Path(quadcount.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys; import quadcount.cli; "
-            "quadcount.cli.main(['detect-special', '--poly', sys.argv[1]]); "
-            "print('numpy' in sys.modules)")
-    # a linear and a cubic slice in the solved variable
-    for poly, expected in (("t - (x + y*s)", "non-special"), ("x^2 + y^3 + s + t^2", "special")):
-        result = subprocess.run([sys.executable, "-c", code, poly],
-                                capture_output=True, text=True, env=env, check=True)
-        *report, loaded = result.stdout.splitlines()
-        assert loaded == "False"
-        assert json.loads("\n".join(report))["classification"] == expected
+    verdicts = {"t - (x + y*s)": "non-special", "x^2 + y^3 + s + t^2": "special"}
+    assert result.stdout.splitlines() == [f"{job[0]} {verdicts.get(job[2])} False" for job in jobs]

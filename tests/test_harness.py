@@ -46,7 +46,7 @@ class TestRunSeries:
         assert series.slope is None
 
     def test_elliptic_oracle_and_geometry_agree(self):
-        oracle = run_series("elliptic", "index-oracle", [8, 12, 16])
+        oracle = run_series("torsion-index", "index-oracle", [8, 12, 16])
         geom = run_series("elliptic", "coplanar-naive", [8, 12, 16])
         assert [r.count for r in oracle.rows] == [r.count for r in geom.rows]
 
@@ -58,8 +58,8 @@ class TestRunSeries:
 
     def test_deterministic(self):
         # everything except wall-clock timings must be bit-identical
-        a = run_series("ap-additive", "fiber", [4, 8, 16], seed=1)
-        b = run_series("ap-additive", "fiber", [4, 8, 16], seed=1)
+        a = run_series("ap-additive", "fiber", [4, 8, 16])
+        b = run_series("ap-additive", "fiber", [4, 8, 16])
         strip = lambda s: {**s.to_json(), "rows": [(r.n, r.count) for r in s.rows],
                            "stages": sorted(s.stages)}
         assert strip(a) == strip(b)
@@ -67,8 +67,10 @@ class TestRunSeries:
     def test_mismatched_counter_rejected(self):
         with pytest.raises(ValueError, match="expects"):
             run_series("ap-additive", "coplanar-fast", [4, 8, 16])
-        with pytest.raises(ValueError, match="index-oracle"):
+        with pytest.raises(ValueError, match="counter 'index-oracle' expects a 'index'"):
             run_series("moment", "index-oracle", [8, 12, 16])
+        with pytest.raises(ValueError, match="counter 'coplanar-fast' expects a 'points3'"):
+            run_series("torsion-index", "coplanar-fast", [8, 12, 16])
 
     def test_n_list_validation(self):
         with pytest.raises(ValueError):
