@@ -311,6 +311,38 @@ def test_cli_import_path_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
+    # neither the CLI import nor a zero-counting job loads numpy
+    src = str(Path(quadcount.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys; import quadcount.cli; print('numpy' in sys.modules); "
+            "quadcount.cli.main(['count-zeros', '--poly', 'x+y+s+t', '--sets', sys.argv[1], "
+            "'--out-path', sys.argv[2]]); print('numpy' in sys.modules)")
+    report = tmp_path / "report.json"
+    result = subprocess.run([sys.executable, "-c", code, sets_file, str(report)],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == ["False", "False"]
+    assert json.loads(report.read_text())["count"] == 27
+
+
+def test_detect_special_job_loads_no_numpy():
+    # the detector draws from quadcount.rng and finds slice roots in Python
+    src = str(Path(quadcount.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys; import quadcount.cli; "
+            "quadcount.cli.main(['detect-special', '--poly', sys.argv[1]]); "
+            "print('numpy' in sys.modules)")
+    # a linear and a cubic slice in the solved variable
+    for poly, expected in (("t - (x + y*s)", "non-special"), ("x^2 + y^3 + s + t^2", "special")):
+        result = subprocess.run([sys.executable, "-c", code, poly],
+                                capture_output=True, text=True, env=env, check=True)
+        *report, loaded = result.stdout.splitlines()
+        assert loaded == "False"
+        assert json.loads("\n".join(report))["classification"] == expected
+
+
 def test_no_cli_job_loads_numpy(tmp_path, sets_file):
     # the program runs on the standard library alone: every subcommand, in
     # one interpreter, and numpy never enters sys.modules
