@@ -157,7 +157,7 @@ _DEFAULTS = {
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset options from --config, then from built-in defaults."""
-    file_values: dict[str, str] = {}
+    file_values: dict[str, tuple[int, str]] = {}
     if getattr(args, "config", None):
         for lineno, raw in enumerate(_read_text(args.config).splitlines(), 1):
             line = raw.strip()
@@ -166,21 +166,20 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             key, sep, value = line.partition("=")
             if not sep:
                 raise DomainError("config", f"line {lineno}: expected key=value")
-            file_values[key.strip().replace("-", "_")] = value.strip()
+            file_values[key.strip().replace("-", "_")] = (lineno, value.strip())
     for key, value in vars(args).items():
         if value is not None:
             continue
         if key in file_values:
-            raw = file_values[key]
+            lineno, raw = file_values[key]
             default = _DEFAULTS.get(key)
-            if isinstance(default, int):
-                parsed = int(raw)
-            elif isinstance(default, float):
-                parsed = float(raw)
-            elif isinstance(default, Fraction):
-                parsed = Fraction(raw)
-            else:
-                parsed = raw
+            parse = type(default) if isinstance(default, (int, float, Fraction)) else str
+            try:
+                parsed = parse(raw)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError(
+                    "config", f"line {lineno}: bad {parse.__name__} for {key}: {raw!r}"
+                ) from exc
             setattr(args, key, parsed)
         elif key in _DEFAULTS:
             setattr(args, key, _DEFAULTS[key])

@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import PointSet3
 from .polynomials import Polynomial, parse_poly
@@ -83,8 +82,7 @@ _VARS = ("x", "y", "s", "t")
 TORSION_COPLANAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ApGrid:
+class ApGrid(NamedTuple):
     """A grid construction with its matched polynomial and exact zero count."""
 
     kind: str
@@ -136,8 +134,7 @@ def ap_grid(kind: str, n: int) -> ApGrid:
 # -- elliptic construction ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EllipticConfig:
+class EllipticConfig(NamedTuple):
     """Curve y^2 = x^3 + a*x + b with one real component.
 
     `period` is twice the arc integral from the real root of the cubic to
@@ -152,8 +149,7 @@ class EllipticConfig:
     angle_tol: float = 1e-9
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     x: float = 0.0
     y: float = 0.0
     infinity: bool = False

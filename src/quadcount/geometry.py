@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, gcd
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polynomials import clear_denominators
 
@@ -58,13 +57,39 @@ _EXACT_TYPES = (int, Fraction)
 _MARGIN_FACTOR = 100
 
 
-@dataclass(frozen=True)
 class _PointSet:
-    """Finite list of points, exact (Fraction) or float coordinates."""
+    """Finite list of points, exact (Fraction) or float coordinates.
 
-    points: tuple[tuple, ...]
-    kind: str
-    dimension: ClassVar[int]
+    Immutable: assigning an attribute raises AttributeError.  Equal when the
+    class, the points and the kind are equal.
+    """
+
+    __slots__ = ("points", "kind")
+    dimension: int
+
+    def __init__(self, points: tuple[tuple, ...], kind: str) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "kind", kind)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.points, self.kind)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points and self.kind == other.kind
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.kind))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(points={self.points!r}, kind={self.kind!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]):
@@ -86,23 +111,25 @@ class _PointSet:
 class PointSet3(_PointSet):
     """Finite list of 3D points, exact (Fraction) or float coordinates."""
 
+    __slots__ = ()
     dimension = 3
 
 
 class PointSet2(_PointSet):
     """Finite list of 2D points, exact (Fraction) or float coordinates."""
 
+    __slots__ = ()
     dimension = 2
 
 
-@dataclass
-class CountReport:
+class CountReport(NamedTuple):
     count: int
     method: str
     tuple_size: int
     elapsed: float
     circles: int | None = None
-    degeneracy: dict[str, int] = field(default_factory=dict)
+    # the JSON reports None as {}
+    degeneracy: dict[str, int] | None = None
     # float coplanarity only: {"max_accepted": ..., "min_rejected": ...} of
     # |det| / scale, each None when no quadruple fell on that side
     margin: dict[str, float | None] | None = None
@@ -120,7 +147,7 @@ class CountReport:
             "method": self.method,
             "tuple_size": self.tuple_size,
             "elapsed_s": self.elapsed,
-            "degeneracy": self.degeneracy,
+            "degeneracy": self.degeneracy or {},
         }
         if self.circles is not None:
             out["circles"] = self.circles
@@ -156,37 +183,60 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
     with scale the product of the three largest pairwise distances of the
     quadruple (a volume-scale normalization).  Float reports also carry the
     margin: the largest |det| / scale accepted and the smallest rejected.
+
+    The part of the determinant fixed by a triple (a, b, c) is computed once
+    and tested against every later point d.  Exact inputs take the normal
+    n = (b - a) x (c - a): det = n . d - n . a, the same integer.  Float
+    inputs keep `_det3(u, v, w)`'s order of operations and read the six
+    distances from one table, so counts and margins match the
+    quadruple-at-a-time loop bit for bit.
     """
     _require_distinct(points.points)
     start = time.perf_counter()
     count = 0
     margin = None
+    size = len(points.points)
     if points.kind == "exact":
         pts = _integerize(points.points)
-        for a, b, c, d in combinations(pts, 4):
-            u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-            v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-            w = (d[0] - a[0], d[1] - a[1], d[2] - a[2])
-            if _det3(u, v, w) == 0:
-                count += 1
+        for i, (ax, ay, az) in enumerate(pts):
+            for j in range(i + 1, size):
+                bx, by, bz = pts[j]
+                ux, uy, uz = bx - ax, by - ay, bz - az
+                for k in range(j + 1, size):
+                    cx, cy, cz = pts[k]
+                    vx, vy, vz = cx - ax, cy - ay, cz - az
+                    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+                    offset = nx * ax + ny * ay + nz * az
+                    count += [nx * x + ny * y + nz * z for x, y, z in pts[k + 1:]].count(offset)
     else:
         pts = points.points
+        dist = [[math.dist(p, q) for q in pts] for p in pts]
         max_accepted, min_rejected = 0.0, math.inf
-        dist = math.dist
-        for a, b, c, d in combinations(pts, 4):
-            u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-            v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-            w = (d[0] - a[0], d[1] - a[1], d[2] - a[2])
-            det = _det3(u, v, w)
-            dists = sorted((dist(a, b), dist(a, c), dist(a, d),
-                            dist(b, c), dist(b, d), dist(c, d)))
-            ratio = abs(det) / (dists[5] * dists[4] * dists[3])
-            if ratio < tol:
-                count += 1
-                if ratio > max_accepted:
-                    max_accepted = ratio
-            elif ratio < min_rejected:
-                min_rejected = ratio
+        for i, (a0, a1, a2) in enumerate(pts):
+            da = dist[i]
+            for j in range(i + 1, size):
+                b0, b1, b2 = pts[j]
+                u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+                db, dab = dist[j], da[j]
+                for k in range(j + 1, size):
+                    c0, c1, c2 = pts[k]
+                    v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
+                    dc, dac, dbc = dist[k], da[k], db[k]
+                    for m in range(k + 1, size):
+                        d0, d1, d2 = pts[m]
+                        w0, w1, w2 = d0 - a0, d1 - a1, d2 - a2
+                        # _det3(u, v, w), inlined
+                        det = (u0 * (v1 * w2 - v2 * w1)
+                               - u1 * (v0 * w2 - v2 * w0)
+                               + u2 * (v0 * w1 - v1 * w0))
+                        dists = sorted((dab, dac, da[m], dbc, db[m], dc[m]))
+                        ratio = abs(det) / (dists[5] * dists[4] * dists[3])
+                        if ratio < tol:
+                            count += 1
+                            if ratio > max_accepted:
+                                max_accepted = ratio
+                        elif ratio < min_rejected:
+                            min_rejected = ratio
         margin = {"max_accepted": max_accepted if count else None,
                   "min_rejected": min_rejected if min_rejected < math.inf else None}
     return CountReport(count, "naive", 4, time.perf_counter() - start, margin=margin)
@@ -210,8 +260,7 @@ def check_margin(report: CountReport) -> CountReport:
     return report
 
 
-@dataclass
-class _Flats:
+class _Flats(NamedTuple):
     """Lines and planes through each pivot and its later points, summed over pivots."""
 
     lines: int = 0          # (pivot, line) pairs

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import constructions, geometry, zerocount
 from .polynomials import parse_poly
@@ -22,24 +21,22 @@ __all__ = ["SeriesRow", "ExperimentSeries", "fit_slope", "run_series",
            "GENERATORS", "COUNTERS", "EXPERIMENTS"]
 
 
-@dataclass(frozen=True)
-class SeriesRow:
+class SeriesRow(NamedTuple):
     n: int
     count: int
     elapsed_ms: float
 
 
-@dataclass
-class ExperimentSeries:
+class ExperimentSeries(NamedTuple):
     """`stages` holds the seconds each row spent building its configuration
-    ("build_<n>") and counting it ("count_<n>")."""
+    ("build_<n>") and counting it ("count_<n>"); the JSON reports None as {}."""
 
     experiment: str
     rows: list[SeriesRow]
     slope: float | None
     intercept: float | None
     residual: float | None
-    stages: dict[str, float] = field(default_factory=dict)
+    stages: dict[str, float] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -48,7 +45,7 @@ class ExperimentSeries:
             "slope": self.slope,
             "intercept": self.intercept,
             "residual": self.residual,
-            "stages": self.stages,
+            "stages": self.stages or {},
         }
 
     def to_csv(self) -> str:
@@ -92,8 +89,7 @@ def fit_slope(points: Sequence[tuple[int, int]]) -> tuple[float, float, float]:
 # mismatch fails fast.
 
 
-@dataclass(frozen=True)
-class _GridConfig:
+class _GridConfig(NamedTuple):
     poly: object
     sets: object
 

@@ -39,10 +39,8 @@ seeded draws come from `quadcount.rng`, which reproduces numpy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from statistics import median
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import Polynomial, bivariate_gcd, try_divide
 from .rng import Generator, spawned_seeds
@@ -87,8 +85,7 @@ class DegenerateSurfaceError(RuntimeError):
     """The sampler could not produce enough regular surface points."""
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
+class SurfaceSample(NamedTuple):
     """A regular point of the surface F = 0 with its residual and gradient."""
 
     point: tuple[float, float, float, float]
@@ -96,8 +93,7 @@ class SurfaceSample:
     gradient: tuple[float, float, float, float]
 
 
-@dataclass
-class PopularScan:
+class PopularScan(NamedTuple):
     """Shared slice components with the number of slices each divides."""
 
     components: list[tuple[Polynomial, int]]
@@ -114,22 +110,22 @@ class PopularScan:
         }
 
 
-@dataclass
-class FormVerdict:
+class FormVerdict(NamedTuple):
     """Combined detector output: special | non-special | inconclusive.
 
     `stages` holds the seconds spent in each stage that ran (h1, h2, h3,
     g_sample, popular); `sampler` holds the attempts of the ratio walks and
-    the G sampler together, and the abandoned ones by reason.
+    the G sampler together, and the abandoned ones by reason.  The JSON
+    reports a None `notes` as [] and a None `stages` or `sampler` as {}.
     """
 
     classification: str
     ratio_spreads: dict[str, float]
     g_max: float
     popular: list[tuple[Polynomial, int]]
-    notes: list[str] = field(default_factory=list)
-    stages: dict[str, float] = field(default_factory=dict)
-    sampler: dict = field(default_factory=dict)
+    notes: list[str] | None = None
+    stages: dict[str, float] | None = None
+    sampler: dict | None = None
 
     def to_json(self) -> dict:
         return {
@@ -137,9 +133,9 @@ class FormVerdict:
             "ratio_spreads": self.ratio_spreads,
             "g_max": self.g_max,
             "popular_components": [[str(p), m] for p, m in self.popular],
-            "notes": self.notes,
-            "stages": self.stages,
-            "sampler": self.sampler,
+            "notes": self.notes or [],
+            "stages": self.stages or {},
+            "sampler": self.sampler or {},
         }
 
 
@@ -341,6 +337,14 @@ def sample_surface(
     return samples
 
 
+def _median(values: Sequence[float]) -> float:
+    # statistics.median without its import: the mean of the middle pair, as
+    # (lo + hi) / 2, for an even count
+    data = sorted(values)
+    mid = len(data) // 2
+    return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2
+
+
 def ratio_test(
     poly: Polynomial,
     pair: tuple[str, str],
@@ -429,7 +433,7 @@ def ratio_test(
         if rejected is not None:
             tally(rejected)
             continue
-        spread = (max(ratios) - min(ratios)) / (abs(median(ratios)) + 1e-12)
+        spread = (max(ratios) - min(ratios)) / (abs(_median(ratios)) + 1e-12)
         max_spread = max(max_spread, spread)
         successes += 1
     if successes < trials:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import Polynomial, clear_denominators
 from .stages import Stages
@@ -29,19 +28,43 @@ from .stages import Stages
 __all__ = ["GridSets", "ZeroCountReport", "count_naive", "count_fiber"]
 
 
-@dataclass(frozen=True)
 class GridSets:
     """Four finite sets of exact rationals, bound to a polynomial's variables
-    in declared order.  Sizes may differ; values within a set are distinct."""
+    in declared order.  Sizes may differ; values within a set are distinct.
 
-    sets: tuple[tuple[Fraction, ...], ...]
+    Immutable: assigning an attribute raises AttributeError.  Equal when the
+    sets are equal.
+    """
 
-    def __post_init__(self):
-        if len(self.sets) != 4:
-            raise ValueError(f"expected 4 sets, got {len(self.sets)}")
-        for i, values in enumerate(self.sets):
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: tuple[tuple[Fraction, ...], ...]) -> None:
+        if len(sets) != 4:
+            raise ValueError(f"expected 4 sets, got {len(sets)}")
+        for i, values in enumerate(sets):
             if len(set(values)) != len(values):
                 raise ValueError(f"set #{i} contains repeated values")
+        object.__setattr__(self, "sets", sets)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GridSets, (self.sets,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sets == other.sets
+
+    def __hash__(self) -> int:
+        return hash((self.sets,))
+
+    def __repr__(self) -> str:
+        return f"GridSets(sets={self.sets!r})"
 
     @classmethod
     def from_values(cls, a: Sequence, b: Sequence, c: Sequence, d: Sequence) -> GridSets:
@@ -58,17 +81,17 @@ class GridSets:
         return n
 
 
-@dataclass
-class ZeroCountReport:
+class ZeroCountReport(NamedTuple):
     """`stages` holds the seconds spent clearing denominators, building the
-    power tables (naive) or the coefficient profile (fiber), and counting."""
+    power tables (naive) or the coefficient profile (fiber), and counting;
+    the JSON reports None as {}."""
 
     count: int
     method: str
     degenerate_fibers: int
     elapsed: float
     sizes: tuple[int, int, int, int]
-    stages: dict[str, float] = field(default_factory=dict)
+    stages: dict[str, float] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -77,7 +100,7 @@ class ZeroCountReport:
             "degenerate_fibers": self.degenerate_fibers,
             "elapsed_s": self.elapsed,
             "sizes": list(self.sizes),
-            "stages": self.stages,
+            "stages": self.stages or {},
         }
 
 

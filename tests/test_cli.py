@@ -288,6 +288,23 @@ class TestConfigFile:
                                "--trials", "5", "--config", str(cfg))
         assert (code, json.loads(out)["seed"]) == (0, 7)
 
+    def test_malformed_value_is_a_config_error(self, capsys, tmp_path, sets_file):
+        # an int, a float and a Fraction key, each on the line after a comment
+        points = tmp_path / "points.csv"
+        points.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
+        cases = [
+            (["detect-special", "--poly", "x*y - s*t"], "trials=abc", "bad int for trials"),
+            (["count-coplanar", "--points", str(points)], "tol=1e-x", "bad float for tol"),
+            (["construct", "--kind", "elliptic", "--n", "8"], "a=1/0", "bad Fraction for a"),
+            (["construct", "--kind", "moment", "--n", "8"], "spacing=x", "bad Fraction for spacing"),
+        ]
+        cfg = tmp_path / "run.cfg"
+        for argv, line, message in cases:
+            cfg.write_text(f"# defaults\n{line}\n")
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error:config: line 2: {message}: "), err
+
     def test_out_path_writes_file(self, capsys, tmp_path, sets_file):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -343,9 +360,11 @@ def test_detect_special_job_loads_no_numpy():
         assert json.loads("\n".join(report))["classification"] == expected
 
 
-def test_no_cli_job_loads_numpy(tmp_path, sets_file):
+def test_no_cli_job_loads_numpy_dataclasses_or_statistics(tmp_path, sets_file):
     # the program runs on the standard library alone: every subcommand, in
-    # one interpreter, and numpy never enters sys.modules
+    # one interpreter, and numpy never enters sys.modules.  Nor do
+    # dataclasses (with the inspect it pulls in) and statistics, which a cold
+    # job would pay for on every start
     src = str(Path(quadcount.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -369,8 +388,10 @@ def test_no_cli_job_loads_numpy(tmp_path, sets_file):
             "for job in json.loads(sys.argv[1]):\n"
             "    assert main(job + ['--out-path', sys.argv[2]]) == 0, job\n"
             "    out = json.load(open(sys.argv[2]))\n"
-            "    print(out['command'], out.get('classification'), 'numpy' in sys.modules)\n")
+            "    print(out['command'], out.get('classification'),\n"
+            "          [m for m in ('numpy', 'dataclasses', 'inspect', 'statistics')\n"
+            "           if m in sys.modules])\n")
     result = subprocess.run([sys.executable, "-c", code, json.dumps(jobs), str(tmp_path / "out")],
                             capture_output=True, text=True, env=env, check=True)
     verdicts = {"t - (x + y*s)": "non-special", "x^2 + y^3 + s + t^2": "special"}
-    assert result.stdout.splitlines() == [f"{job[0]} {verdicts.get(job[2])} False" for job in jobs]
+    assert result.stdout.splitlines() == [f"{job[0]} {verdicts.get(job[2])} []" for job in jobs]

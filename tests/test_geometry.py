@@ -35,7 +35,78 @@ def pts2(rows):
     return PointSet2.from_rows(rows)
 
 
+def _det3(u, v, w):
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - u[1] * (v[0] * w[2] - v[2] * w[0])
+        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    )
+
+
+def coplanar_reference(points, tol):
+    """coplanar_naive's count and margin by one determinant per quadruple:
+    the quadruple-at-a-time loop, kept as the reference for the hoisted scan."""
+    count = 0
+    max_accepted, min_rejected = 0.0, math.inf
+    dist = math.dist
+    for a, b, c, d in combinations(points.points, 4):
+        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+        v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+        w = (d[0] - a[0], d[1] - a[1], d[2] - a[2])
+        det = _det3(u, v, w)
+        if points.kind == "exact":
+            count += det == 0
+            continue
+        dists = sorted((dist(a, b), dist(a, c), dist(a, d),
+                        dist(b, c), dist(b, d), dist(c, d)))
+        ratio = abs(det) / (dists[5] * dists[4] * dists[3])
+        if ratio < tol:
+            count += 1
+            if ratio > max_accepted:
+                max_accepted = ratio
+        elif ratio < min_rejected:
+            min_rejected = ratio
+    if points.kind == "exact":
+        return count, None
+    return count, {"max_accepted": max_accepted if count else None,
+                   "min_rejected": min_rejected if min_rejected < math.inf else None}
+
+
 class TestCoplanarNaive:
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_float_scan_matches_reference_bit_for_bit_on_torsion(self, n):
+        cfg = make_curve()
+        points = embed_quartic(cfg, torsion_points(cfg, n)[1:])
+        report = coplanar_naive(points, tol=TORSION_COPLANAR_TOL)
+        # == on floats: the hoisted scan must round exactly as the reference
+        assert (report.count, report.margin) == coplanar_reference(points, TORSION_COPLANAR_TOL)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_scan_matches_reference_bit_for_bit_on_random_sets(self, seed):
+        # half the points on a tilted plane, so both margin sides are populated
+        rng = random.Random(seed)
+        rows = [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(12)]
+        for _ in range(12):
+            x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            rows.append((x, y, 0.3 * x - 0.7 * y + 0.1))
+        points = PointSet3.from_rows(rows)
+        report = coplanar_naive(points, tol=1e-9)
+        assert report.count > 0
+        assert (report.count, report.margin) == coplanar_reference(points, 1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_scan_matches_reference_on_integer_and_fraction_sets(self, seed):
+        rng = random.Random(seed)
+        ints = {(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(22)}
+        fracs = {tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+                 for _ in range(22)}
+        for rows in (sorted(ints), sorted(fracs)):
+            points = pts3(rows)
+            assert points.kind == "exact"
+            count = coplanar_naive(points).count
+            assert count > 0
+            assert (count, None) == coplanar_reference(points, None)
+
     def test_square_plus_apex(self):
         points = pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)])
         assert coplanar_naive(points).count == 1

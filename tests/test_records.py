@@ -1,0 +1,110 @@
+"""Value semantics of the record types: equality, hashing, immutability,
+validation, repr, and defaults that are never shared between instances."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from quadcount.constructions import IDENTITY, CurvePoint, EllipticConfig, make_curve
+from quadcount.geometry import CountReport, PointSet2, PointSet3
+from quadcount.harness import ExperimentSeries, SeriesRow
+from quadcount.separability import FormVerdict
+from quadcount.zerocount import GridSets, ZeroCountReport
+
+
+def assert_value_record(a, same, other, field):
+    """`a` equals and hashes like `same`, differs from `other`, rejects
+    assignment to `field` and to a new attribute, and survives pickling."""
+    assert a == same and hash(a) == hash(same)
+    assert a != other
+    assert len({a, same, other}) == 2
+    for name in (field, "undeclared"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert getattr(a, field) == getattr(same, field)
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+class TestGridSets:
+    def test_value_semantics(self):
+        a = GridSets.from_values([1, 2], [3], [4], [5, 6])
+        assert_value_record(a, GridSets.from_values([1, 2], [3], [4], [5, 6]),
+                            GridSets.from_values([1, 2], [3], [4], [5]), "sets")
+        with pytest.raises(AttributeError):
+            del a.sets
+        assert a.sizes == (2, 1, 1, 2) and a.product_size() == 4
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="expected 4 sets, got 3"):
+            GridSets(((Fraction(1),),) * 3)
+        with pytest.raises(ValueError, match="set #2 contains repeated values"):
+            GridSets.from_values([1], [2], [3, 3], [4])
+
+    def test_repr(self):
+        assert repr(GridSets.from_values([1], [2], [3], [4])) == (
+            "GridSets(sets=((Fraction(1, 1),), (Fraction(2, 1),), "
+            "(Fraction(3, 1),), (Fraction(4, 1),)))"
+        )
+
+
+class TestPointSets:
+    def test_value_semantics(self):
+        rows = [(0, 0, 0), (1, 2, 3)]
+        a = PointSet3.from_rows(rows)
+        assert_value_record(a, PointSet3.from_rows(rows), PointSet3.from_rows(rows[:1]), "points")
+        for field in ("kind", "dimension"):
+            with pytest.raises(AttributeError):
+                setattr(a, field, None)
+        assert len(a) == 2 and list(a) == [(0, 0, 0), (1, 2, 3)]
+
+    def test_class_takes_part_in_equality(self):
+        # the same points and kind in another class are another value
+        assert PointSet2((), "exact") != PointSet3((), "exact")
+        assert PointSet2((), "exact") == PointSet2((), "exact")
+
+    def test_repr(self):
+        assert repr(PointSet2.from_rows([(0.5, 1.0)])) == (
+            "PointSet2(points=((0.5, 1.0),), kind='float')"
+        )
+
+
+class TestCurveRecords:
+    def test_curve_point(self):
+        assert_value_record(CurvePoint(1.0, 2.0), CurvePoint(1.0, 2.0), CurvePoint(1.0, -2.0), "y")
+        assert IDENTITY == CurvePoint(infinity=True) and IDENTITY != CurvePoint()
+        assert repr(IDENTITY) == "O"
+        assert repr(CurvePoint(1.5, -2.0)) == "(1.5, -2.0)"
+
+    def test_elliptic_config(self):
+        cfg = make_curve()
+        assert_value_record(cfg, make_curve(), make_curve(Fraction(2)), "period")
+        assert cfg.angle_tol == 1e-9
+        assert cfg == EllipticConfig(cfg.a, cfg.b, cfg.period, cfg.root)
+
+
+def test_series_row():
+    assert_value_record(SeriesRow(8, 3, 1.5), SeriesRow(8, 3, 1.5), SeriesRow(8, 4, 1.5), "count")
+    assert (SeriesRow(8, 3, 1.5).n, SeriesRow(8, 3, 1.5).count) == (8, 3)
+
+
+def test_reports_share_no_default_container():
+    # defaults left out are fresh in every report's JSON, never one shared
+    # dict or list that a caller could change for the next report
+    reports = [
+        (lambda: CountReport(1, "naive", 4, 0.0), "degeneracy", {}),
+        (lambda: ZeroCountReport(0, "naive", 0, 0.0, (1, 1, 1, 1)), "stages", {}),
+        (lambda: ExperimentSeries("e", [], None, None, None), "stages", {}),
+        (lambda: FormVerdict("special", {}, 0.0, []), "notes", []),
+        (lambda: FormVerdict("special", {}, 0.0, []), "stages", {}),
+        (lambda: FormVerdict("special", {}, 0.0, []), "sampler", {}),
+    ]
+    for build, key, empty in reports:
+        first, second = build().to_json(), build().to_json()
+        assert first[key] == second[key] == empty
+        assert first[key] is not second[key]
+        if isinstance(empty, dict):
+            first[key]["x"] = 1
+        else:
+            first[key].append("x")
+        assert build().to_json()[key] == empty
