@@ -12,19 +12,19 @@ import math
 from quadcount import fit_slope, run_series
 
 print("zeros of x+y+s+t on its progression grids (exactly n^3):")
-series = run_series("ap-additive", "fiber", [4, 8, 16, 32])
+series = run_series("ap-additive-zeros", [4, 8, 16, 32])
 for row in series.rows:
     print(f"  n={row.n:3d}  count={row.count:6d}  ({row.elapsed_ms:.1f} ms)")
 print(f"  fitted slope: {series.slope:.6f}  residual: {series.residual:.2e}")
 
 print("\nzeros of t - (x + y*s) on balanced grids {1..n}^4:")
-series = run_series("nonspecial-grid", "fiber", [8, 16, 32, 64])
+series = run_series("nonspecial-grid-zeros", [8, 16, 32, 64])
 for row in series.rows:
     print(f"  n={row.n:3d}  count={row.count:6d}  ({row.elapsed_ms:.1f} ms)")
 print(f"  fitted slope: {series.slope:.4f}  (stays below 8/3 + 0.1 = {8 / 3 + 0.1:.4f})")
 
 print("\ncoplanar quadruples of the embedded torsion subgroup (index oracle):")
-series = run_series("torsion-index", "index-oracle", [16, 32, 64, 128])
+series = run_series("elliptic-oracle", [16, 32, 64, 128])
 for row in series.rows:
     print(f"  n={row.n:3d}  count={row.count:6d}  ({row.elapsed_ms:.1f} ms)")
 counts = [row.count for row in series.rows]
@@ -39,7 +39,7 @@ slope, _, _ = fit_slope(big)
 print(f"  slope over n in 128..384: {slope:.4f} -> 3 from above as n grows")
 
 print("\ncoplanar quadruples on the moment curve (degree-3 control):")
-series = run_series("moment", "coplanar-fast", [16, 32, 64])
+series = run_series("moment-coplanar", [16, 32, 64])
 for row in series.rows:
     print(f"  n={row.n:3d}  count={row.count:6d}")
 print(f"  slope: {'undefined (all counts zero)' if series.slope is None else series.slope}")

@@ -43,12 +43,10 @@ from .polynomials import (
 from .separability import (
     DegenerateSurfaceError,
     FormVerdict,
-    SurfaceSample,
     classify,
     g_sample,
     popular_components,
     ratio_test,
-    sample_surface,
 )
 from .zerocount import GridSets, ZeroCountReport, count_fiber, count_naive
 
@@ -63,7 +61,7 @@ __all__ = [
     "four_point_circles",
     "ExperimentSeries", "fit_slope", "run_series",
     "PolyParseError", "Polynomial", "bivariate_gcd", "parse_poly", "try_divide",
-    "DegenerateSurfaceError", "FormVerdict", "SurfaceSample", "classify",
-    "g_sample", "popular_components", "ratio_test", "sample_surface",
+    "DegenerateSurfaceError", "FormVerdict", "classify",
+    "g_sample", "popular_components", "ratio_test",
     "GridSets", "ZeroCountReport", "count_fiber", "count_naive",
 ]

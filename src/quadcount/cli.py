@@ -100,12 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-special", help="classify a polynomial as special / non-special")
     p.add_argument("--poly", required=True)
     p.add_argument("--vars", default=",".join(_VARS))
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--box", type=float, default=None)
-    p.add_argument("--ratio-pass", type=float, default=None)
-    p.add_argument("--ratio-fail", type=float, default=None)
-    p.add_argument("--grad-floor", type=float, default=None)
-    p.add_argument("--g-pass", type=float, default=None)
+    p.add_argument("--trials", type=int, default=None, help="draws per detector test (default 50)")
     p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})")
     common(p)
 
@@ -142,11 +137,6 @@ _DEFAULTS = {
     "out": "json",
     "method": None,
     "trials": 50,
-    "box": separability.SAMPLING_BOX,
-    "ratio_pass": separability.RATIO_PASS,
-    "ratio_fail": separability.RATIO_FAIL,
-    "grad_floor": separability.GRADIENT_FLOOR,
-    "g_pass": separability.G_VANISH,
     "tol": 1e-7,
     "a": Fraction(1),
     "b": Fraction(1),
@@ -155,8 +145,15 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from --config, then from built-in defaults."""
+def _option_choices(parser: argparse.ArgumentParser, command: str) -> dict[str, tuple]:
+    """The argparse `choices` of each option of `command`, by destination."""
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    return {a.dest: a.choices for a in commands[command]._actions if a.choices}
+
+
+def _apply_config(args: argparse.Namespace, choices: dict[str, tuple]) -> argparse.Namespace:
+    """Fill unset options from --config, then from built-in defaults.  A
+    config value must pass the option's own `choices`, as a flag would."""
     file_values: dict[str, tuple[int, str]] = {}
     if getattr(args, "config", None):
         for lineno, raw in enumerate(_read_text(args.config).splitlines(), 1):
@@ -180,6 +177,11 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise DomainError(
                     "config", f"line {lineno}: bad {parse.__name__} for {key}: {raw!r}"
                 ) from exc
+            if key in choices and parsed not in choices[key]:
+                raise DomainError(
+                    "config", f"line {lineno}: bad choice for {key}: {raw!r}, "
+                              f"expected one of {', '.join(choices[key])}"
+                )
             setattr(args, key, parsed)
         elif key in _DEFAULTS:
             setattr(args, key, _DEFAULTS[key])
@@ -213,16 +215,7 @@ def _cmd_detect_special(args) -> dict:
     variables = tuple(v.strip() for v in args.vars.split(","))
     poly = _load_poly(args.poly, variables)
     try:
-        verdict = separability.classify(
-            poly,
-            seed=args.seed,
-            trials=args.trials,
-            box=args.box,
-            grad_floor=args.grad_floor,
-            ratio_pass=args.ratio_pass,
-            ratio_fail=args.ratio_fail,
-            g_vanish=args.g_pass,
-        )
+        verdict = separability.classify(poly, seed=args.seed, trials=args.trials)
     except (ValueError, DegenerateSurfaceError) as exc:
         raise DomainError("detect", str(exc)) from exc
     out = {"command": "detect-special", "poly": str(poly), "seed": args.seed}
@@ -310,9 +303,8 @@ def _cmd_count_circles(args) -> dict:
 
 
 def _cmd_fit_exponent(args) -> dict:
-    generator, counter = harness.EXPERIMENTS[args.experiment]
     try:
-        series = harness.run_series(generator, counter, args.ns)
+        series = harness.run_series(args.experiment, args.ns)
     except ValueError as exc:
         raise DomainError("experiment", str(exc)) from exc
     out = {"command": "fit-exponent", "name": args.experiment}
@@ -336,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, _option_choices(parser, args.command))
         payload = _HANDLERS[args.command](args)
     except DomainError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)

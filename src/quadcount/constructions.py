@@ -91,21 +91,6 @@ class ApGrid(NamedTuple):
     expected: int
 
 
-def _grid_index_count(n: int) -> int:
-    """Zeros of the progression grid by index arithmetic: triples (i, j, k)
-    in [1, n]^3 whose sum lands in the absorbing index range [3, 3n]."""
-    pair_sums: dict[int, int] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pair_sums[i + j] = pair_sums.get(i + j, 0) + 1
-    count = 0
-    for k in range(1, n + 1):
-        for m, mult in pair_sums.items():
-            if 3 <= m + k <= 3 * n:
-                count += mult
-    return count
-
-
 def ap_grid(kind: str, n: int) -> ApGrid:
     """Progression grids realizing exactly n^3 zeros.
 
@@ -113,7 +98,9 @@ def ap_grid(kind: str, n: int) -> ApGrid:
     multiplicative:  A = B = C = {2^1..2^n}, D = {2^-3n..2^-3},
                      F = x*y*s*t - 1.
 
-    The expected count is computed from index sums, not asserted.
+    The expected count is n^3 by index arithmetic: the indices of any
+    (x, y, s) in [1, n]^3 sum to some m in [3, 3n], and D holds exactly one
+    t, the one of index m, that completes a zero.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -128,7 +115,7 @@ def ap_grid(kind: str, n: int) -> ApGrid:
     else:
         raise ValueError(f"unknown grid kind {kind!r}")
     sets = GridSets.from_values(abc, abc, abc, d)
-    return ApGrid(kind, sets, poly, _grid_index_count(n))
+    return ApGrid(kind, sets, poly, n ** 3)
 
 
 # -- elliptic construction ----------------------------------------------------

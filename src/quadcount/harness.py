@@ -1,6 +1,7 @@
 """Growth experiments over n with log-log slope fitting.
 
-A run pairs a configuration generator with a counter, sweeps n, and fits
+A named experiment pairs a builder, which maps n to a configuration, with
+an exact counter of that configuration.  A run sweeps n and fits
 log(count) against log(n) by ordinary least squares.  The progression-grid
 and torsion constructions sit on the exponent-3 side; generic grids and the
 degree-3 control curve stay measurably below it.
@@ -17,8 +18,7 @@ from . import constructions, geometry, zerocount
 from .polynomials import parse_poly
 from .stages import Stages
 
-__all__ = ["SeriesRow", "ExperimentSeries", "fit_slope", "run_series",
-           "GENERATORS", "COUNTERS", "EXPERIMENTS"]
+__all__ = ["SeriesRow", "ExperimentSeries", "fit_slope", "run_series", "EXPERIMENTS"]
 
 
 class SeriesRow(NamedTuple):
@@ -28,8 +28,9 @@ class SeriesRow(NamedTuple):
 
 
 class ExperimentSeries(NamedTuple):
-    """`stages` holds the seconds each row spent building its configuration
-    ("build_<n>") and counting it ("count_<n>"); the JSON reports None as {}."""
+    """`experiment` is the name in `EXPERIMENTS`; `stages` holds the seconds
+    each row spent building its configuration ("build_<n>") and counting it
+    ("count_<n>"); the JSON reports None as {}."""
 
     experiment: str
     rows: list[SeriesRow]
@@ -82,11 +83,11 @@ def fit_slope(points: Sequence[tuple[int, int]]) -> tuple[float, float, float]:
     return slope, intercept, residual
 
 
-# -- generator / counter registry ----------------------------------------------
+# -- experiment registry -------------------------------------------------------
 #
-# A generator maps n to a configuration; a counter maps a configuration to an
-# exact count.  The registry records which pairs make sense so that a
-# mismatch fails fast.
+# An experiment maps n to a configuration and that configuration to an exact
+# count.  Each step calls its layer through the module attribute, at call
+# time, so that a wrapper put on that attribute sees the call.
 
 
 class _GridConfig(NamedTuple):
@@ -94,51 +95,22 @@ class _GridConfig(NamedTuple):
     sets: object
 
 
-def _gen_ap_additive(n: int):
-    return constructions.ap_grid("additive", n)
-
-def _gen_ap_multiplicative(n: int):
-    return constructions.ap_grid("multiplicative", n)
-
-
-def _gen_nonspecial_grid(n: int):
+def _nonspecial_grid(n: int) -> _GridConfig:
     poly = parse_poly("t - (x + y*s)", ("x", "y", "s", "t"))
     values = [Fraction(i) for i in range(1, n + 1)]
     sets = zerocount.GridSets.from_values(values, values, values, values)
     return _GridConfig(poly, sets)
 
 
-def _gen_elliptic(n: int):
+def _elliptic(n: int):
     cfg = constructions.make_curve()
     pts = constructions.torsion_points(cfg, n)[1:]  # strip the identity
     return constructions.embed_quartic(cfg, pts)
 
 
-def _gen_moment(n: int):
-    return constructions.moment_curve_points(n)
-
-
-def _gen_torsion_index(n: int):
-    # the index oracle counts the order-n torsion subgroup from n alone
-    return n
-
-
-GENERATORS: dict[str, tuple[Callable, str]] = {
-    # name -> (builder, configuration family)
-    "ap-additive": (_gen_ap_additive, "grid"),
-    "ap-multiplicative": (_gen_ap_multiplicative, "grid"),
-    "nonspecial-grid": (_gen_nonspecial_grid, "grid"),
-    "elliptic": (_gen_elliptic, "points3"),
-    "moment": (_gen_moment, "points3"),
-    "torsion-index": (_gen_torsion_index, "index"),
-}
-
-
-def _count_grid_naive(config) -> int:
-    return zerocount.count_naive(config.poly, config.sets).count
-
-def _count_grid_fiber(config) -> int:
+def _count_fiber(config) -> int:
     return zerocount.count_fiber(config.poly, config.sets).count
+
 
 def _count_coplanar_naive(points) -> int:
     # float points come from the torsion construction; its determinant gap
@@ -146,53 +118,33 @@ def _count_coplanar_naive(points) -> int:
     tol = constructions.TORSION_COPLANAR_TOL if points.kind == "float" else 1e-7
     return geometry.check_margin(geometry.coplanar_naive(points, tol=tol)).count
 
-def _count_coplanar_fast(points) -> int:
-    return geometry.coplanar_fast(points).count
 
-
-COUNTERS: dict[str, tuple[Callable, str]] = {
-    "naive": (_count_grid_naive, "grid"),
-    "fiber": (_count_grid_fiber, "grid"),
-    "coplanar-naive": (_count_coplanar_naive, "points3"),
-    "coplanar-fast": (_count_coplanar_fast, "points3"),
-    "index-oracle": (constructions.coplanar_index_oracle, "index"),
-}
-
-# Named experiments exposed on the command line.
-EXPERIMENTS: dict[str, tuple[str, str]] = {
-    "ap-additive-zeros": ("ap-additive", "fiber"),
-    "ap-multiplicative-zeros": ("ap-multiplicative", "fiber"),
-    "nonspecial-grid-zeros": ("nonspecial-grid", "fiber"),
-    "elliptic-coplanar": ("elliptic", "coplanar-naive"),
-    "elliptic-oracle": ("torsion-index", "index-oracle"),
-    "moment-coplanar": ("moment", "coplanar-fast"),
+# name -> (build: n -> configuration, count: configuration -> int)
+EXPERIMENTS: dict[str, tuple[Callable, Callable]] = {
+    "ap-additive-zeros": (lambda n: constructions.ap_grid("additive", n), _count_fiber),
+    "ap-multiplicative-zeros": (lambda n: constructions.ap_grid("multiplicative", n),
+                                _count_fiber),
+    "nonspecial-grid-zeros": (_nonspecial_grid, _count_fiber),
+    "elliptic-coplanar": (_elliptic, _count_coplanar_naive),
+    # the index oracle counts the order-n torsion subgroup from n alone
+    "elliptic-oracle": (lambda n: n, lambda n: constructions.coplanar_index_oracle(n)),
+    "moment-coplanar": (lambda n: constructions.moment_curve_points(n),
+                        lambda points: geometry.coplanar_fast(points).count),
 }
 
 
-def run_series(
-    generator: str,
-    counter: str,
-    n_list: Sequence[int],
-) -> ExperimentSeries:
+def run_series(experiment: str, n_list: Sequence[int]) -> ExperimentSeries:
     """Build each configuration, count it, and fit the growth exponent.
 
     The fit needs at least three rows with positive counts; otherwise the
     series is still returned with slope reported as undefined.
     """
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}")
-    if counter not in COUNTERS:
-        raise ValueError(f"unknown counter {counter!r}")
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing with length >= 3")
-    build, family = GENERATORS[generator]
-    count_fn, needs = COUNTERS[counter]
-    if needs != family:
-        raise ValueError(
-            f"counter {counter!r} expects a {needs!r} configuration, "
-            f"generator {generator!r} builds {family!r}"
-        )
+    build, count_fn = EXPERIMENTS[experiment]
     rows: list[SeriesRow] = []
     stages = Stages()
     for n in n_list:
@@ -207,5 +159,4 @@ def run_series(
         slope, intercept, residual = fit_slope(positives)
     else:
         slope = intercept = residual = None
-    return ExperimentSeries(f"{generator}/{counter}", rows, slope, intercept, residual,
-                            stages.seconds)
+    return ExperimentSeries(experiment, rows, slope, intercept, residual, stages.seconds)

@@ -27,8 +27,9 @@ degenerate structure.
 
 This is a sampler with explicit tolerances, not a certificate: separability
 is a local-analytic property and cannot be decided by finitely many float
-evaluations.  The thresholds below are fixed for reproducibility and can be
-overridden per call (or via CLI flags).
+evaluations.  The thresholds below are fixed module constants, read where
+they are used, so a verdict depends on F, the seed and the number of trials
+alone.
 
 The module runs on Python floats and ints and never loads numpy.  Its
 seeded draws come from `quadcount.rng`, which reproduces numpy's
@@ -55,24 +56,23 @@ __all__ = [
     "RATIO_FAIL",
     "G_VANISH",
     "DegenerateSurfaceError",
-    "SurfaceSample",
     "FormVerdict",
     "PopularScan",
-    "sample_surface",
     "ratio_test",
     "g_sample",
     "popular_components",
     "classify",
 ]
 
-# Fixed detector constants (documented contract; override per call if needed).
-SAMPLING_BOX = 2.0        # coordinates are drawn from [-box, box]
+# Fixed detector constants (documented contract).
+SAMPLING_BOX = 2.0        # coordinates are drawn from [-SAMPLING_BOX, SAMPLING_BOX]
 RESIDUAL_TOL = 1e-12      # |F| at an accepted surface point
 GRADIENT_FLOOR = 1e-8     # minimum |partial derivative| at a regular sample
 RATIO_PASS = 1e-6         # ratio spread below this passes the independence test
 RATIO_FAIL = 1e-2         # ratio spread above this is a decisive failure
 G_VANISH = 1e-8           # normalized |G| below this across all trials
 _POSITIONS = 5            # points per fiber walk in the ratio test
+_PARAM_PAIRS = 8          # (c, d) slices drawn for the popular-component scan
 
 # Why a sampler attempt was abandoned: the slice had no real root Newton
 # could polish, a walked point left the surface, a gradient component fell
@@ -83,14 +83,6 @@ _REJECTIONS = ("no_real_root", "residual", "gradient_floor", "continuation", "cl
 
 class DegenerateSurfaceError(RuntimeError):
     """The sampler could not produce enough regular surface points."""
-
-
-class SurfaceSample(NamedTuple):
-    """A regular point of the surface F = 0 with its residual and gradient."""
-
-    point: tuple[float, float, float, float]
-    residual: float
-    gradient: tuple[float, float, float, float]
 
 
 class PopularScan(NamedTuple):
@@ -231,15 +223,11 @@ class _Surface:
     path (slice, `_real_roots`, Newton, gradient) is plain Python.
     """
 
-    def __init__(self, poly: Polynomial, box: float, grad_floor: float, residual_tol: float):
+    def __init__(self, poly: Polynomial):
         if len(poly.vars) != 4:
             raise ValueError("detector requires a polynomial in 4 variables")
         if poly.is_zero:
             raise ValueError("detector requires a nonzero polynomial")
-        self.poly = poly
-        self.box = box
-        self.grad_floor = grad_floor
-        self.residual_tol = residual_tol
         self.f = _FloatForm(poly)
         self.grads = tuple(_FloatForm(poly.partial(v)) for v in poly.vars)
         profile = poly.coefficients_in(poly.vars[1])
@@ -260,7 +248,7 @@ class _Surface:
         dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]
         for _ in range(80):
             g = _horner(coeffs, y)
-            if abs(g) < self.residual_tol:
+            if abs(g) < RESIDUAL_TOL:
                 return y
             dg = _horner(dcoeffs, y)
             if dg == 0.0 or not math.isfinite(dg):
@@ -268,7 +256,7 @@ class _Surface:
             y -= g / dg
             if not math.isfinite(y):
                 return None
-        return y if abs(_horner(coeffs, y)) < self.residual_tol else None
+        return y if abs(_horner(coeffs, y)) < RESIDUAL_TOL else None
 
     def solve_y(self, x: float, s: float, t: float) -> list[float]:
         """All real solutions of the univariate slice, polished by Newton."""
@@ -295,46 +283,7 @@ class _Surface:
         return tuple(g(point) for g in self.grads)
 
     def regular(self, grad: Sequence[float]) -> bool:
-        return all(abs(g) >= self.grad_floor for g in grad)
-
-
-def sample_surface(
-    poly: Polynomial,
-    count: int,
-    seed: int,
-    box: float = SAMPLING_BOX,
-    grad_floor: float = GRADIENT_FLOOR,
-    residual_tol: float = RESIDUAL_TOL,
-) -> list[SurfaceSample]:
-    """Draw regular surface points: (x, s, t) uniform in the box, y solved.
-
-    Points whose residual exceeds the tolerance or whose gradient has a
-    component below the floor are discarded and redrawn; running out of
-    retries signals a degenerate polynomial.
-    """
-    surf = _Surface(poly, box, grad_floor, residual_tol)
-    rng = Generator(seed)
-    samples: list[SurfaceSample] = []
-    budget = 200 * max(count, 1)
-    while len(samples) < count and budget > 0:
-        budget -= 1
-        x, s, t = rng.uniform(-box, box, size=3)
-        ys = surf.solve_y(x, s, t)
-        regular = []
-        for y in ys:
-            pt = (x, y, s, t)
-            grad = surf.gradient(pt)
-            res = abs(surf.f(pt))
-            if res < residual_tol and surf.regular(grad):
-                regular.append((pt, res, grad))
-        if not regular:
-            continue
-        samples.append(SurfaceSample(*regular[rng.integers(len(regular))]))
-    if len(samples) < count:
-        raise DegenerateSurfaceError(
-            f"found only {len(samples)}/{count} regular surface points"
-        )
-    return samples
+        return all(abs(g) >= GRADIENT_FLOOR for g in grad)
 
 
 def _median(values: Sequence[float]) -> float:
@@ -345,16 +294,17 @@ def _median(values: Sequence[float]) -> float:
     return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2
 
 
+def _require_trials(trials: int) -> None:
+    # zero walks would report a zero spread, which reads as a pass
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def ratio_test(
     poly: Polynomial,
     pair: tuple[str, str],
-    frozen: tuple[str, str] | None = None,
     trials: int = 50,
     seed: int = 0,
-    box: float = SAMPLING_BOX,
-    grad_floor: float = GRADIENT_FLOOR,
-    residual_tol: float = RESIDUAL_TOL,
-    positions: int = _POSITIONS,
     stages: Stages | None = None,
 ) -> float:
     """Max relative spread of F_num/F_den along fibers of the surface.
@@ -367,32 +317,31 @@ def ratio_test(
     fiber vanishes up to solver noise.  Each walk counts one "attempts" in
     `stages`, and each abandoned one its reason (see `_REJECTIONS`).
     """
-    surf = _Surface(poly, box, grad_floor, residual_tol)
+    _require_trials(trials)
+    surf = _Surface(poly)
     tally = (stages if stages is not None else Stages()).count
     names = poly.vars
     solved = names[1]
     num_var, den_var = pair
-    if frozen is None:
-        frozen = pair
-    if solved in pair or solved in frozen:
+    if solved in pair:
         raise ValueError(f"{solved!r} is the solved variable; it cannot appear in the test pair")
-    free_candidates = [v for v in names if v != solved and v not in frozen]
+    free_candidates = [v for v in names if v != solved and v not in pair]
     if len(free_candidates) != 1:
-        raise ValueError(f"frozen pair {frozen} does not leave exactly one free variable")
+        raise ValueError(f"pair {pair} does not leave exactly one free variable")
     free = free_candidates[0]
     num_idx = names.index(num_var)
     den_idx = names.index(den_var)
 
     rng = Generator(seed)
-    step = box / (2.0 * (positions - 1))
+    step = SAMPLING_BOX / (2.0 * (_POSITIONS - 1))
     max_spread = 0.0
     successes = 0
     budget = 40 * trials
     while successes < trials and budget > 0:
         budget -= 1
         tally("attempts")
-        frozen_vals = {v: rng.uniform(-box, box) for v in frozen}
-        base = rng.uniform(-box, box - step * (positions - 1))
+        frozen_vals = {v: rng.uniform(-SAMPLING_BOX, SAMPLING_BOX) for v in pair}
+        base = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX - step * (_POSITIONS - 1))
 
         def slice_args(free_val: float) -> tuple[float, float, float]:
             c = dict(frozen_vals)
@@ -406,7 +355,7 @@ def ratio_test(
         y = roots[rng.integers(len(roots))]
         ratios: list[float] = []
         rejected = None
-        for k in range(positions):
+        for k in range(_POSITIONS):
             free_val = base + k * step
             if k > 0:
                 y_next = surf.newton_y(*slice_args(free_val), y)
@@ -422,7 +371,7 @@ def ratio_test(
             coords[free] = free_val
             coords[solved] = y
             pt = tuple(coords[v] for v in names)
-            if abs(surf.f(pt)) >= residual_tol:
+            if abs(surf.f(pt)) >= RESIDUAL_TOL:
                 rejected = "residual"
                 break
             grad = surf.gradient(pt)
@@ -447,9 +396,6 @@ def g_sample(
     poly: Polynomial,
     trials: int = 50,
     seed: int = 0,
-    box: float = SAMPLING_BOX,
-    grad_floor: float = GRADIENT_FLOOR,
-    residual_tol: float = RESIDUAL_TOL,
     stages: Stages | None = None,
 ) -> float:
     """Max normalized |G| over pairs of surface points sharing an (s, t) slice.
@@ -460,7 +406,8 @@ def g_sample(
     one "attempts" in `stages`, and each discarded one its reason (see
     `_REJECTIONS`).
     """
-    surf = _Surface(poly, box, grad_floor, residual_tol)
+    _require_trials(trials)
+    surf = _Surface(poly)
     tally = (stages if stages is not None else Stages()).count
     rng = Generator(seed)
     g_max = 0.0
@@ -470,10 +417,10 @@ def g_sample(
     while successes < trials and budget > 0:
         budget -= 1
         tally("attempts")
-        s, t = rng.uniform(-box, box, size=2)
-        x1 = rng.uniform(-box, box)
-        x2 = rng.uniform(-box, box)
-        if abs(x1 - x2) < 0.05 * box:
+        s, t = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX, size=2)
+        x1 = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX)
+        x2 = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX)
+        if abs(x1 - x2) < 0.05 * SAMPLING_BOX:
             tally("close_pair")
             continue
         roots1 = surf.solve_y(x1, s, t)
@@ -552,14 +499,12 @@ def _ratio_pairs(names: tuple[str, ...]) -> dict[str, tuple[str, str]]:
     }
 
 
-def _random_params(
-    poly: Polynomial, rng: Generator, count: int
-) -> list[tuple[Fraction, Fraction]]:
+def _random_params(poly: Polynomial, rng: Generator) -> list[tuple[Fraction, Fraction]]:
     vc, vd = poly.vars[2], poly.vars[3]
     out: list[tuple[Fraction, Fraction]] = []
     seen: set[tuple[Fraction, Fraction]] = set()
-    budget = 50 * count
-    while len(out) < count and budget > 0:
+    budget = 50 * _PARAM_PAIRS
+    while len(out) < _PARAM_PAIRS and budget > 0:
         budget -= 1
         c = Fraction(rng.integers(-16, 17), 8)
         d = Fraction(rng.integers(-16, 17), 8)
@@ -572,24 +517,16 @@ def _random_params(
     return out
 
 
-def classify(
-    poly: Polynomial,
-    seed: int = 0,
-    trials: int = 50,
-    box: float = SAMPLING_BOX,
-    grad_floor: float = GRADIENT_FLOOR,
-    residual_tol: float = RESIDUAL_TOL,
-    ratio_pass: float = RATIO_PASS,
-    ratio_fail: float = RATIO_FAIL,
-    g_vanish: float = G_VANISH,
-    param_count: int = 8,
-) -> FormVerdict:
+def classify(poly: Polynomial, seed: int = 0, trials: int = 50) -> FormVerdict:
     """Run all detector criteria and combine them into a verdict.
 
-    special       -- all three ratio spreads below `ratio_pass` and the
-                     normalized G determinant below `g_vanish`;
-    non-special   -- at least one ratio spread above `ratio_fail`;
+    special       -- all three ratio spreads below `RATIO_PASS` and the
+                     normalized G determinant below `G_VANISH`;
+    non-special   -- at least one ratio spread above `RATIO_FAIL`;
     inconclusive  -- anything in between, or sampler failure.
+
+    Each ratio test and the G sampler must complete `trials` draws; fewer
+    than one raises ValueError.
     """
     names = poly.vars
     seeds = spawned_seeds(seed, 5)
@@ -601,15 +538,9 @@ def classify(
     try:
         for (label, pair), sd in zip(_ratio_pairs(names).items(), seeds[:3]):
             with stages.timed(label):
-                spreads[label] = ratio_test(
-                    poly, pair, trials=trials, seed=sd, box=box,
-                    grad_floor=grad_floor, residual_tol=residual_tol, stages=stages,
-                )
+                spreads[label] = ratio_test(poly, pair, trials, sd, stages)
         with stages.timed("g_sample"):
-            g_max = g_sample(
-                poly, trials=trials, seed=seeds[3], box=box,
-                grad_floor=grad_floor, residual_tol=residual_tol, stages=stages,
-            )
+            g_max = g_sample(poly, trials, seeds[3], stages)
     except DegenerateSurfaceError as exc:
         notes.append(f"sampler failure: {exc}")
         failed = True
@@ -617,7 +548,7 @@ def classify(
     popular: list[tuple[Polynomial, int]] = []
     try:
         with stages.timed("popular"):
-            params = _random_params(poly, Generator(seeds[4]), param_count)
+            params = _random_params(poly, Generator(seeds[4]))
             scan = popular_components(poly, params)
         popular = scan.popular
         if scan.degenerate_params:
@@ -627,9 +558,9 @@ def classify(
 
     if failed:
         classification = "inconclusive"
-    elif any(v > ratio_fail for v in spreads.values()):
+    elif any(v > RATIO_FAIL for v in spreads.values()):
         classification = "non-special"
-    elif all(v < ratio_pass for v in spreads.values()) and g_max < g_vanish:
+    elif all(v < RATIO_PASS for v in spreads.values()) and g_max < G_VANISH:
         classification = "special"
     else:
         classification = "inconclusive"

@@ -141,6 +141,23 @@ class TestDetectSpecialCommand:
         )
         assert json.loads(out)["classification"] == "special"
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fewer_than_one_trial_is_a_domain_error(self, capsys, trials):
+        # zero walks give zero spreads, which would read as "special"
+        code, out, err = run_cli(
+            capsys, "detect-special", "--poly", "t - (x + y*s)", "--trials", trials,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:detect: trials must be >= 1")
+
+    @pytest.mark.parametrize("flag", ["--box", "--ratio-pass", "--ratio-fail",
+                                      "--grad-floor", "--g-pass"])
+    def test_threshold_flags_are_usage_errors(self, flag):
+        # the detector's thresholds are fixed constants, not options
+        with pytest.raises(SystemExit) as exc:
+            main(["detect-special", "--poly", "x+y+s+t", flag, "1"])
+        assert exc.value.code == 2
+
 
 class TestConstructCommand:
     def test_ap_additive_csv(self, capsys):
@@ -259,7 +276,7 @@ class TestFitExponentCommand:
             capsys, "fit-exponent", "--experiment", "elliptic-oracle", "--ns", "16,32,64",
         )
         payload = json.loads(out)
-        assert payload["experiment"] == "torsion-index/index-oracle"
+        assert payload["experiment"] == payload["name"] == "elliptic-oracle"
         assert [row[:2] for row in payload["rows"]] == [[16, 87], [32, 987], [64, 9315]]
 
 
@@ -289,7 +306,8 @@ class TestConfigFile:
         assert (code, json.loads(out)["seed"]) == (0, 7)
 
     def test_malformed_value_is_a_config_error(self, capsys, tmp_path, sets_file):
-        # an int, a float and a Fraction key, each on the line after a comment
+        # an int, a float, a Fraction and a choices key, each on the line
+        # after a comment
         points = tmp_path / "points.csv"
         points.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
         cases = [
@@ -297,6 +315,12 @@ class TestConfigFile:
             (["count-coplanar", "--points", str(points)], "tol=1e-x", "bad float for tol"),
             (["construct", "--kind", "elliptic", "--n", "8"], "a=1/0", "bad Fraction for a"),
             (["construct", "--kind", "moment", "--n", "8"], "spacing=x", "bad Fraction for spacing"),
+            # a value outside the option's argparse choices, which as a flag exits 2
+            (["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file], "method=bogus",
+             "bad choice for method"),
+            (["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file], "out=xml",
+             "bad choice for out"),
+            (["count-coplanar", "--points", str(points)], "method=fiber", "bad choice for method"),
         ]
         cfg = tmp_path / "run.cfg"
         for argv, line, message in cases:
@@ -304,6 +328,20 @@ class TestConfigFile:
             code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
             assert (code, out) == (1, "")
             assert err.startswith(f"error:config: line 2: {message}: "), err
+
+    def test_removed_threshold_key_is_ignored(self, capsys, tmp_path):
+        # like any key no option of the command reads
+        argv = ["detect-special", "--poly", "x*y - s*t", "--trials", "5"]
+        code, out, _ = run_cli(capsys, *argv)
+        plain = json.loads(out)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("box=abc\nratio_pass=1\n")
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        with_box = json.loads(out)
+        assert code == 0
+        for payload in (plain, with_box):
+            del payload["stages"]
+        assert with_box == plain
 
     def test_out_path_writes_file(self, capsys, tmp_path, sets_file):
         target = tmp_path / "report.json"
@@ -316,45 +354,43 @@ class TestConfigFile:
         assert json.loads(target.read_text())["count"] == 27
 
 
+def child_env():
+    # a child interpreter that imports this checkout's quadcount
+    src = str(Path(quadcount.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_cli_import_path_loads_no_scipy():
     # every CLI job pays this import; scipy alone used to cost ~0.7 s of it
-    src = str(Path(quadcount.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import quadcount.cli, sys; "
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True)
+                            env=child_env(), check=True)
     assert result.stdout.strip() == "False"
 
 
 def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
     # neither the CLI import nor a zero-counting job loads numpy
-    src = str(Path(quadcount.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import sys; import quadcount.cli; print('numpy' in sys.modules); "
             "quadcount.cli.main(['count-zeros', '--poly', 'x+y+s+t', '--sets', sys.argv[1], "
             "'--out-path', sys.argv[2]]); print('numpy' in sys.modules)")
     report = tmp_path / "report.json"
     result = subprocess.run([sys.executable, "-c", code, sets_file, str(report)],
-                            capture_output=True, text=True, env=env, check=True)
+                            capture_output=True, text=True, env=child_env(), check=True)
     assert result.stdout.split() == ["False", "False"]
     assert json.loads(report.read_text())["count"] == 27
 
 
 def test_detect_special_job_loads_no_numpy():
     # the detector draws from quadcount.rng and finds slice roots in Python
-    src = str(Path(quadcount.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import sys; import quadcount.cli; "
             "quadcount.cli.main(['detect-special', '--poly', sys.argv[1]]); "
             "print('numpy' in sys.modules)")
     # a linear and a cubic slice in the solved variable
     for poly, expected in (("t - (x + y*s)", "non-special"), ("x^2 + y^3 + s + t^2", "special")):
         result = subprocess.run([sys.executable, "-c", code, poly],
-                                capture_output=True, text=True, env=env, check=True)
+                                capture_output=True, text=True, env=child_env(), check=True)
         *report, loaded = result.stdout.splitlines()
         assert loaded == "False"
         assert json.loads("\n".join(report))["classification"] == expected
@@ -365,9 +401,6 @@ def test_no_cli_job_loads_numpy_dataclasses_or_statistics(tmp_path, sets_file):
     # one interpreter, and numpy never enters sys.modules.  Nor do
     # dataclasses (with the inspect it pulls in) and statistics, which a cold
     # job would pay for on every start
-    src = str(Path(quadcount.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     exact3, float3, plane = tmp_path / "e3.csv", tmp_path / "f3.csv", tmp_path / "p2.csv"
     exact3.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
     float3.write_text("0.0,0.0,0.0\n1.0,0.0,0.0\n0.25,1.0,0.0\n1.0,1.5,0.0\n0.0,0.25,1.0\n")
@@ -392,6 +425,6 @@ def test_no_cli_job_loads_numpy_dataclasses_or_statistics(tmp_path, sets_file):
             "          [m for m in ('numpy', 'dataclasses', 'inspect', 'statistics')\n"
             "           if m in sys.modules])\n")
     result = subprocess.run([sys.executable, "-c", code, json.dumps(jobs), str(tmp_path / "out")],
-                            capture_output=True, text=True, env=env, check=True)
+                            capture_output=True, text=True, env=child_env(), check=True)
     verdicts = {"t - (x + y*s)": "non-special", "x^2 + y^3 + s + t^2": "special"}
     assert result.stdout.splitlines() == [f"{job[0]} {verdicts.get(job[2])} []" for job in jobs]

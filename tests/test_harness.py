@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import quadcount.constructions
 from quadcount.harness import EXPERIMENTS, fit_slope, run_series
 
 
@@ -36,54 +37,66 @@ class TestFitSlope:
 
 class TestRunSeries:
     def test_additive_grid_is_exactly_cubic(self):
-        series = run_series("ap-additive", "fiber", [4, 8, 16, 32])
+        series = run_series("ap-additive-zeros", [4, 8, 16, 32])
         assert [r.count for r in series.rows] == [64, 512, 4096, 32768]
         assert series.slope == pytest.approx(3.0, abs=1e-12)
 
     def test_moment_curve_slope_undefined(self):
-        series = run_series("moment", "coplanar-fast", [4, 8, 16])
+        series = run_series("moment-coplanar", [4, 8, 16])
         assert all(r.count == 0 for r in series.rows)
         assert series.slope is None
 
     def test_elliptic_oracle_and_geometry_agree(self):
-        oracle = run_series("torsion-index", "index-oracle", [8, 12, 16])
-        geom = run_series("elliptic", "coplanar-naive", [8, 12, 16])
+        oracle = run_series("elliptic-oracle", [8, 12, 16])
+        geom = run_series("elliptic-coplanar", [8, 12, 16])
         assert [r.count for r in oracle.rows] == [r.count for r in geom.rows]
 
     def test_collapsed_float_margin_raises(self):
         # at n = 48 wrongly accepted quadruples reach |det|/scale 9.6e-13,
         # within a factor 2 of the smallest rejected one
         with pytest.raises(ValueError, match="margin collapsed"):
-            run_series("elliptic", "coplanar-naive", [16, 32, 48])
+            run_series("elliptic-coplanar", [16, 32, 48])
 
     def test_deterministic(self):
         # everything except wall-clock timings must be bit-identical
-        a = run_series("ap-additive", "fiber", [4, 8, 16])
-        b = run_series("ap-additive", "fiber", [4, 8, 16])
+        a = run_series("ap-additive-zeros", [4, 8, 16])
+        b = run_series("ap-additive-zeros", [4, 8, 16])
         strip = lambda s: {**s.to_json(), "rows": [(r.n, r.count) for r in s.rows],
                            "stages": sorted(s.stages)}
         assert strip(a) == strip(b)
 
-    def test_mismatched_counter_rejected(self):
-        with pytest.raises(ValueError, match="expects"):
-            run_series("ap-additive", "coplanar-fast", [4, 8, 16])
-        with pytest.raises(ValueError, match="counter 'index-oracle' expects a 'index'"):
-            run_series("moment", "index-oracle", [8, 12, 16])
-        with pytest.raises(ValueError, match="counter 'coplanar-fast' expects a 'points3'"):
-            run_series("torsion-index", "coplanar-fast", [8, 12, 16])
+    def test_unknown_experiment_rejected(self):
+        # the old generator and counter names are not experiments
+        for name in ("ap-additive", "fiber", "torsion-index", "index-oracle", ""):
+            with pytest.raises(ValueError, match=f"unknown experiment {name!r}"):
+                run_series(name, [4, 8, 16])
+
+    def test_oracle_is_called_through_its_module(self, monkeypatch):
+        # a wrapper on the module attribute, as a tracer installs, sees the call
+        calls = []
+        original = quadcount.constructions.coplanar_index_oracle
+
+        def patched(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(quadcount.constructions, "coplanar_index_oracle", patched)
+        series = run_series("elliptic-oracle", [8, 12, 16])
+        assert calls == [8, 12, 16]
+        assert [r.count for r in series.rows] == [original(n) for n in (8, 12, 16)]
 
     def test_n_list_validation(self):
         with pytest.raises(ValueError):
-            run_series("ap-additive", "fiber", [4, 8])
+            run_series("ap-additive-zeros", [4, 8])
         with pytest.raises(ValueError):
-            run_series("ap-additive", "fiber", [4, 8, 8])
+            run_series("ap-additive-zeros", [4, 8, 8])
 
     def test_csv_footer_carries_slope(self):
-        series = run_series("ap-additive", "fiber", [2, 4, 8])
+        series = run_series("ap-additive-zeros", [2, 4, 8])
         lines = series.to_csv().strip().splitlines()
         assert lines[0] == "n,count,elapsed_ms"
         assert lines[-1].startswith("slope,3.0000")
 
     def test_experiment_registry_names_resolve(self):
-        for name, (gen, counter) in EXPERIMENTS.items():
-            assert isinstance(name, str) and gen and counter
+        for name, (build, count) in EXPERIMENTS.items():
+            assert isinstance(name, str) and callable(build) and callable(count)

@@ -16,7 +16,6 @@ from quadcount.separability import (
     g_sample,
     popular_components,
     ratio_test,
-    sample_surface,
 )
 
 V4 = ("x", "y", "s", "t")
@@ -24,27 +23,6 @@ V4 = ("x", "y", "s", "t")
 
 def P(text):
     return parse_poly(text, V4)
-
-
-class TestSampleSurface:
-    def test_linear_surface_residual_zero(self):
-        samples = sample_surface(P("x+y+s+t"), 20, seed=5)
-        assert len(samples) == 20
-        for smp in samples:
-            x, y, s, t = smp.point
-            assert y == pytest.approx(-x - s - t, abs=1e-9)
-            assert smp.residual < 1e-12
-            assert all(abs(g) >= 1e-8 for g in smp.gradient)
-
-    def test_deterministic_for_fixed_seed(self):
-        a = sample_surface(P("t - x*y*s"), 15, seed=42)
-        b = sample_surface(P("t - x*y*s"), 15, seed=42)
-        assert a == b
-
-    def test_unsolvable_surface_errors(self):
-        # no dependence on the solved variable
-        with pytest.raises(DegenerateSurfaceError):
-            sample_surface(P("x + s + t"), 5, seed=1)
 
 
 class TestRatioTest:
@@ -72,6 +50,13 @@ class TestRatioTest:
     def test_solved_variable_cannot_be_tested(self):
         with pytest.raises(ValueError):
             ratio_test(P("x+y+s+t"), ("y", "t"), trials=5, seed=0)
+
+    def test_unsolvable_surface_errors(self):
+        # no dependence on the solved variable
+        with pytest.raises(DegenerateSurfaceError):
+            ratio_test(P("x + s + t"), ("s", "t"), trials=5, seed=1)
+        with pytest.raises(DegenerateSurfaceError):
+            g_sample(P("x + s + t"), trials=5, seed=1)
 
 
 class TestGSample:
@@ -155,6 +140,17 @@ class TestClassify:
         verdict = classify(P("x + s + t"), seed=0, trials=5)
         assert verdict.classification == "inconclusive"
         assert verdict.notes
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_is_an_error(self, trials):
+        # zero walks give zero spreads, which would read as "special"
+        poly = P("t - (x + y*s)")
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            classify(poly, seed=1729, trials=trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            ratio_test(poly, ("s", "t"), trials=trials, seed=0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            g_sample(poly, trials=trials, seed=0)
 
 
 # -- the float kernel ----------------------------------------------------------
