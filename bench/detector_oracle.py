@@ -1,28 +1,28 @@
 """Layer bench for the separability detector and the coplanar index oracle.
 
-Runs `classify` on the eight polynomials of the `incidences-numeric`
-benchmark at the CLI's default seed, and `coplanar_index_oracle` at the
-sizes of its `fit-exponent --experiment elliptic-oracle` job, in one
-process.  Every timing is written next to the verdict, spreads or count it
-produced, so a speedup that changes a result shows in the same file.  It
-also times one cold `detect-special` process per polynomial, from
-interpreter start to JSON out, next to its verdict and whether the process
-loaded numpy; a cold verdict that differs from the in-process one exits 1.
+Runs `classify` and its exact route `certify` on the eight polynomials of
+the `incidences-numeric` benchmark at the CLI's default seed, and
+`coplanar_index_oracle` at the sizes of its `fit-exponent --experiment
+elliptic-oracle` job, in one process.  Every timing is written next to the
+verdict, spreads or count it produced, so a speedup that changes a result
+shows in the same file.  It also times one cold `detect-special` process
+per polynomial, from interpreter start to JSON out, next to its verdict and
+whether the process loaded numpy; a cold verdict that differs from the
+in-process one exits 1.
 
     PYTHONPATH=src python bench/detector_oracle.py [--out PATH]
 
 Each call runs REPEAT = 5 times and every timing is kept (the printed
 figures are medians of 5); the results of the repeats must agree, or the
-script exits 1.  A `g_max` the sampler never reached is written as null.
-Point PYTHONPATH at another checkout's `src` to time that checkout with the
-same script.
+script exits 1, as it does when `classify` reports another certificate
+than `certify` returns alone.  Point PYTHONPATH at another checkout's `src`
+to time that checkout with the same script.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
@@ -30,7 +30,7 @@ import subprocess
 import sys
 import time
 
-from quadcount import classify, coplanar_index_oracle, parse_poly
+from quadcount import certify, classify, coplanar_index_oracle, parse_poly
 
 VARS = ("x", "y", "s", "t")
 SEED = 1729
@@ -75,11 +75,14 @@ def detector_row(text: str) -> dict:
         return out
 
     verdict, seconds = timed(run)
-    g_max = None if math.isnan(verdict["g_max"]) else verdict["g_max"]
+    certificate, certify_seconds = timed(lambda: certify(poly))
+    if certificate != verdict["certificate"]:
+        sys.exit(f"classify reports another certificate for {text}: {verdict['certificate']}")
     return {"poly": text, "seconds": seconds, "stages": stages,
             "classification": verdict["classification"],
-            "ratio_spreads": verdict["ratio_spreads"], "g_max": g_max,
-            "sampler": verdict.get("sampler"), "notes": verdict["notes"]}
+            "ratio_spreads": verdict["ratio_spreads"],
+            "sampler": verdict.get("sampler"), "notes": verdict["notes"],
+            "certify_seconds": certify_seconds, "certificate": certificate}
 
 
 def cold_row(text: str) -> dict:
@@ -116,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": SEED,
         "repeat": REPEAT,
         "detector_median_total_s": median_total(detector),
+        "certify_median_total_s": sum(statistics.median(r["certify_seconds"]) for r in detector),
         "oracle_median_total_s": median_total(oracle),
         "cold_total_s": sum(r["seconds"] for r in cold),
         "detector": detector,
@@ -127,12 +131,15 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for row, cold_job in zip(detector, cold):
         print(f"{row['poly']:28s} {row['classification']:13s} "
-              f"{statistics.median(row['seconds']):7.3f} s, cold {cold_job['seconds']:.3f} s"
+              f"{statistics.median(row['seconds']):7.3f} s, "
+              f"certify {1000 * statistics.median(row['certify_seconds']):5.2f} ms, "
+              f"cold {cold_job['seconds']:.3f} s"
               f"{' (numpy loaded)' if cold_job['numpy_loaded'] else ''}")
     for row in oracle:
         print(f"oracle n={row['n']:<4d} {row['count']:>20d} "
               f"{statistics.median(row['seconds']):7.3f} s")
-    print(f"detector {record['detector_median_total_s']:.3f} s, "
+    print(f"detector {record['detector_median_total_s']:.3f} s "
+          f"(certify {record['certify_median_total_s']:.4f} s), "
           f"cold {record['cold_total_s']:.3f} s, oracle {record['oracle_median_total_s']:.3f} s -> {args.out}")
     return 0
 

@@ -2,11 +2,12 @@
 
 A polynomial whose zero surface is locally f1(x) + f2(y) + f3(s) + f4(t) = 0
 admits grids with ~n^3 zeros; anything else provably cannot reach that rate.
-The detector samples the real surface and tests whether ratios of partial
-derivatives depend only on the coordinates they should.
+The detector tests whether ratios of partial derivatives depend only on the
+coordinates they should: exactly, by polynomial division (the certificate),
+and by sampling the real surface (the ratio spreads).
 """
 
-from quadcount import classify, g_sample, parse_poly, popular_components, ratio_test
+from quadcount import certify, classify, parse_poly, popular_components, ratio_test
 
 VARS = ("x", "y", "s", "t")
 SEED = 1729
@@ -16,7 +17,8 @@ for text in ("x + y + s + t", "x*y - s*t", "t - x*y*s", "t - (x + y*s)"):
     poly = parse_poly(text, VARS)
     verdict = classify(poly, seed=SEED)
     spreads = ", ".join(f"{k}={v:.2e}" for k, v in verdict.ratio_spreads.items())
-    print(f"  {text:16s} -> {verdict.classification:12s} [{spreads}; |G|max={verdict.g_max:.2e}]")
+    holds = "".join("T" if ok else "F" for ok in verdict.certificate.values())
+    print(f"  {text:16s} -> {verdict.classification:12s} [certificate {holds}; {spreads}]")
 
 # Why t - (x + y*s) fails: on its surface F_s/F_t = -y = -(t-x)/s, which
 # moves when x moves along a fiber with (s, t) frozen.
@@ -27,9 +29,12 @@ print(f"\nratio F_s/F_t spread along fibers of t - (x + y*s): {spread:.3f} (deci
 spread = ratio_test(parse_poly("t - x*y*s", VARS), ("s", "t"), trials=20, seed=SEED)
 print(f"ratio F_s/F_t spread along fibers of t - x*y*s:     {spread:.2e} (pass < 1e-6)")
 
-# The pairwise determinant form of the same criterion.
-g = g_sample(parse_poly("t - (x + y*s)", VARS), trials=20, seed=SEED)
-print(f"normalized |G| for t - (x + y*s): {g:.3f} (bounded away from 0)")
+# The exact form of the same criterion: F divides the derivative of the ratio
+# along the surface (times F_y F_t^2) for t - x*y*s, not for t - (x + y*s).
+for text in ("t - (x + y*s)", "t - x*y*s"):
+    print(f"certificate for {text}: {certify(parse_poly(text, VARS))}")
+# A polynomial that ignores a variable has no certificate: degenerate.
+print(f"certificate for x + s + t: {certify(parse_poly('x + s + t', VARS))}")
 
 # Exact evidence: slices F(x, y, c, d) sharing a whole plane-curve component.
 # With c + d constant, every slice of x+y+s+t is the same line.

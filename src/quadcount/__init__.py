@@ -43,8 +43,8 @@ from .polynomials import (
 from .separability import (
     DegenerateSurfaceError,
     FormVerdict,
+    certify,
     classify,
-    g_sample,
     popular_components,
     ratio_test,
 )
@@ -61,7 +61,7 @@ __all__ = [
     "four_point_circles",
     "ExperimentSeries", "fit_slope", "run_series",
     "PolyParseError", "Polynomial", "bivariate_gcd", "parse_poly", "try_divide",
-    "DegenerateSurfaceError", "FormVerdict", "classify",
-    "g_sample", "popular_components", "ratio_test",
+    "DegenerateSurfaceError", "FormVerdict", "certify", "classify",
+    "popular_components", "ratio_test",
     "GridSets", "ZeroCountReport", "count_fiber", "count_naive",
 ]

@@ -3,10 +3,10 @@
 Subcommands: count-zeros, detect-special, construct, count-coplanar,
 count-collinear, count-circles, fit-exponent.  Exit codes: 0 success,
 1 domain error (reported as `error:<code>: message` on stderr), 2 usage
-error.  The detector's randomness flows from detect-special's --seed
-(default 1729), so runs are reproducible by default; no other subcommand
-draws at random.  A flat key=value file passed via --config supplies
-defaults that explicit flags override.
+error.  The detector's verdict is exact; its sampler's randomness flows
+from detect-special's --seed (default 1729), so runs are reproducible by
+default; no other subcommand draws at random.  A flat key=value file
+passed via --config supplies defaults that explicit flags override.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method)")
     common(p)
 
-    p = sub.add_parser("detect-special", help="classify a polynomial as special / non-special")
+    p = sub.add_parser("detect-special", help="classify a polynomial as special / non-special / degenerate")
     p.add_argument("--poly", required=True)
     p.add_argument("--vars", default=",".join(_VARS))
     p.add_argument("--trials", type=int, default=None, help="draws per detector test (default 50)")

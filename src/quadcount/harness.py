@@ -142,8 +142,10 @@ def run_series(experiment: str, n_list: Sequence[int]) -> ExperimentSeries:
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
     n_list = list(n_list)
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing with length >= 3")
+    # strictly increasing, so a first n >= 1 bounds them all; an n < 1 would
+    # build an empty configuration and report a zero count
+    if len(n_list) < 3 or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing from n >= 1 with length >= 3")
     build, count_fn = EXPERIMENTS[experiment]
     rows: list[SeriesRow] = []
     stages = Stages()

@@ -1,39 +1,51 @@
-"""Heuristic detection of additively separable structure in a quadrivariate
-polynomial.
+"""Detection of additively separable structure in a quadrivariate polynomial.
 
 A polynomial F(x, y, s, t) is *special* when, away from a bad set, the
 relation F = 0 is locally equivalent to f1(x) + f2(y) + f3(s) + f4(t) = 0
 for invertible analytic fi.  Such polynomials admit product sets with a
 cubic number of zeros; all others provably cannot.
 
-The detector samples the real surface F = 0 and runs three independence
-tests on ratios of partial derivatives.  Writing the surface locally as
-y = y(x, s, t), separability forces each of
+Writing the surface locally as y = y(x, s, t), separability forces each of
 
     F_s/F_t   (as a function of s, t),
     F_s/F_x   (as a function of s, x),
     F_t/F_x   (as a function of t, x),
 
 restricted to the surface, to be independent of the remaining free
-coordinate.  A fourth test evaluates the 2x2 determinant
+coordinate.  Two routes test these three ratio conditions, and they share
+no code:
 
-    G = F_s(x,y,s,t) * F_t(x',y',s,t) - F_s(x',y',s,t) * F_t(x,y,s,t)
+- `certify` decides them exactly.  With y solved, (u, v) the frozen pair
+  and w the free variable, the derivative of F_u/F_v along the surface,
+  times F_y F_v^2, is
 
-on pairs of surface points sharing the same (s, t) slice; systematic
-vanishing is the pairwise form of the first ratio test.  Finally, exact
-rational GCDs of parameter slices F(x, y, c, d) expose plane-curve
-components shared by many slices ("popular" components), another symptom of
-degenerate structure.
+      N = F_y (F_v dF_u/dw - F_u dF_v/dw) - F_w (F_v dF_u/dy - F_u dF_v/dy),
 
-This is a sampler with explicit tolerances, not a certificate: separability
-is a local-analytic property and cannot be decided by finitely many float
-evaluations.  The thresholds below are fixed module constants, read where
-they are used, so a verdict depends on F, the seed and the number of trials
-alone.
+  so the condition holds on F = 0 iff F divides N.  It runs on exact
+  rational polynomials: no float, no seed, no sampling.
+- `ratio_test` estimates them: it walks fibers of the real surface and
+  measures the spread of the ratio against explicit float tolerances.
 
-The module runs on Python floats and ints and never loads numpy.  Its
-seeded draws come from `quadcount.rng`, which reproduces numpy's
-`SeedSequence` and PCG64 streams bit for bit: a seed draws what
+`classify` takes its verdict from the certificate and runs the sampler as
+the cross-check; a disagreement, or a sampler failure, becomes a note and
+never changes the verdict.
+
+Limits: the certificate decides the same three ratio conditions that the
+sampler estimates, which is necessary for the paper's special form but not
+a proof of it.  "F divides N" is equivalent to N vanishing on F = 0 only
+when F is squarefree (in particular, irreducible); a repeated factor can
+make a failing condition read as a pass, and a reducible F is judged one
+component at a time, so a union of special surfaces certifies special.
+
+The thresholds below are fixed module constants, read where they are used,
+so a verdict depends on F alone and the sampler's spreads on F, the seed
+and the number of trials.  `popular_components` is an exact library scan for
+plane-curve components shared by parameter slices; `classify` does not
+call it.
+
+The module runs on Python floats, ints and Fractions and never loads
+numpy.  Its seeded draws come from `quadcount.rng`, which reproduces
+numpy's `SeedSequence` and PCG64 streams bit for bit: a seed draws what
 `np.random.default_rng(seed)` would.
 """
 
@@ -54,12 +66,11 @@ __all__ = [
     "GRADIENT_FLOOR",
     "RATIO_PASS",
     "RATIO_FAIL",
-    "G_VANISH",
     "DegenerateSurfaceError",
     "FormVerdict",
     "PopularScan",
+    "certify",
     "ratio_test",
-    "g_sample",
     "popular_components",
     "classify",
 ]
@@ -70,15 +81,12 @@ RESIDUAL_TOL = 1e-12      # |F| at an accepted surface point
 GRADIENT_FLOOR = 1e-8     # minimum |partial derivative| at a regular sample
 RATIO_PASS = 1e-6         # ratio spread below this passes the independence test
 RATIO_FAIL = 1e-2         # ratio spread above this is a decisive failure
-G_VANISH = 1e-8           # normalized |G| below this across all trials
 _POSITIONS = 5            # points per fiber walk in the ratio test
-_PARAM_PAIRS = 8          # (c, d) slices drawn for the popular-component scan
 
-# Why a sampler attempt was abandoned: the slice had no real root Newton
-# could polish, a walked point left the surface, a gradient component fell
-# below the floor, Newton continuation lost the fiber, or the G sampler drew
-# two x values closer than 5% of the box.
-_REJECTIONS = ("no_real_root", "residual", "gradient_floor", "continuation", "close_pair")
+# Why a fiber walk was abandoned: the slice had no real root Newton could
+# polish, a walked point left the surface, a gradient component fell below
+# the floor, or Newton continuation lost the fiber.
+_REJECTIONS = ("no_real_root", "residual", "gradient_floor", "continuation")
 
 
 class DegenerateSurfaceError(RuntimeError):
@@ -103,18 +111,19 @@ class PopularScan(NamedTuple):
 
 
 class FormVerdict(NamedTuple):
-    """Combined detector output: special | non-special | inconclusive.
+    """Combined detector output: special | non-special | degenerate.
 
-    `stages` holds the seconds spent in each stage that ran (h1, h2, h3,
-    g_sample, popular); `sampler` holds the attempts of the ratio walks and
-    the G sampler together, and the abandoned ones by reason.  The JSON
-    reports a None `notes` as [] and a None `stages` or `sampler` as {}.
+    `certificate` is what `certify` returned, one boolean per ratio test or
+    None; `ratio_spreads` holds the sampler's spread of each ratio test
+    that completed.  `stages` holds the seconds spent in each ratio test
+    that ran (h1, h2, h3); `sampler` holds the attempts of the ratio walks
+    and the abandoned ones by reason.  The JSON reports a None `notes` as []
+    and a None `stages` or `sampler` as {}.
     """
 
     classification: str
     ratio_spreads: dict[str, float]
-    g_max: float
-    popular: list[tuple[Polynomial, int]]
+    certificate: dict[str, bool] | None
     notes: list[str] | None = None
     stages: dict[str, float] | None = None
     sampler: dict | None = None
@@ -123,8 +132,7 @@ class FormVerdict(NamedTuple):
         return {
             "classification": self.classification,
             "ratio_spreads": self.ratio_spreads,
-            "g_max": self.g_max,
-            "popular_components": [[str(p), m] for p, m in self.popular],
+            "certificate": self.certificate,
             "notes": self.notes or [],
             "stages": self.stages or {},
             "sampler": self.sampler or {},
@@ -224,10 +232,7 @@ class _Surface:
     """
 
     def __init__(self, poly: Polynomial):
-        if len(poly.vars) != 4:
-            raise ValueError("detector requires a polynomial in 4 variables")
-        if poly.is_zero:
-            raise ValueError("detector requires a nonzero polynomial")
+        _require_surface(poly)
         self.f = _FloatForm(poly)
         self.grads = tuple(_FloatForm(poly.partial(v)) for v in poly.vars)
         profile = poly.coefficients_in(poly.vars[1])
@@ -284,6 +289,13 @@ class _Surface:
 
     def regular(self, grad: Sequence[float]) -> bool:
         return all(abs(g) >= GRADIENT_FLOOR for g in grad)
+
+
+def _require_surface(poly: Polynomial) -> None:
+    if len(poly.vars) != 4:
+        raise ValueError("detector requires a polynomial in 4 variables")
+    if poly.is_zero:
+        raise ValueError("detector requires a nonzero polynomial")
 
 
 def _median(values: Sequence[float]) -> float:
@@ -392,61 +404,6 @@ def ratio_test(
     return max_spread
 
 
-def g_sample(
-    poly: Polynomial,
-    trials: int = 50,
-    seed: int = 0,
-    stages: Stages | None = None,
-) -> float:
-    """Max normalized |G| over pairs of surface points sharing an (s, t) slice.
-
-    G is the 2x2 determinant of the (F_s, F_t) gradients at the two points,
-    normalized by the product of the full gradient norms.  Vanishing across
-    all trials is evidence of separable structure.  Each drawn pair counts
-    one "attempts" in `stages`, and each discarded one its reason (see
-    `_REJECTIONS`).
-    """
-    _require_trials(trials)
-    surf = _Surface(poly)
-    tally = (stages if stages is not None else Stages()).count
-    rng = Generator(seed)
-    g_max = 0.0
-    successes = 0
-    budget = 60 * trials
-    thin_slices = 0
-    while successes < trials and budget > 0:
-        budget -= 1
-        tally("attempts")
-        s, t = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX, size=2)
-        x1 = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX)
-        x2 = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX)
-        if abs(x1 - x2) < 0.05 * SAMPLING_BOX:
-            tally("close_pair")
-            continue
-        roots1 = surf.solve_y(x1, s, t)
-        roots2 = surf.solve_y(x2, s, t)
-        if not roots1 or not roots2:
-            tally("no_real_root")
-            thin_slices += 1
-            if thin_slices > 30 * trials:
-                raise DegenerateSurfaceError("slices rarely admit two solvable fibers in the box")
-            continue
-        y1 = roots1[rng.integers(len(roots1))]
-        y2 = roots2[rng.integers(len(roots2))]
-        g1 = surf.gradient((x1, y1, s, t))
-        g2 = surf.gradient((x2, y2, s, t))
-        if not (surf.regular(g1) and surf.regular(g2)):
-            tally("gradient_floor")
-            continue
-        det = g1[2] * g2[3] - g2[2] * g1[3]
-        norm = math.hypot(*g1) * math.hypot(*g2)
-        g_max = max(g_max, abs(det) / norm)
-        successes += 1
-    if successes < trials:
-        raise DegenerateSurfaceError(f"G sampler completed only {successes}/{trials} pairs")
-    return g_max
-
-
 def popular_components(
     poly: Polynomial,
     params: Sequence[tuple[Fraction | int, Fraction | int]],
@@ -499,71 +456,65 @@ def _ratio_pairs(names: tuple[str, ...]) -> dict[str, tuple[str, str]]:
     }
 
 
-def _random_params(poly: Polynomial, rng: Generator) -> list[tuple[Fraction, Fraction]]:
-    vc, vd = poly.vars[2], poly.vars[3]
-    out: list[tuple[Fraction, Fraction]] = []
-    seen: set[tuple[Fraction, Fraction]] = set()
-    budget = 50 * _PARAM_PAIRS
-    while len(out) < _PARAM_PAIRS and budget > 0:
-        budget -= 1
-        c = Fraction(rng.integers(-16, 17), 8)
-        d = Fraction(rng.integers(-16, 17), 8)
-        if (c, d) in seen:
-            continue
-        seen.add((c, d))
-        if poly.specialize({vc: c, vd: d}).is_zero:
-            continue
-        out.append((c, d))
+def certify(poly: Polynomial) -> dict[str, bool] | None:
+    """Exact verdict on each ratio test: whether F_u/F_v is constant in the
+    free variable along the surface, keyed like `ratio_test`'s pairs.
+
+    With the second declared variable y solved, (u, v) the pair and w the
+    free variable, the condition holds iff F divides
+    N = F_y (F_v dF_u/dw - F_u dF_v/dw) - F_w (F_v dF_u/dy - F_u dF_v/dy),
+    which assumes F squarefree (see the module docstring).  Returns None
+    when F involves fewer than four variables.
+    """
+    _require_surface(poly)
+    names = poly.vars
+    if any(poly.degree_in(v) == 0 for v in names):
+        return None
+    grad = {v: poly.partial(v) for v in names}
+    solved = names[1]
+    fy = grad[solved]
+    out: dict[str, bool] = {}
+    for label, (u, v) in _ratio_pairs(names).items():
+        w = next(a for a in names if a not in (solved, u, v))
+        fu, fv = grad[u], grad[v]
+        drift = (fy * (fv * fu.partial(w) - fu * fv.partial(w))
+                 - grad[w] * (fv * fu.partial(solved) - fu * fv.partial(solved)))
+        out[label] = try_divide(drift, poly) is not None
     return out
 
 
 def classify(poly: Polynomial, seed: int = 0, trials: int = 50) -> FormVerdict:
-    """Run all detector criteria and combine them into a verdict.
+    """Decide the form of F by `certify`, cross-checked by `ratio_test`.
 
-    special       -- all three ratio spreads below `RATIO_PASS` and the
-                     normalized G determinant below `G_VANISH`;
-    non-special   -- at least one ratio spread above `RATIO_FAIL`;
-    inconclusive  -- anything in between, or sampler failure.
+    special       -- the certificate holds on all three ratio tests;
+    non-special   -- it fails on at least one;
+    degenerate    -- F involves fewer than four variables (no certificate).
 
-    Each ratio test and the G sampler must complete `trials` draws; fewer
-    than one raises ValueError.
+    The three ratio tests must each complete `trials` fiber walks; fewer
+    than one raises ValueError.  A spread of `RATIO_PASS` or more on a
+    certified pair, or of `RATIO_FAIL` or less on a refuted one, and a
+    sampler failure, each add a note; none changes the verdict.
     """
-    names = poly.vars
-    seeds = spawned_seeds(seed, 5)
+    certificate = certify(poly)
     notes: list[str] = []
     spreads: dict[str, float] = {}
-    g_max = math.nan
-    failed = False
     stages = Stages()
     try:
-        for (label, pair), sd in zip(_ratio_pairs(names).items(), seeds[:3]):
+        for (label, pair), sd in zip(_ratio_pairs(poly.vars).items(), spawned_seeds(seed, 3)):
             with stages.timed(label):
                 spreads[label] = ratio_test(poly, pair, trials, sd, stages)
-        with stages.timed("g_sample"):
-            g_max = g_sample(poly, trials, seeds[3], stages)
     except DegenerateSurfaceError as exc:
         notes.append(f"sampler failure: {exc}")
-        failed = True
 
-    popular: list[tuple[Polynomial, int]] = []
-    try:
-        with stages.timed("popular"):
-            params = _random_params(poly, Generator(seeds[4]))
-            scan = popular_components(poly, params)
-        popular = scan.popular
-        if scan.degenerate_params:
-            notes.append(f"{len(scan.degenerate_params)} parameter pairs gave vanishing slices")
-    except ValueError as exc:
-        notes.append(f"popular-component scan skipped: {exc}")
-
-    if failed:
-        classification = "inconclusive"
-    elif any(v > RATIO_FAIL for v in spreads.values()):
-        classification = "non-special"
-    elif all(v < RATIO_PASS for v in spreads.values()) and g_max < G_VANISH:
-        classification = "special"
+    if certificate is None:
+        classification = "degenerate"
     else:
-        classification = "inconclusive"
+        classification = "special" if all(certificate.values()) else "non-special"
+        for label, spread in spreads.items():
+            holds = certificate[label]
+            if (spread >= RATIO_PASS) if holds else (spread <= RATIO_FAIL):
+                notes.append(f"{label}: sampler spread {spread:.3g} disagrees with the "
+                             f"certificate ({'holds' if holds else 'fails'})")
     sampler = {"attempts": stages.counts.get("attempts", 0),
                "rejections": {r: stages.counts.get(r, 0) for r in _REJECTIONS}}
-    return FormVerdict(classification, spreads, g_max, popular, notes, stages.seconds, sampler)
+    return FormVerdict(classification, spreads, certificate, notes, stages.seconds, sampler)

@@ -183,7 +183,7 @@ def test_criterion_5_detector_classifications():
     assert nonspecial.ratio_spreads["h1"] > 1e-2
     again = classify(parse_poly("t - (x + y*s)", V4), seed=DEFAULT_SEED)
     assert again.ratio_spreads == nonspecial.ratio_spreads
-    assert again.g_max == nonspecial.g_max
+    assert again.certificate == nonspecial.certificate
     report("5 (detector classifications)", True,
            "; ".join(f"{t} -> {v.classification}" for t, v in outcomes.items())
            + f"; h1 spread {nonspecial.ratio_spreads['h1']:.3f}")

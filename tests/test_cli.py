@@ -132,14 +132,31 @@ class TestDetectSpecialCommand:
         assert payload["classification"] == "non-special"
         assert payload["ratio_spreads"]["h1"] > 1e-2
         assert payload["seed"] == 1729
-        assert set(payload["stages"]) == {"h1", "h2", "h3", "g_sample", "popular"}
-        assert payload["sampler"]["attempts"] >= 4 * 50
+        assert set(payload["stages"]) == {"h1", "h2", "h3"}
+        assert payload["sampler"]["attempts"] >= 3 * 50
+        assert payload["certificate"] == {"h1": False, "h2": False, "h3": True}
 
     def test_special_verdict_with_trials_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "detect-special", "--poly", "x+y+s+t", "--trials", "10",
         )
         assert json.loads(out)["classification"] == "special"
+
+    @pytest.mark.parametrize("text,classification,note", [
+        ("x*y - s*t", "special", None),
+        ("t - (x + y*s)", "non-special", None),
+        ("x + s + t", "degenerate", "sampler failure"),
+        ("x^2 + y^2 + s^2 + t^2 + 1", "special", "sampler failure"),  # no real point
+    ])
+    def test_output_is_strict_json(self, capsys, text, classification, note):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out, _ = run_cli(capsys, "detect-special", "--poly", text)
+        assert code == 0
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["classification"] == classification
+        assert [n.split(":")[0] for n in payload["notes"]] == ([note] if note else [])
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_fewer_than_one_trial_is_a_domain_error(self, capsys, trials):
@@ -278,6 +295,14 @@ class TestFitExponentCommand:
         payload = json.loads(out)
         assert payload["experiment"] == payload["name"] == "elliptic-oracle"
         assert [row[:2] for row in payload["rows"]] == [[16, 87], [32, 987], [64, 9315]]
+
+    @pytest.mark.parametrize("experiment", sorted(quadcount.harness.EXPERIMENTS))
+    @pytest.mark.parametrize("ns", ["0,1,2", "-2,1,2"])
+    def test_n_below_one_is_a_domain_error(self, capsys, experiment, ns):
+        # nonspecial-grid-zeros once built empty grids and printed zero counts
+        code, out, err = run_cli(capsys, "fit-exponent", "--experiment", experiment, f"--ns={ns}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:experiment: n_list must be strictly increasing from n >= 1")
 
 
 class TestConfigFile:

@@ -95,9 +95,9 @@ def test_reports_share_no_default_container():
         (lambda: CountReport(1, "naive", 4, 0.0), "degeneracy", {}),
         (lambda: ZeroCountReport(0, "naive", 0, 0.0, (1, 1, 1, 1)), "stages", {}),
         (lambda: ExperimentSeries("e", [], None, None, None), "stages", {}),
-        (lambda: FormVerdict("special", {}, 0.0, []), "notes", []),
-        (lambda: FormVerdict("special", {}, 0.0, []), "stages", {}),
-        (lambda: FormVerdict("special", {}, 0.0, []), "sampler", {}),
+        (lambda: FormVerdict("degenerate", {}, None), "notes", []),
+        (lambda: FormVerdict("degenerate", {}, None), "stages", {}),
+        (lambda: FormVerdict("degenerate", {}, None), "sampler", {}),
     ]
     for build, key, empty in reports:
         first, second = build().to_json(), build().to_json()

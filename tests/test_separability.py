@@ -6,14 +6,14 @@ import pytest
 
 from quadcount.polynomials import Polynomial, parse_poly
 from quadcount.separability import (
-    G_VANISH,
+    RATIO_FAIL,
     RATIO_PASS,
     DegenerateSurfaceError,
     _FloatForm,
     _horner,
     _real_roots,
+    certify,
     classify,
-    g_sample,
     popular_components,
     ratio_test,
 )
@@ -55,19 +55,6 @@ class TestRatioTest:
         # no dependence on the solved variable
         with pytest.raises(DegenerateSurfaceError):
             ratio_test(P("x + s + t"), ("s", "t"), trials=5, seed=1)
-        with pytest.raises(DegenerateSurfaceError):
-            g_sample(P("x + s + t"), trials=5, seed=1)
-
-
-class TestGSample:
-    def test_additive_vanishes_exactly(self):
-        assert g_sample(P("x+y+s+t"), trials=20, seed=9) == 0.0
-
-    def test_affine_mix_bounded_away_from_zero(self):
-        assert g_sample(P("t - (x + y*s)"), trials=20, seed=9) > 1e-4
-
-    def test_multiplicative_vanishes(self):
-        assert g_sample(P("t - x*y*s"), trials=20, seed=9) < 1e-10
 
 
 class TestPopularComponents:
@@ -127,19 +114,20 @@ class TestClassify:
         b = classify(P("t - x*y*s"), seed=7)
         assert a.classification == b.classification
         assert a.ratio_spreads == b.ratio_spreads
-        assert a.g_max == b.g_max
+        assert a.certificate == b.certificate
 
     def test_special_verdicts_tight_across_seeds(self):
         for seed in (0, 1, 2):
             for text in ("x+y+s+t", "x*y - s*t"):
                 verdict = classify(P(text), seed=seed, trials=20)
                 assert all(v < 1e-10 for v in verdict.ratio_spreads.values())
-                assert verdict.g_max < 1e-10
+                assert verdict.certificate == {"h1": True, "h2": True, "h3": True}
 
-    def test_degenerate_surface_is_inconclusive(self):
+    def test_degenerate_surface_is_degenerate(self):
         verdict = classify(P("x + s + t"), seed=0, trials=5)
-        assert verdict.classification == "inconclusive"
-        assert verdict.notes
+        assert verdict.classification == "degenerate"
+        assert verdict.certificate is None
+        assert verdict.notes == ["sampler failure: F does not involve 'y': no solvable fiber"]
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_fewer_than_one_trial_is_an_error(self, trials):
@@ -149,8 +137,82 @@ class TestClassify:
             classify(poly, seed=1729, trials=trials)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             ratio_test(poly, ("s", "t"), trials=trials, seed=0)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            g_sample(poly, trials=trials, seed=0)
+
+
+# -- the exact certificate -----------------------------------------------------
+
+T, F = True, False
+
+# (h1, h2, h3): whether F_s/F_t, F_s/F_x and F_t/F_x are constant along the
+# surface in the free variable; None where F involves fewer than 4 variables
+CERTIFIED = {
+    # the benchmark polynomials
+    "x*y - s*t": (T, T, T),
+    "t - (x + y*s)": (F, F, T),            # F_s/F_t = -y; F_t/F_x = -1
+    "x^2 + y^3 + s + t^2": (T, T, T),
+    "(x+y)^2 + s - t": (T, F, F),          # F_s/F_t = -1; F_x = 2(x + y)
+    "x + y + s + t": (T, T, T),
+    "x + s + t": None,
+    "x*s - t": None,
+    "x^2 + y^2 + s^2 + t^2 - 1": (T, T, T),
+    # further cases
+    "x*y*s*t - 1": (T, T, T),
+    "x^2*y + s + t": (T, F, F),            # F_s/F_x = 1/(2xy), y = -(s + t)/x^2
+    "(x+y)^3 + s^2 - t": (T, F, F),        # F_s/F_t = -2s
+    "x*y + s*t + x*s": (F, F, T),          # F_t/F_x = s/(y + s) = -x/t
+    "y^2 - x^3 - s - t": (T, T, T),
+    "t - x*y*s": (T, T, T),
+    "(y - x)*(y - s)*(y - t) - 1/10": (F, F, F),
+}
+
+
+class TestCertify:
+    @pytest.mark.parametrize("text", CERTIFIED)
+    def test_expected_booleans(self, text):
+        expected = CERTIFIED[text]
+        got = certify(P(text))
+        assert got == (None if expected is None else dict(zip(("h1", "h2", "h3"), expected)))
+
+    def test_rescaling_and_variable_names_do_not_matter(self):
+        poly = Fraction(-3, 7) * P("x*y + s*t + x*s")
+        assert certify(poly) == {"h1": False, "h2": False, "h3": True}
+        renamed = parse_poly("a*b + c*d + a*c", ("a", "b", "c", "d"))
+        assert certify(renamed) == certify(P("x*y + s*t + x*s"))
+
+    def test_degenerate_in_any_variable(self):
+        for text in ("y + s + t", "x*y - s", "x + y*t", "(x + y)^2 - s"):
+            assert certify(P(text)) is None
+            assert classify(P(text), seed=0, trials=5).classification == "degenerate"
+
+    def test_requires_a_nonzero_polynomial_in_four_variables(self):
+        with pytest.raises(ValueError, match="4 variables"):
+            certify(parse_poly("x + y + s", ("x", "y", "s")))
+        with pytest.raises(ValueError, match="nonzero"):
+            certify(P("x - x"))
+
+    def test_reducible_input_is_flagged_not_hidden(self):
+        # each component is special, so F divides every N; the sampler's walks
+        # cross from one sheet to the other and see the ratio jump
+        text = "(x + y + s + t)*(x*y - s*t)"
+        assert certify(P(text)) == {"h1": True, "h2": True, "h3": True}
+        verdict = classify(P(text), seed=1729)
+        assert verdict.classification == "special"
+        disagreements = [n for n in verdict.notes if "disagrees with the certificate" in n]
+        assert disagreements
+        assert all(verdict.ratio_spreads[n[:2]] >= RATIO_PASS for n in disagreements)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampler_agrees_with_certificate(self, seed):
+        for text, expected in CERTIFIED.items():
+            if expected is None:
+                continue
+            verdict = classify(P(text), seed=seed)
+            assert verdict.classification == ("special" if all(expected) else "non-special")
+            for label, holds in zip(("h1", "h2", "h3"), expected):
+                if label in verdict.ratio_spreads:  # the unit sphere's walks can run out
+                    spread = verdict.ratio_spreads[label]
+                    assert spread < RATIO_PASS if holds else spread > RATIO_FAIL, (text, label)
+            assert not any("disagrees" in note for note in verdict.notes), (text, verdict.notes)
 
 
 # -- the float kernel ----------------------------------------------------------
@@ -242,19 +304,19 @@ class TestRealRoots:
 
 # -- verdicts of the benchmark polynomials at the CLI's default seed -----------
 
-# (classification, ratio spreads, g_max), None where the sampler stopped first
+# (classification, ratio spreads); a spread is missing where the sampler
+# stopped first
 PINNED = {
-    "x*y - s*t": ("special", {"h1": 0.0, "h2": 6.2e-15, "h3": 9.1e-16}, 0.0),
+    "x*y - s*t": ("special", {"h1": 0.0, "h2": 6.2e-15, "h3": 9.1e-16}),
     "t - (x + y*s)": ("non-special",
-                      {"h1": 6.979261335863966, "h2": 42.14922249624455, "h3": 0.0},
-                      0.6435649345175893),
-    "x^2 + y^3 + s + t^2": ("special", {"h1": 0.0, "h2": 0.0, "h3": 0.0}, 0.0),
+                      {"h1": 6.979261335863966, "h2": 42.14922249624455, "h3": 0.0}),
+    "x^2 + y^3 + s + t^2": ("special", {"h1": 0.0, "h2": 0.0, "h3": 0.0}),
     "(x+y)^2 + s - t": ("non-special",
-                        {"h1": 0.0, "h2": 2.472752606242819, "h3": 3.73047131905585}, 0.0),
-    "x + y + s + t": ("special", {"h1": 0.0, "h2": 0.0, "h3": 0.0}, 0.0),
-    "x + s + t": ("inconclusive", {}, None),
-    "x*s - t": ("inconclusive", {}, None),
-    "x^2 + y^2 + s^2 + t^2 - 1": ("inconclusive", {"h1": 0.0, "h2": 0.0, "h3": 0.0}, None),
+                        {"h1": 0.0, "h2": 2.472752606242819, "h3": 3.73047131905585}),
+    "x + y + s + t": ("special", {"h1": 0.0, "h2": 0.0, "h3": 0.0}),
+    "x + s + t": ("degenerate", {}),
+    "x*s - t": ("degenerate", {}),
+    "x^2 + y^2 + s^2 + t^2 - 1": ("special", {"h1": 0.0, "h2": 0.0, "h3": 0.0}),
 }
 
 
@@ -267,16 +329,12 @@ def assert_pinned(value, pinned, floor):
 
 @pytest.mark.parametrize("text", PINNED)
 def test_benchmark_verdicts_are_pinned(text):
-    classification, spreads, g_max = PINNED[text]
+    classification, spreads = PINNED[text]
     verdict = classify(P(text), seed=1729)
     assert verdict.classification == classification
     assert verdict.ratio_spreads.keys() == spreads.keys()
     for label, pinned in spreads.items():
         assert_pinned(verdict.ratio_spreads[label], pinned, RATIO_PASS)
-    if g_max is None:
-        assert math.isnan(verdict.g_max)
-    else:
-        assert_pinned(verdict.g_max, g_max, G_VANISH)
 
 
 # -- stage timings and sampler counters in the verdict -------------------------
@@ -285,21 +343,24 @@ def test_benchmark_verdicts_are_pinned(text):
 class TestVerdictReport:
     def test_stages_and_sampler_account_for_every_attempt(self):
         out = classify(P("t - (x + y*s)"), seed=5, trials=20).to_json()
-        assert set(out["stages"]) == {"h1", "h2", "h3", "g_sample", "popular"}
+        assert set(out["stages"]) == {"h1", "h2", "h3"}
         assert all(v >= 0.0 for v in out["stages"].values())
         rejections = out["sampler"]["rejections"]
-        assert set(rejections) == {"no_real_root", "residual", "gradient_floor",
-                                   "continuation", "close_pair"}
-        # three ratio tests and the G sampler, 20 accepted draws each
-        assert out["sampler"]["attempts"] - sum(rejections.values()) == 4 * 20
+        assert set(rejections) == {"no_real_root", "residual", "gradient_floor", "continuation"}
+        # three ratio tests, 20 accepted walks each
+        assert out["sampler"]["attempts"] - sum(rejections.values()) == 3 * 20
+        assert out["certificate"] == {"h1": False, "h2": False, "h3": True}
 
     def test_sampler_failure_says_why(self):
-        out = classify(P("x^2 + y^2 + s^2 + t^2 - 1"), seed=1729).to_json()
-        assert out["classification"] == "inconclusive"
-        assert out["sampler"]["rejections"]["no_real_root"] > 30 * 50
-        assert "g_sample" in out["stages"] and "popular" in out["stages"]
+        # F = 0 has no real point: the walks never start, the certificate decides
+        out = classify(P("x^2 + y^2 + s^2 + t^2 + 1"), seed=1729).to_json()
+        assert out["classification"] == "special"
+        assert out["ratio_spreads"] == {}
+        assert out["notes"] == ["sampler failure: ratio test completed only 0/50 fiber walks"]
+        assert out["sampler"]["attempts"] == out["sampler"]["rejections"]["no_real_root"] == 40 * 50
+        assert set(out["stages"]) == {"h1"}
 
     def test_unsolvable_surface_reports_no_attempts(self):
         out = classify(P("x + s + t"), seed=0, trials=5).to_json()
         assert out["sampler"]["attempts"] == 0
-        assert set(out["stages"]) == {"h1", "popular"}
+        assert set(out["stages"]) == {"h1"}
