@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import constructions, fileio, geometry, harness, separability, zerocount
 from .polynomials import PolyParseError, parse_poly
-from .separability import DegenerateSurfaceError
 
 DEFAULT_SEED = 1729
 
@@ -216,7 +215,7 @@ def _cmd_detect_special(args) -> dict:
     poly = _load_poly(args.poly, variables)
     try:
         verdict = separability.classify(poly, seed=args.seed, trials=args.trials)
-    except (ValueError, DegenerateSurfaceError) as exc:
+    except ValueError as exc:
         raise DomainError("detect", str(exc)) from exc
     out = {"command": "detect-special", "poly": str(poly), "seed": args.seed}
     out.update(verdict.to_json())
@@ -280,24 +279,14 @@ def _cmd_count_coplanar(args) -> dict:
     return out
 
 
-def _cmd_count_collinear(args) -> dict:
+def _cmd_count_plane(args, count) -> dict:
+    """count-collinear and count-circles: `count` maps 2D points to a report."""
     points = _load_points(args.points, 2)
     try:
-        report = geometry.collinear_triples(points)
+        report = count(points)
     except ValueError as exc:
         raise DomainError("count", str(exc)) from exc
-    out = {"command": "count-collinear", "points": len(points), "kind": points.kind}
-    out.update(report.to_json())
-    return out
-
-
-def _cmd_count_circles(args) -> dict:
-    points = _load_points(args.points, 2)
-    try:
-        report = geometry.four_point_circles(points)
-    except ValueError as exc:
-        raise DomainError("count", str(exc)) from exc
-    out = {"command": "count-circles", "points": len(points), "kind": points.kind}
+    out = {"command": args.command, "points": len(points), "kind": points.kind}
     out.update(report.to_json())
     return out
 
@@ -318,8 +307,10 @@ _HANDLERS = {
     "detect-special": _cmd_detect_special,
     "construct": _cmd_construct,
     "count-coplanar": _cmd_count_coplanar,
-    "count-collinear": _cmd_count_collinear,
-    "count-circles": _cmd_count_circles,
+    # read the geometry function at call time, so a wrapper put on the
+    # module attribute sees the call
+    "count-collinear": lambda args: _cmd_count_plane(args, geometry.collinear_triples),
+    "count-circles": lambda args: _cmd_count_plane(args, geometry.four_point_circles),
     "fit-exponent": _cmd_fit_exponent,
 }
 

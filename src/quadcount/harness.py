@@ -113,10 +113,10 @@ def _count_fiber(config) -> int:
 
 
 def _count_coplanar_naive(points) -> int:
-    # float points come from the torsion construction; its determinant gap
-    # was measured at >= 1e-10 * scale for n <= 32, so 1e-12 separates cleanly.
-    tol = constructions.TORSION_COPLANAR_TOL if points.kind == "float" else 1e-7
-    return geometry.check_margin(geometry.coplanar_naive(points, tol=tol)).count
+    # the torsion construction's float points: its determinant gap was
+    # measured at >= 1e-10 * scale for n <= 32, so 1e-12 separates cleanly
+    return geometry.check_margin(
+        geometry.coplanar_naive(points, tol=constructions.TORSION_COPLANAR_TOL)).count
 
 
 # name -> (build: n -> configuration, count: configuration -> int)

@@ -44,19 +44,19 @@ plane-curve components shared by parameter slices; `classify` does not
 call it.
 
 The module runs on Python floats, ints and Fractions and never loads
-numpy.  Its seeded draws come from `quadcount.rng`, which reproduces
-numpy's `SeedSequence` and PCG64 streams bit for bit: a seed draws what
-`np.random.default_rng(seed)` would.
+numpy.  Its seeded draws come from `random.Random`: `classify` draws one
+32-bit walk seed per ratio test from `Random(seed)`, and `ratio_test` draws
+its frozen pair, base point and root pick from `Random(walk seed)`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .polynomials import Polynomial, bivariate_gcd, try_divide
-from .rng import Generator, spawned_seeds
 from .stages import Stages
 
 
@@ -312,6 +312,12 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _require_seed(seed: int) -> None:
+    # random.Random(-n) draws the same stream as Random(n)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def ratio_test(
     poly: Polynomial,
     pair: tuple[str, str],
@@ -330,6 +336,7 @@ def ratio_test(
     `stages`, and each abandoned one its reason (see `_REJECTIONS`).
     """
     _require_trials(trials)
+    _require_seed(seed)
     surf = _Surface(poly)
     tally = (stages if stages is not None else Stages()).count
     names = poly.vars
@@ -344,7 +351,7 @@ def ratio_test(
     num_idx = names.index(num_var)
     den_idx = names.index(den_var)
 
-    rng = Generator(seed)
+    rng = random.Random(seed)
     step = SAMPLING_BOX / (2.0 * (_POSITIONS - 1))
     max_spread = 0.0
     successes = 0
@@ -364,21 +371,16 @@ def ratio_test(
         if not roots:
             tally("no_real_root")
             continue
-        y = roots[rng.integers(len(roots))]
+        y = roots[rng.randrange(len(roots))]
         ratios: list[float] = []
         rejected = None
         for k in range(_POSITIONS):
             free_val = base + k * step
             if k > 0:
-                y_next = surf.newton_y(*slice_args(free_val), y)
-                if y_next is None:
-                    # halve the continuation step once before giving up
-                    y_mid = surf.newton_y(*slice_args(free_val - 0.5 * step), y)
-                    y_next = surf.newton_y(*slice_args(free_val), y_mid) if y_mid is not None else None
-                if y_next is None:
+                y = surf.newton_y(*slice_args(free_val), y)
+                if y is None:
                     rejected = "continuation"
                     break
-                y = y_next
             coords = dict(frozen_vals)
             coords[free] = free_val
             coords[solved] = y
@@ -491,18 +493,21 @@ def classify(poly: Polynomial, seed: int = 0, trials: int = 50) -> FormVerdict:
     degenerate    -- F involves fewer than four variables (no certificate).
 
     The three ratio tests must each complete `trials` fiber walks; fewer
-    than one raises ValueError.  A spread of `RATIO_PASS` or more on a
-    certified pair, or of `RATIO_FAIL` or less on a refuted one, and a
-    sampler failure, each add a note; none changes the verdict.
+    than one, or a negative seed, raises ValueError.  A spread of
+    `RATIO_PASS` or more on a certified pair, or of `RATIO_FAIL` or less on
+    a refuted one, and a sampler failure, each add a note; none changes the
+    verdict.
     """
+    _require_seed(seed)
     certificate = certify(poly)
     notes: list[str] = []
     spreads: dict[str, float] = {}
     stages = Stages()
+    seeds = random.Random(seed)
     try:
-        for (label, pair), sd in zip(_ratio_pairs(poly.vars).items(), spawned_seeds(seed, 3)):
+        for label, pair in _ratio_pairs(poly.vars).items():
             with stages.timed(label):
-                spreads[label] = ratio_test(poly, pair, trials, sd, stages)
+                spreads[label] = ratio_test(poly, pair, trials, seeds.getrandbits(32), stages)
     except DegenerateSurfaceError as exc:
         notes.append(f"sampler failure: {exc}")
 

@@ -167,6 +167,13 @@ class TestDetectSpecialCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error:detect: trials must be >= 1")
 
+    def test_negative_seed_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "detect-special", "--poly", "t - (x + y*s)", "--seed", "-3",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:detect: seed must be non-negative, got -3")
+
     @pytest.mark.parametrize("flag", ["--box", "--ratio-pass", "--ratio-fail",
                                       "--grad-floor", "--g-pass"])
     def test_threshold_flags_are_usage_errors(self, flag):
@@ -408,7 +415,7 @@ def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
 
 
 def test_detect_special_job_loads_no_numpy():
-    # the detector draws from quadcount.rng and finds slice roots in Python
+    # the detector draws from random.Random and finds slice roots in Python
     code = ("import sys; import quadcount.cli; "
             "quadcount.cli.main(['detect-special', '--poly', sys.argv[1]]); "
             "print('numpy' in sys.modules)")
