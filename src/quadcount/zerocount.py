@@ -1,10 +1,13 @@
 """Counting zeros of a quadrivariate polynomial on a product of four sets.
 
-Two routes to the same number: `count_naive` evaluates F at every quadruple
-of the Cartesian product, `count_fiber` fixes three coordinates and solves
-the remaining univariate slice against a hashed candidate set.  The two
-share no counting code and must agree exactly; the naive route is the
-ground truth.
+Two routes to the same number.  `count_naive` builds, for every (a, b, c),
+the coefficient vector of F in the last variable, tallies equal vectors, and
+evaluates each distinct vector at every d: no root is ever solved for.
+`count_fiber` fixes three coordinates and solves the remaining univariate
+slice exactly (degree 1 by division, degree 2 by an integer square root of
+the discriminant) against a hashed candidate set, scanning the candidates
+only from degree 3 up.  The two share no counting code and must agree
+exactly; the naive route is the ground truth.
 
 Both routes first clear denominators.  Set i is scaled by the lcm L_i of its
 denominators, and F is replaced by G(X) = m * F(X_1/L_1, ..., X_4/L_4), where
@@ -18,8 +21,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
-from operator import add
+from itertools import compress
+from operator import add, not_
 from typing import NamedTuple, Sequence
 
 from .polynomials import Polynomial, clear_denominators
@@ -84,7 +89,13 @@ class GridSets:
 class ZeroCountReport(NamedTuple):
     """`stages` holds the seconds spent clearing denominators, building the
     power tables (naive) or the coefficient profile (fiber), and counting;
-    the JSON reports None as {}."""
+    the JSON reports None as {}.
+
+    A fiber report also gives `slice_degrees`, the number of fibers whose
+    trimmed slice has degree k at index k (identically vanishing slices are
+    the `degenerate_fibers`), and a naive report `distinct_fibers`, the
+    number of distinct coefficient vectors it evaluated.  The JSON leaves
+    out whichever is None."""
 
     count: int
     method: str
@@ -92,9 +103,11 @@ class ZeroCountReport(NamedTuple):
     elapsed: float
     sizes: tuple[int, int, int, int]
     stages: dict[str, float] | None = None
+    slice_degrees: tuple[int, ...] | None = None
+    distinct_fibers: int | None = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "count": self.count,
             "method": self.method,
             "degenerate_fibers": self.degenerate_fibers,
@@ -102,6 +115,11 @@ class ZeroCountReport(NamedTuple):
             "sizes": list(self.sizes),
             "stages": self.stages or {},
         }
+        if self.slice_degrees is not None:
+            out["slice_degrees"] = list(self.slice_degrees)
+        if self.distinct_fibers is not None:
+            out["distinct_fibers"] = self.distinct_fibers
+        return out
 
 
 def _cleared(poly: Polynomial, sets: GridSets) -> tuple[Polynomial, list[list[int]]]:
@@ -118,33 +136,51 @@ def _cleared(poly: Polynomial, sets: GridSets) -> tuple[Polynomial, list[list[in
 
 def count_naive(poly: Polynomial, sets: GridSets) -> ZeroCountReport:
     """Exact |{(a,b,c,d) in A x B x C x D : poly(a,b,c,d) = 0}| by evaluating
-    F at every quadruple.  Theta(|A||B||C||D|) point evaluations."""
+    F at every quadruple, once per distinct fiber.
+
+    Each (a, b, c) gives the coefficient vector of F(a, b, c, t) in the last
+    variable t, built a whole C column at a time from the term table.  Equal
+    vectors have the same zeros, so they are tallied, and every distinct
+    vector is evaluated at each d and counted with its multiplicity: |A||B|
+    column builds plus (distinct fibers) * |D| evaluations."""
     start = time.perf_counter()
     stages = Stages()
     with stages.timed("clear_denominators"):
         g, int_sets = _cleared(poly, sets)
     with stages.timed("power_tables"):
         degrees = [g.degree_in(name) for name in g.vars]
-        # powers[i][j][e] = (j-th value of set i) ** e; d_columns[e] = every d ** e
+        # powers[i][j][e] = (j-th value of set i) ** e for A and B;
+        # c_columns[e] = every c ** e; d_powers[j] = d_j ** 1, d_j ** 2, ...
         powers = [
             [[v ** e for e in range(deg + 1)] for v in values]
-            for deg, values in zip(degrees[:3], int_sets)
+            for deg, values in zip(degrees[:2], int_sets)
         ]
-        d_columns = [[d ** e for d in int_sets[3]] for e in range(degrees[3] + 1)]
+        c_columns = [[c ** e for c in int_sets[2]] for e in range(degrees[2] + 1)]
+        d_powers = [[d ** e for e in range(1, degrees[3] + 1)] for d in int_sets[3]]
         terms = [(int(c), *exp) for exp, c in g.terms.items()]
+    fibers: Counter[tuple[int, ...]] = Counter()
+    zero_c = [0] * len(int_sets[2])
     count = 0
     with stages.timed("count"):
         for pa in powers[0]:
             ta = [(k * pa[e0], e1, e2, e3) for k, e0, e1, e2, e3 in terms]
             for pb in powers[1]:
-                tb = [(k * pb[e1], e2, e3) for k, e1, e2, e3 in ta]
-                for pc in powers[2]:
-                    values = [0] * len(int_sets[3])
-                    for k, e2, e3 in tb:
-                        values = map(add, values, map((k * pc[e2]).__mul__, d_columns[e3]))
-                    count += list(values).count(0)
+                # cols[e3][j]: the coefficient of t^e3 at the j-th c
+                cols = [zero_c] * (degrees[3] + 1)
+                for k, e1, e2, e3 in ta:
+                    cols[e3] = map(add, cols[e3], map((k * pb[e1]).__mul__, c_columns[e2]))
+                fibers.update(zip(*cols))
+        # columns[e][i]: the coefficient of t^e in the i-th distinct vector
+        # (one empty column when C is empty)
+        columns = list(zip(*fibers)) or [()]
+        multiplicities = list(fibers.values())
+        for row in d_powers:
+            values = columns[0]
+            for p, column in zip(row, columns[1:]):
+                values = map(add, values, map(p.__mul__, column))
+            count += sum(compress(multiplicities, map(not_, values)))
     return ZeroCountReport(count, "naive", 0, time.perf_counter() - start, sets.sizes,
-                           stages.seconds)
+                           stages.seconds, distinct_fibers=len(fibers))
 
 
 def _bind(terms: list[tuple[int, ...]], value: int) -> list[tuple[int, ...]]:
@@ -162,11 +198,15 @@ def count_fiber(
 ) -> ZeroCountReport:
     """Same count as `count_naive`, solving one coordinate per fiber.
 
-    The coefficients of F in the solved variable are evaluated incrementally
-    over the three loop coordinates.  Degree-1 slices are solved exactly and
-    looked up in a hash of the candidate set, higher-degree slices scan the
-    candidates by Horner, and identically vanishing slices contribute the
-    whole candidate set.
+    The coefficients of F in the solved variable are bound to the first two
+    loop coordinates term by term, then evaluated as whole columns over the
+    third.  Each slice is trimmed of vanishing top coefficients.  Degree-1
+    slices are solved by exact division; a degree-2 slice has integer roots
+    only when its discriminant is a perfect square, and then they are
+    (-c1 +- isqrt(disc)) / (2 c2), a double root counted once.  The roots are
+    looked up in a hash of the candidate set.  Slices of degree 3 and up scan
+    the candidates by Horner, and identically vanishing slices contribute
+    the whole candidate set.
     """
     if solve_var is None:
         solve_var = poly.vars[-1]
@@ -185,31 +225,59 @@ def count_fiber(
         profile = [
             [(int(c), *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(solve_var)
         ]
-    count = 0
-    degenerate = 0
+        # c_columns[e] = every value of the third loop coordinate ** e
+        c_degree = max((term[-1] for terms in profile for term in terms), default=0)
+        c_columns = [[c ** e for c in s3] for e in range(c_degree + 1)]
+    top = len(profile) - 1
+    zero_c = [0] * len(s3)
+    count = degenerate = 0
+    by_degree = [0] * (top + 1)
     with stages.timed("count"):
         for a in s1:
             pa = [_bind(terms, a) for terms in profile]
             for b in s2:
-                pb = [_bind(terms, b) for terms in pa]
-                for c in s3:
-                    coeffs = [sum(k * c ** e for k, e in terms) for terms in pb]
-                    while coeffs and coeffs[-1] == 0:
-                        coeffs.pop()
-                    if not coeffs:
+                cols = []
+                for terms in pa:
+                    col = zero_c
+                    for k, e in _bind(terms, b):
+                        col = map(add, col, map(k.__mul__, c_columns[e]))
+                    cols.append(col)
+                for co in zip(*cols):
+                    deg = top
+                    while deg >= 0 and not co[deg]:
+                        deg -= 1
+                    if deg < 0:
                         # the fiber is a full line through the candidate set
                         count += len(solve_values)
                         degenerate += 1
-                    elif len(coeffs) == 2:
-                        root, rem = divmod(-coeffs[0], coeffs[1])
-                        if rem == 0 and root in candidates:
+                        continue
+                    by_degree[deg] += 1
+                    if deg == 1:
+                        root, rem = divmod(-co[0], co[1])
+                        if not rem and root in candidates:
                             count += 1
-                    elif len(coeffs) > 2:
+                    elif deg == 2:
+                        c0, c1, c2 = co[:3]
+                        disc = c1 * c1 - 4 * c2 * c0
+                        if disc < 0:
+                            continue
+                        r = math.isqrt(disc)
+                        if r * r != disc:
+                            continue
+                        root, rem = divmod(r - c1, 2 * c2)
+                        if not rem and root in candidates:
+                            count += 1
+                        if r:
+                            root, rem = divmod(-r - c1, 2 * c2)
+                            if not rem and root in candidates:
+                                count += 1
+                    elif deg > 2:
+                        coeffs = co[deg::-1]
                         for v in solve_values:
                             acc = 0
-                            for co in reversed(coeffs):
-                                acc = acc * v + co
+                            for k in coeffs:
+                                acc = acc * v + k
                             if acc == 0:
                                 count += 1
     return ZeroCountReport(count, "fiber", degenerate, time.perf_counter() - start, sets.sizes,
-                           stages.seconds)
+                           stages.seconds, slice_degrees=tuple(by_degree))

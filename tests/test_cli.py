@@ -102,6 +102,20 @@ class TestCountZerosCommand:
         assert set(payload["stages"]) == {"clear_denominators", tables, "count"}
         assert 0.0 <= sum(payload["stages"].values()) <= payload["elapsed_s"]
 
+    def test_fiber_and_naive_counters(self, capsys, sets_file):
+        _, out, _ = run_cli(capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
+                            "--method", "fiber")
+        fiber = json.loads(out)
+        # 27 fibers, every slice t + (a + b + c) of degree 1
+        assert fiber["slice_degrees"] == [0, 27]
+        assert "distinct_fibers" not in fiber
+        _, out, _ = run_cli(capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
+                            "--method", "naive")
+        naive = json.loads(out)
+        # one vector (a + b + c, 1) per sum in 3..9
+        assert naive["distinct_fibers"] == 7
+        assert "slice_degrees" not in naive
+
     def test_poly_from_file(self, capsys, sets_file, tmp_path):
         poly_path = tmp_path / "poly.txt"
         poly_path.write_text("x + y + s + t\n")

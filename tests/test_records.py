@@ -108,3 +108,14 @@ def test_reports_share_no_default_container():
         else:
             first[key].append("x")
         assert build().to_json()[key] == empty
+
+
+def test_zero_count_report_counters():
+    # each route's counter is in its own JSON only
+    base = ZeroCountReport(5, "naive", 0, 0.0, (1, 1, 1, 1))
+    assert set(base.to_json()) == {"count", "method", "degenerate_fibers", "elapsed_s",
+                                   "sizes", "stages"}
+    naive = base._replace(distinct_fibers=3).to_json()
+    assert naive["distinct_fibers"] == 3 and "slice_degrees" not in naive
+    fiber = base._replace(method="fiber", slice_degrees=(2, 0, 1)).to_json()
+    assert fiber["slice_degrees"] == [2, 0, 1] and "distinct_fibers" not in fiber

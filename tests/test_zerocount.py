@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -54,6 +55,52 @@ class TestCountNaive:
         assert report.count == brute_force(P("x+y+s+t"), sets)
 
 
+class TestDistinctFibers:
+    """`count_naive` tallies equal coefficient vectors in the last variable
+    and evaluates each distinct one at every d."""
+
+    def test_last_variable_absent(self):
+        # every vector is (a - b,): 5 distinct values, zero when a = b
+        poly = P("x - y")
+        sets = grid([1, 2, 3], [1, 2, 3], [1, 2], [5, 6, 7, 8])
+        report = count_naive(poly, sets)
+        assert report.count == brute_force(poly, sets) == 3 * 2 * 4
+        assert report.distinct_fibers == 5
+
+    def test_heavy_multiplicity(self):
+        # 27000 fibers share the 59 vectors (-(a + b), 1)
+        poly = P("t - x - y")
+        values = range(1, 31)
+        sets = grid(values, values, values, range(2, 41))
+        expected = sum(1 for a in values for b in values if a + b <= 40) * 30
+        report = count_naive(poly, sets)
+        assert report.count == expected
+        assert report.distinct_fibers == 59
+
+    def test_empty_last_sets(self):
+        poly = P("t^2 - x*y")
+        report = count_naive(poly, grid([1, 2], [1, 4], [3], []))
+        assert report.count == 0
+        # (-a*b, 0, 1) for a*b in {1, 4, 2, 8}
+        assert report.distinct_fibers == 4
+        # and an empty C leaves no vector to evaluate
+        assert count_naive(poly, grid([1, 2], [1, 4], [], [1, 2])).distinct_fibers == 0
+
+    def test_never_uses_the_coefficient_profile(self, monkeypatch):
+        # the ground truth shares no code with the fiber route's profile
+        poly = P("t^2 - x*y - s")
+        sets = grid([1, 2, 3], [1, 2], [0, 1, 2], [-3, -2, -1, 0, 1, 2, 3])
+        expected = brute_force(poly, sets)
+
+        def refuse(self, name):
+            raise AssertionError("coefficients_in called")
+
+        monkeypatch.setattr(Polynomial, "coefficients_in", refuse)
+        with pytest.raises(AssertionError, match="coefficients_in called"):
+            count_fiber(poly, sets)
+        assert count_naive(poly, sets).count == expected > 0
+
+
 class TestCountFiber:
     def test_every_triple_absorbed(self):
         sets = grid(range(1, 6), range(1, 6), range(1, 6), range(-15, -2))
@@ -89,11 +136,62 @@ class TestCountFiber:
         assert report0.count == brute_force(P("s*x + t*y"), sets0)
         assert report0.degenerate_fibers == 1
 
-    def test_quadratic_fiber_scan_path(self):
-        # degree 2 in the solve variable exercises the candidate scan
+    def test_quadratic_fiber_exact_roots(self):
+        # degree 2 in the solve variable: roots from the discriminant
         sets = grid([1, 2, 3], [1, 2], [1, 2, 3], [-4, -1, 0, 1, 2, 4])
         poly = P("t^2 - x*y - s")
-        assert count_fiber(poly, sets).count == brute_force(poly, sets)
+        report = count_fiber(poly, sets)
+        assert report.count == brute_force(poly, sets)
+        assert report.slice_degrees == (0, 0, 18)
+
+    def test_cubic_fiber_scan_path(self):
+        # degree 3 in the solve variable exercises the Horner candidate scan
+        sets = grid([1, 2, 3], [1, 2, 4], [-1, 0, 1, 2], [-2, -1, 0, 1, 2, 3])
+        poly = P("t^3 - x*y - s")
+        report = count_fiber(poly, sets)
+        assert report.count == brute_force(poly, sets) > 0
+        assert report.slice_degrees == (0, 0, 0, 36)
+
+
+class TestQuadraticSlices:
+    """The exact degree-2 path of `count_fiber`, each case against the brute
+    force."""
+
+    def test_double_root_counted_once(self):
+        # the slice (t - x)^2 - s is a perfect square at s = 0
+        poly = P("t^2 - 2*x*t + x^2 - s")
+        sets = grid([1, 2, 3], [7], [0, 1], range(-5, 6))
+        # s = 0: one double root per x; s = 1: roots x +- 1, all in D
+        assert count_fiber(poly, sets).count == brute_force(poly, sets) == 3 + 6
+
+    def test_negative_leading_coefficient(self):
+        poly = P("-2*t^2 + x*t + y*s")
+        sets = grid(range(-4, 5), range(-3, 4), [1, 2, 3], range(-6, 7))
+        report = count_fiber(poly, sets)
+        assert report.count == brute_force(poly, sets) > 0
+        assert report.slice_degrees[2] == 9 * 7 * 3
+
+    def test_negative_discriminant(self):
+        # t^2 + x*y + s > 0 for positive x, y, s: no real root
+        poly = P("t^2 + x*y + s")
+        sets = grid([1, 2], [1, 3], [1, 2], range(-5, 6))
+        assert count_fiber(poly, sets).count == brute_force(poly, sets) == 0
+
+    def test_discriminant_not_a_perfect_square(self):
+        # t^2 - (x + y + s) with x + y + s in {2, 3, 5, 6}: isqrt(disc)
+        # would give a false root in D if the square check were skipped
+        poly = P("t^2 - x - y - s")
+        sets = grid([1, 2], [0], [1, 4], range(-4, 5))
+        assert count_fiber(poly, sets).count == brute_force(poly, sets) == 0
+        # s = 7 adds x + y + s = 8, not a square, and 9, with roots +-3
+        wider = grid([1, 2], [0], [1, 4, 7], range(-4, 5))
+        assert count_fiber(poly, wider).count == brute_force(poly, wider) == 2
+
+    def test_integer_roots_outside_the_candidates(self):
+        # roots +-1, +-2, +-4 are integers, none of them in D
+        poly = P("t^2 - x*y")
+        sets = grid([1, 4], [1, 4], [0, 5], [-3, 3, 5])
+        assert count_fiber(poly, sets).count == brute_force(poly, sets) == 0
 
 
 class TestEquivalenceAndProperties:
@@ -142,7 +240,11 @@ class TestRationalGrids:
         expected = brute_force(poly, sets)
         assert count_naive(poly, sets).count == expected
         for solve_var in V4:
-            assert count_fiber(poly, sets, solve_var=solve_var).count == expected, solve_var
+            report = count_fiber(poly, sets, solve_var=solve_var)
+            assert report.count == expected, solve_var
+            # every fiber has a slice degree or is degenerate
+            fibers = math.prod(n for v, n in zip(V4, sets.sizes) if v != solve_var)
+            assert sum(report.slice_degrees) + report.degenerate_fibers == fibers
         return expected
 
     def test_degree_one_fibers(self):
@@ -162,6 +264,19 @@ class TestRationalGrids:
             [Fraction(1, 3), 3, Fraction(-1, 2), 6],
             [Fraction(-1, 3), Fraction(2, 3), 2, Fraction(-2, 5)],
             [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 1, -1],
+        )
+        assert self.check_all_routes(poly, sets) > 0
+
+    def test_quadratic_roots_integral_only_after_clearing(self):
+        # 3t^2 - t - x = 0 has t = (1 +- sqrt(1 + 12x)) / 6: x = 2/3 gives
+        # t = 2/3 or -1/3, x = 2 gives t = 1 or -2/3, so 2*c2 = 6 divides
+        # only after the grid is scaled
+        poly = P("3*t^2 - t - x - y*s")
+        sets = grid(
+            [Fraction(2, 3), 2, 0, Fraction(1, 4)],
+            [0, 1],
+            [0, Fraction(1, 2)],
+            [Fraction(-1, 3), Fraction(2, 3), 1, Fraction(1, 3), Fraction(-2, 3)],
         )
         assert self.check_all_routes(poly, sets) > 0
 
