@@ -271,7 +271,7 @@ def _cmd_count_coplanar(args) -> dict:
         if method == "fast":
             report = geometry.coplanar_fast(points)
         else:
-            report = geometry.check_margin(geometry.coplanar_naive(points, tol=args.tol))
+            report = geometry.coplanar_naive(points, tol=args.tol)
     except ValueError as exc:
         raise DomainError("count", str(exc)) from exc
     out = {"command": "count-coplanar", "points": len(points), "kind": points.kind}

@@ -9,20 +9,22 @@ P_i and the points after it are hashed:
 - a line through P_i is keyed by the primitive, sign-normalized direction
   P_j - P_i, and l is its number of later points;
 - a plane through P_i is keyed by the primitive, sign-normalized cross
-  product of two of those line directions, m is its number of later points,
-  and c is the sum of C(l, 3) over its lines.
+  product of two of those line directions, and the pairs of lines that
+  hash to it are counted.  A plane of k lines is met by C(k, 2) pairs, which
+  gives k; its number of later points m and the sum c of C(l, 3) over its
+  lines come from the pairs that touch a line with l >= 2.
 
 Every key passes through P_i, so it needs no offset term, and each subset
 is counted once, at its smallest index, so lines need no correction.  The
-keys are tuples of Python ints in plain dicts, so one path serves every
-coordinate size.  No float enters an exact count.
+keys are tuples of Python ints counted in plain dicts, so one path serves
+every coordinate size.  No float enters an exact count.
 
 Float inputs (the numeric elliptic construction) only get the quadruple-at-
 a-time determinant test with a dimensionally normalized tolerance; float
 counts are validated against the exact index oracle, never trusted alone.
 Their reports carry the margin the tolerance had to fall into: the largest
-normalized |det| accepted and the smallest rejected.  `check_margin`
-refuses a float count whose margin has collapsed.
+normalized |det| accepted and the smallest rejected.  The scan refuses, with
+ValueError, as soon as that margin collapses.
 
 Counts are reported unordered; reports carry the x24 / x6 ordered
 equivalents, exact for proper tuples.
@@ -32,9 +34,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .polynomials import clear_denominators
@@ -44,7 +47,6 @@ __all__ = [
     "PointSet3",
     "CountReport",
     "coplanar_naive",
-    "check_margin",
     "coplanar_fast",
     "collinear_triples",
     "four_point_circles",
@@ -53,7 +55,8 @@ __all__ = [
 
 _EXACT_TYPES = (int, Fraction)
 # a float count needs its largest accepted |det| / scale at least this factor
-# below its smallest rejected one
+# below its smallest rejected one; the torsion construction misses it from
+# n = 48 on
 _MARGIN_FACTOR = 100
 
 
@@ -183,6 +186,10 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
     with scale the product of the three largest pairwise distances of the
     quadruple (a volume-scale normalization).  Float reports also carry the
     margin: the largest |det| / scale accepted and the smallest rejected.
+    The scan raises ValueError as soon as the largest accepted comes within
+    a factor 100 of the smallest rejected: no tolerance then separates
+    coplanar quadruples from rounding noise.  The two bounds only move toward
+    each other, so this is the verdict a full scan would give.
 
     The part of the determinant fixed by a triple (a, b, c) is computed once
     and tested against every later point d.  Exact inputs take the normal
@@ -233,31 +240,20 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
                         ratio = abs(det) / (dists[5] * dists[4] * dists[3])
                         if ratio < tol:
                             count += 1
-                            if ratio > max_accepted:
-                                max_accepted = ratio
+                            if ratio <= max_accepted:
+                                continue
+                            max_accepted = ratio
                         elif ratio < min_rejected:
                             min_rejected = ratio
+                        else:
+                            continue
+                        if _MARGIN_FACTOR * max_accepted > min_rejected:
+                            raise ValueError(
+                                f"float coplanarity margin collapsed: accepted |det|/scale "
+                                f"up to {max_accepted:.2e}, rejected from {min_rejected:.2e}")
         margin = {"max_accepted": max_accepted if count else None,
                   "min_rejected": min_rejected if min_rejected < math.inf else None}
     return CountReport(count, "naive", 4, time.perf_counter() - start, margin=margin)
-
-
-def check_margin(report: CountReport) -> CountReport:
-    """Return `report` unless it is a float count whose margin collapsed.
-
-    A float count is refused, with ValueError, once the largest accepted
-    |det| / scale comes within a factor 100 of the smallest rejected one:
-    no tolerance then separates coplanar quadruples from rounding noise.
-    On the torsion construction this happens from n = 48 on.
-    """
-    if report.margin is not None:
-        hi, lo = report.margin["max_accepted"], report.margin["min_rejected"]
-        if hi is not None and lo is not None and _MARGIN_FACTOR * hi > lo:
-            raise ValueError(
-                f"float coplanarity margin collapsed: accepted |det|/scale up to "
-                f"{hi:.2e}, rejected from {lo:.2e}"
-            )
-    return report
 
 
 class _Flats(NamedTuple):
@@ -281,18 +277,20 @@ def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) ->
     and the points after it; `skip_vertical` drops planes whose normal has
     third component 0.
 
-    Lines are keyed by direction in one dict per pivot.  A plane is found
-    from each pair of its lines, keyed by their primitive normal; its m and
-    c are summed at its first line only, over the pairs that start there,
-    and `seen` drops it at every later line.  Per pivot this holds O(n^2)
-    keys.
+    Lines are keyed by direction in one Counter per pivot.  Every pair of
+    lines is keyed by its primitive normal, and one Counter per pivot counts
+    the pairs of each plane: p = C(k, 2) pairs give k = (1 + isqrt(1 + 8p)) // 2
+    lines.  Only pairs that touch a line with l >= 2 also sum (l - 1) and
+    C(l, 3) of both lines, which over a plane come to (k - 1)(m - k) and
+    (k - 1) c.  At a pivot with no such line m = k and c = 0, so each
+    distinct pair count is decoded once.  Per pivot this holds O(n^2) keys.
     """
     n_lines = n_planes = max_line = max_plane = 0
     line_pairs = line_triples = plane_triples = planes_of_3 = 0
     for i in range(len(pts) - 1):
         # one loop per dimension: unpacking the coordinates by name is much
         # faster than a generic tuple(v // g for v in d)
-        lines: dict[tuple[int, ...], int] = {}
+        directions: list[tuple[int, ...]] = []
         if len(pts[i]) == 2:
             px, py = pts[i]
             for x, y in pts[i + 1:]:
@@ -300,8 +298,7 @@ def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) ->
                 g = gcd(dx, dy)
                 if dx < 0 or (not dx and dy < 0):
                     g = -g
-                key = (dx // g, dy // g)
-                lines[key] = lines.get(key, 0) + 1
+                directions.append((dx // g, dy // g))
         else:
             px, py, pz = pts[i]
             for x, y, z in pts[i + 1:]:
@@ -309,21 +306,22 @@ def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) ->
                 g = gcd(dx, dy, dz)
                 if dx < 0 or (not dx and (dy < 0 or (not dy and dz < 0))):
                     g = -g
-                key = (dx // g, dy // g, dz // g)
-                lines[key] = lines.get(key, 0) + 1
+                directions.append((dx // g, dy // g, dz // g))
+        lines = Counter(directions)
         ls = lines.values()
+        top = max(ls)
         n_lines += len(ls)
-        max_line = max(max_line, max(ls) + 1)
+        max_line = max(max_line, top + 1)
         line_pairs += sum(map(comb, ls, repeat(2)))
         line_triples += sum(map(comb, ls, repeat(3)))
         if len(pts[i]) != 3:
             continue
         dirs = list(lines.items())
-        seen: set[tuple[int, int, int]] = set()
+        normals: list[tuple[int, int, int]] = []
+        # plane -> sums, over its pairs that touch a line with l >= 2, of
+        # (la - 1) + (lb - 1) and of C(la, 3) + C(lb, 3)
+        long_sums: dict[tuple[int, int, int], tuple[int, int]] = {}
         for a, ((ux, uy, uz), la) in enumerate(dirs):
-            # m and c of each plane through line a, over the lines after it
-            m: dict[tuple[int, int, int], int] = {}
-            c: dict[tuple[int, int, int], int] = {}
             for (vx, vy, vz), lb in dirs[a + 1:]:
                 nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
                 if skip_vertical and not nz:
@@ -332,19 +330,30 @@ def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) ->
                 if nx < 0 or (not nx and (ny < 0 or (not ny and nz < 0))):
                     g = -g
                 key = (nx // g, ny // g, nz // g)
-                m[key] = m.get(key, la) + lb
-                if lb > 2:
-                    c[key] = c.get(key, comb(la, 3)) + comb(lb, 3)
-            la3 = comb(la, 3)
-            for key, mk in m.items():
-                if key in seen:
-                    continue
-                seen.add(key)
-                n_planes += 1
-                if mk >= max_plane:
-                    max_plane = mk + 1
-                plane_triples += comb(mk, 3) - c.get(key, la3)
-                planes_of_3 += mk == 3
+                normals.append(key)
+                if la > 1 or lb > 1:
+                    dm, dc = long_sums.get(key, (0, 0))
+                    long_sums[key] = (dm + la + lb - 2, dc + comb(la, 3) + comb(lb, 3))
+        pairs = Counter(normals)
+        n_planes += len(pairs)
+        if top == 1:
+            # every m is k and every c is 0: decode each pair count once
+            for p, planes in Counter(pairs.values()).items():
+                k = (1 + isqrt(1 + 8 * p)) // 2
+                plane_triples += planes * comb(k, 3)
+                if k == 3:
+                    planes_of_3 += planes
+                if k >= max_plane:
+                    max_plane = k + 1
+            continue
+        for key, p in pairs.items():
+            k = (1 + isqrt(1 + 8 * p)) // 2
+            dm, dc = long_sums.get(key, (0, 0))
+            m = k + dm // (k - 1)
+            plane_triples += comb(m, 3) - dc // (k - 1)
+            planes_of_3 += m == 3
+            if m >= max_plane:
+                max_plane = m + 1
     return _Flats(n_lines, n_planes, max_line, max_plane,
                   line_pairs, line_triples, plane_triples, planes_of_3)
 

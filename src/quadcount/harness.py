@@ -115,8 +115,7 @@ def _count_fiber(config) -> int:
 def _count_coplanar_naive(points) -> int:
     # the torsion construction's float points: its determinant gap was
     # measured at >= 1e-10 * scale for n <= 32, so 1e-12 separates cleanly
-    return geometry.check_margin(
-        geometry.coplanar_naive(points, tol=constructions.TORSION_COPLANAR_TOL)).count
+    return geometry.coplanar_naive(points, tol=constructions.TORSION_COPLANAR_TOL).count
 
 
 # name -> (build: n -> configuration, count: configuration -> int)

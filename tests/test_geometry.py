@@ -1,12 +1,16 @@
+import importlib.util
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _generators import random_mixed_point_instance as random_mixed_instance
+from quadcount import geometry
 from quadcount.constructions import (
     TORSION_COPLANAR_TOL,
     embed_quartic,
@@ -15,10 +19,8 @@ from quadcount.constructions import (
     torsion_points,
 )
 from quadcount.geometry import (
-    CountReport,
     PointSet2,
     PointSet3,
-    check_margin,
     collinear_triples,
     concyclic_quadruples_naive,
     coplanar_fast,
@@ -45,7 +47,10 @@ def _det3(u, v, w):
 
 def coplanar_reference(points, tol):
     """coplanar_naive's count and margin by one determinant per quadruple:
-    the quadruple-at-a-time loop, kept as the reference for the hoisted scan."""
+    the quadruple-at-a-time loop, kept as the reference for the hoisted scan.
+    A float scan stops at the first quadruple after which the largest
+    accepted ratio is within a factor 100 of the smallest rejected one, and
+    returns None for the count with the margin as it stood then."""
     count = 0
     max_accepted, min_rejected = 0.0, math.inf
     dist = math.dist
@@ -66,6 +71,8 @@ def coplanar_reference(points, tol):
                 max_accepted = ratio
         elif ratio < min_rejected:
             min_rejected = ratio
+        if 100 * max_accepted > min_rejected:
+            return None, {"max_accepted": max_accepted, "min_rejected": min_rejected}
     if points.kind == "exact":
         return count, None
     return count, {"max_accepted": max_accepted if count else None,
@@ -77,9 +84,20 @@ class TestCoplanarNaive:
     def test_float_scan_matches_reference_bit_for_bit_on_torsion(self, n):
         cfg = make_curve()
         points = embed_quartic(cfg, torsion_points(cfg, n)[1:])
+        count, margin = coplanar_reference(points, TORSION_COPLANAR_TOL)
+        # the margin holds at n = 32 and collapses at n = 48
+        assert (count is None) == (n == 48)
+        if count is None:
+            # the scan stops where the reference does, with the same bounds
+            bounds = (f"up to {margin['max_accepted']:.2e}, "
+                      f"rejected from {margin['min_rejected']:.2e}")
+            with pytest.raises(ValueError, match="margin collapsed") as refused:
+                coplanar_naive(points, tol=TORSION_COPLANAR_TOL)
+            assert str(refused.value).endswith(bounds)
+            return
         report = coplanar_naive(points, tol=TORSION_COPLANAR_TOL)
         # == on floats: the hoisted scan must round exactly as the reference
-        assert (report.count, report.margin) == coplanar_reference(points, TORSION_COPLANAR_TOL)
+        assert (report.count, report.margin) == (count, margin)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_float_scan_matches_reference_bit_for_bit_on_random_sets(self, seed):
@@ -137,16 +155,23 @@ class TestCoplanarNaive:
         assert out["max_accepted"] < 1e-15
         assert out["min_rejected"] > 1e-10
 
-    def test_check_margin_refuses_within_a_factor_100(self):
-        def report(hi, lo):
-            return CountReport(1, "naive", 4, 0.0, margin={"max_accepted": hi, "min_rejected": lo})
+    def test_float_scan_refuses_within_a_factor_100(self):
+        # one near-coplanar quadruple, |det|/scale about h / 2, and four
+        # others from about 0.405
+        def points(h):
+            return PointSet3.from_rows([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                        (1.0, 1.0, h), (0.3, 0.6, 1.0)])
 
-        for hi, lo in ((1e-12, 1e-10), (None, 1e-12), (1e-12, None), (0.0, 0.0)):
-            assert check_margin(report(hi, lo)).count == 1
+        report = coplanar_naive(points(0.0080), tol=0.01)
+        hi, lo = report.margin["max_accepted"], report.margin["min_rejected"]
+        assert report.count == 1 and 100 < lo / hi < 102
+        count, margin = coplanar_reference(points(0.0082), 0.01)
+        assert count is None and 98 < margin["min_rejected"] / margin["max_accepted"] < 100
         with pytest.raises(ValueError, match="margin collapsed"):
-            check_margin(report(1e-12, 9.9e-11))
-        exact = coplanar_naive(pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]))
-        assert check_margin(exact) is exact
+            coplanar_naive(points(0.0082), tol=0.01)
+        # with one side empty there is nothing to collapse
+        assert coplanar_naive(points(0.0082), tol=1.0).margin["min_rejected"] is None
+        assert coplanar_naive(points(0.0082), tol=1e-6).margin["max_accepted"] is None
 
     def test_exact_report_has_no_margin(self):
         report = coplanar_naive(pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)]))
@@ -334,6 +359,22 @@ def _circles(pts):
     return sum(len(m) >= 4 for m in members), max(map(len, members), default=0)
 
 
+def _pivot_lines(pts):
+    """(pivot, line) pairs, lines through a point and a later one, told apart by member sets."""
+    return sum(len({frozenset(r for r in pts[i + 1:] if _collinear3(p, q, r))
+                    for q in pts[i + 1:]})
+               for i, p in enumerate(pts))
+
+
+def _pivot_planes(pts, on_flat=_coplanar4, degenerate=_collinear3):
+    """(pivot, flat) pairs, flats through a point and two later ones, told
+    apart by member sets; `on_flat(p, q, r, s)` puts s on the flat of
+    p, q, r, and `degenerate(p, q, r)` triples span none."""
+    return sum(len({frozenset(s for s in pts[i + 1:] if on_flat(p, q, r, s))
+                    for q, r in combinations(pts[i + 1:], 2) if not degenerate(p, q, r)})
+               for i, p in enumerate(pts))
+
+
 def _ints(points):
     """The points scaled by one common factor to integers (incidences survive)."""
     scale = math.lcm(*(v.denominator for p in points for v in p))
@@ -347,6 +388,7 @@ def _check_space(rows):
     ints = _ints(points)
     assert report.degeneracy == {"max_points_per_plane": _max_plane(ints),
                                  "max_points_per_line": _max_line(ints)}
+    assert report.hashing == {"lines": _pivot_lines(ints), "planes": _pivot_planes(ints)}
 
 
 def _check_plane(rows):
@@ -357,9 +399,16 @@ def _check_plane(rows):
     expected_circles, max_circle = _circles(ints)
     assert circles.circles == expected_circles
     assert circles.degeneracy == {"max_points_per_circle": max_circle}
+    # the circle counter's lines and planes are those of the lifted points;
+    # its planes are the circles through a pivot and two later points
+    lifted = [(x, y, x * x + y * y) for x, y in ints]
+    assert circles.hashing == {
+        "lines": _pivot_lines(lifted),
+        "planes": _pivot_planes(ints, _concyclic4, lambda p, q, r: _cross2(p, q, r) == 0)}
     lines = collinear_triples(points)
     assert lines.count == sum(_cross2(*t) == 0 for t in combinations(ints, 3))
     assert lines.degeneracy == {"max_points_per_line": _max_line(ints)}
+    assert lines.hashing == {"lines": _pivot_lines(ints), "planes": 0}
 
 
 def _random_rows(rng, dim, box, denominators=(1,)):
@@ -398,6 +447,9 @@ class TestPivotKernels:
         _check_space([tuple(map(move, p)) for p in cube[:12]])
         line = [(i, 2 * i, -i) for i in range(6)] + [(0, 1, 5), (2, 3, 1)]
         _check_space([tuple(map(move, p)) for p in line])
+        # lines of 4 points along x, 3 along y, and planes of 12, 8 and 6 points
+        slab = [(x, y, z) for x in range(4) for y in range(3) for z in range(2)]
+        _check_space([tuple(map(move, p)) for p in slab])
         grid = [(Fraction(x, 2), Fraction(y, 3)) for x in range(3) for y in range(4)]
         _check_plane([tuple(map(move, p)) for p in grid])
 
@@ -419,6 +471,28 @@ class TestPivotKernels:
         assert "kernel" not in out and "stages" not in out
         out = collinear_triples(pts2([(0, 0), (1, 1), (2, 2)])).to_json()
         assert (out["lines"], out["planes"]) == (2, 0)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _hashing_bench():
+    spec = importlib.util.spec_from_file_location("hashing_bench", ROOT / "bench" / "hashing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hashing_bench_record_is_reproduced():
+    # every result BENCH_hashing.json records next to a timing, on the same inputs
+    bench = _hashing_bench()
+    record = json.loads((ROOT / "BENCH_hashing.json").read_text())
+    rows = record["runs"]["change"]["rows"]
+    assert [row["input"] for row in rows] == [name for name, _, _ in bench.inputs()]
+    for row, (name, kind, points) in zip(rows, bench.inputs()):
+        pointset = (PointSet3 if kind == "coplanar" else PointSet2).from_rows(points)
+        report = getattr(geometry, bench.COUNTERS[kind])(pointset)
+        assert bench.result(report.to_json()) == bench.result(row), name
 
 
 class TestSmallInputs:

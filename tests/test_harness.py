@@ -52,8 +52,8 @@ class TestRunSeries:
         assert [r.count for r in oracle.rows] == [r.count for r in geom.rows]
 
     def test_collapsed_float_margin_raises(self):
-        # at n = 48 wrongly accepted quadruples reach |det|/scale 9.6e-13,
-        # within a factor 2 of the smallest rejected one
+        # at n = 48 the scan stops at a wrongly accepted |det|/scale of
+        # 8.85e-13, within a factor 3 of the smallest rejected one so far
         with pytest.raises(ValueError, match="margin collapsed"):
             run_series("elliptic-coplanar", [16, 32, 48])
 
