@@ -1,8 +1,10 @@
 """Layer bench for cold start: the package import and one cold CLI job per
 subcommand.
 
-Times IMPORTS = 21 cold `import quadcount.cli` processes, then REPEAT = 5
-cold `quadcount` jobs per input, each from interpreter start to exit: one
+Times IMPORTS = 21 cold `import quadcount.cli` processes, as many that end
+the import with `os._exit(0)` (the difference is the interpreter's
+teardown, which the console entry skips), then REPEAT = 5 cold `quadcount`
+jobs per input, each from interpreter start to exit: one
 per subcommand, with `count-coplanar --method naive` on both the 4^3 lattice
 (exact) and the order-32 torsion set (float, tol 1e-12).  Every job's
 seconds are written next to the result it produced (its JSON without the
@@ -37,6 +39,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 IMPORTS = 21
 REPEAT = 5
 IMPORT = "import quadcount.cli"
+IMPORT_OS_EXIT = "import os, quadcount.cli; os._exit(0)"
 JOB = "import sys; from quadcount.cli import main; sys.exit(main())"
 # keys of a job's JSON that hold seconds, not results
 TIMING = ("elapsed_s", "stages")
@@ -122,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         if not compileall.compile_dir(str(src), quiet=1):
             sys.exit(f"could not compile {src}")
     imports: dict[str, list[float]] = {label: [] for label in trees}
+    os_exits: dict[str, list[float]] = {label: [] for label in trees}
     rows: dict[str, list[dict]] = {label: [] for label in trees}
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
@@ -132,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         for i in range(IMPORTS):
             for label in sorted(trees, reverse=bool(i % 2)):
                 imports[label].append(cold(trees[label], IMPORT, [], tmp)[0])
+                os_exits[label].append(cold(trees[label], IMPORT_OS_EXIT, [], tmp)[0])
         for i, (name, job) in enumerate(job_list):
             for label in sorted(trees, reverse=bool(i % 2)):
                 seconds, results = [], []
@@ -154,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         "imports": IMPORTS,
         "repeat": REPEAT,
         "runs": {label: {"import": {**spread(imports[label]), "seconds": imports[label]},
+                         "import_os_exit": {**spread(os_exits[label]),
+                                            "seconds": os_exits[label]},
                          "jobs_median_total_s": sum(r["median_s"] for r in rows[label]),
                          "jobs": rows[label]}
                  for label in trees},
@@ -165,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         run = record["runs"][label]
         imp = run["import"]
         print(f"{label:8s} import quadcount.cli   {imp['median_s']:.3f} s "
+              f"(q1 {imp['q1_s']:.3f}, q3 {imp['q3_s']:.3f})")
+        imp = run["import_os_exit"]
+        print(f"{label:8s} ... then os._exit(0)    {imp['median_s']:.3f} s "
               f"(q1 {imp['q1_s']:.3f}, q3 {imp['q3_s']:.3f})")
         for row in run["jobs"]:
             print(f"{label:8s} {row['job']:26s} {headline(row['result']):>13s} "

@@ -7,6 +7,12 @@ error.  The detector's verdict is exact; its sampler's randomness flows
 from detect-special's --seed (default 1729), so runs are reproducible by
 default; no other subcommand draws at random.  A flat key=value file
 passed via --config supplies defaults that explicit flags override.
+
+`main()` with no arguments is the program (the `quadcount` console script,
+`python -m quadcount.cli`): once the job's output is written and flushed it
+ends the process with `os._exit`, so no interpreter teardown, atexit hook or
+subprocess coverage runs after it.  Embedders and tests call `main(argv)`,
+which returns the exit code.  Only the subparser the command names is built.
 """
 
 from __future__ import annotations
@@ -75,7 +81,9 @@ def _parse_ns(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad n list: {text!r}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` only, or of all seven
+    when `command` is None (for --help and for an unknown command)."""
     parser = argparse.ArgumentParser(
         prog="quadcount",
         description="Count polynomial zeros on product grids, coplanar quadruples, "
@@ -83,51 +91,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name, help_text):
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
+
     def common(p):
         p.add_argument("--out", choices=("json", "csv"), default=None, help="output format")
         p.add_argument("--out-path", default=None, help="write output to a file instead of stdout")
         p.add_argument("--config", default=None, help="flat key=value file with defaults")
 
-    p = sub.add_parser("count-zeros", help="count zeros of a 4-variable polynomial on A x B x C x D")
-    p.add_argument("--poly", required=True, help="polynomial text or a file containing it")
-    p.add_argument("--sets", required=True, help="CSV file with lines A:...,B:...,C:...,D:...")
-    p.add_argument("--vars", default=",".join(_VARS), help="comma-separated variable names")
-    p.add_argument("--method", choices=("naive", "fiber"), default=None)
-    p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method)")
-    common(p)
+    if p := add("count-zeros", "count zeros of a 4-variable polynomial on A x B x C x D"):
+        p.add_argument("--poly", required=True, help="polynomial text or a file containing it")
+        p.add_argument("--sets", required=True, help="CSV file with lines A:...,B:...,C:...,D:...")
+        p.add_argument("--vars", default=",".join(_VARS), help="comma-separated variable names")
+        p.add_argument("--method", choices=("naive", "fiber"), default=None)
+        p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method)")
+        common(p)
 
-    p = sub.add_parser("detect-special", help="classify a polynomial as special / non-special / degenerate")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--vars", default=",".join(_VARS))
-    p.add_argument("--trials", type=int, default=None, help="draws per detector test (default 50)")
-    p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})")
-    common(p)
+    if p := add("detect-special", "classify a polynomial as special / non-special / degenerate"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--vars", default=",".join(_VARS))
+        p.add_argument("--trials", type=int, default=None, help="draws per detector test (default 50)")
+        p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})")
+        common(p)
 
-    p = sub.add_parser("construct", help="emit an extremal or control configuration")
-    p.add_argument("--kind", required=True,
-                   choices=("ap-additive", "ap-multiplicative", "elliptic", "moment"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=_parse_fraction, default=None, help="curve coefficient a (elliptic)")
-    p.add_argument("--b", type=_parse_fraction, default=None, help="curve coefficient b (elliptic)")
-    p.add_argument("--spacing", type=_parse_fraction, default=None, help="moment curve step")
-    common(p)
+    if p := add("construct", "emit an extremal or control configuration"):
+        p.add_argument("--kind", required=True,
+                       choices=("ap-additive", "ap-multiplicative", "elliptic", "moment"))
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--a", type=_parse_fraction, default=None, help="curve coefficient a (elliptic)")
+        p.add_argument("--b", type=_parse_fraction, default=None, help="curve coefficient b (elliptic)")
+        p.add_argument("--spacing", type=_parse_fraction, default=None, help="moment curve step")
+        common(p)
 
     for name, help_text in (
         ("count-coplanar", "count coplanar 4-subsets of a 3D point set"),
         ("count-collinear", "count collinear 3-subsets of a 2D point set"),
         ("count-circles", "count four-point circles of a 2D point set"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--points", required=True, help="CSV file of points")
-        if name == "count-coplanar":
-            p.add_argument("--method", choices=("naive", "fast"), default=None)
-            p.add_argument("--tol", type=float, default=None, help="float-mode tolerance")
-        common(p)
+        if p := add(name, help_text):
+            p.add_argument("--points", required=True, help="CSV file of points")
+            if name == "count-coplanar":
+                p.add_argument("--method", choices=("naive", "fast"), default=None)
+                p.add_argument("--tol", type=float, default=None, help="float-mode tolerance")
+            common(p)
 
-    p = sub.add_parser("fit-exponent", help="run a growth experiment and fit the slope")
-    p.add_argument("--experiment", required=True, choices=sorted(harness.EXPERIMENTS))
-    p.add_argument("--ns", type=_parse_ns, required=True, help="comma list, e.g. 16,32,64,128")
-    common(p)
+    if p := add("fit-exponent", "run a growth experiment and fit the slope"):
+        p.add_argument("--experiment", required=True, choices=sorted(harness.EXPERIMENTS))
+        p.add_argument("--ns", type=_parse_ns, required=True, help="comma list, e.g. 16,32,64,128")
+        common(p)
     return parser
 
 
@@ -315,8 +326,9 @@ _HANDLERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def _run(argv: list[str]) -> int:
+    # build only the subparser argv names, if it names one
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     args = parser.parse_args(argv)
     try:
         args = _apply_config(args, _option_choices(parser, args.command))
@@ -329,6 +341,27 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     _emit(payload, args)
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one job and return its exit code, given `argv`.
+
+    Without `argv` this is the program (the console script and `python -m
+    quadcount.cli`): it runs `sys.argv[1:]`, flushes stdout and stderr and
+    ends the process with `os._exit`, skipping interpreter teardown, so
+    atexit hooks do not run.  If the flush fails, the code is returned for
+    the interpreter to exit with.  Usage errors raise SystemExit, as from
+    argparse.
+    """
+    if argv is not None:
+        return _run(argv)
+    code = _run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -366,21 +366,39 @@ def coplanar_index_oracle(n: int) -> int:
     """4-subsets of {1..n-1} with pairwise-distinct entries summing to 0 mod n.
 
     Ground truth for the coplanar count of the embedded torsion construction.
-    O(n^2): for the two smallest entries i < j, with r = -(i+j) mod n, the
-    third entry k > j fixes the largest as l = -(i+j+k) mod n, which is
-    r - k for k < r and r - k + n for k > r (k = r gives l = 0, not an
-    entry).  Requiring l > k leaves j < k <= (r-1)//2 in the first case and
-    max(j, r) < k <= (r+n-1)//2 in the second.
+    O(n): with i the smallest entry, the other three j < k < l sum to
+    S = n - i, 2n - i or 3n - i.  For each j the largest is l = S - j - k,
+    and k runs from max(j + 1, S - j - (n - 1)) to (S - j - 1) // 2.  That
+    count is linear in j apart from the halving, on each side of
+    m = ceil((S - n) / 2), where the two lower bounds cross, so each side
+    sums in closed form over the j that leave it positive.
     """
     if n < 5:
         raise ValueError("n must be >= 5")
     count = 0
-    for i in range(1, n - 2):
-        for j in range(i + 1, n - 1):
-            r = -(i + j) % n
-            count += max(0, (r - 1) // 2 - j)
-            count += max(0, (r + n - 1) // 2 - max(j, r))
+    for i in range(1, n - 3):
+        for s in (n - i, 2 * n - i, 3 * n - i):
+            m = (s - n + 1) // 2
+            # j >= m: k from j + 1, positive while j <= (s - 3) // 3
+            a, b = max(i + 1, m), (s - 3) // 3
+            if a <= b:
+                count += _halves(s - 1 - a) - _halves(s - 2 - b) - _span(a, b)
+            # j < m: k from s - j - (n - 1), positive while j >= s - 2n + 3
+            a, b = max(i + 1, s - 2 * n + 3), m - 1
+            if a <= b:
+                count += (_halves(s - 1 - a) - _halves(s - 2 - b) + _span(a, b)
+                          + (n - s) * (b - a + 1))
     return count
+
+
+def _halves(t: int) -> int:
+    # sum of u // 2 for u = 0..t, for t >= -1
+    return (t // 2) * ((t + 1) // 2)
+
+
+def _span(a: int, b: int) -> int:
+    # sum of j for j = a..b
+    return (a + b) * (b - a + 1) // 2
 
 
 def _coplanar_index_brute(n: int) -> int:

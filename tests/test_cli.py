@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadcount
-from quadcount.cli import main
+from quadcount.cli import _build_parser, main
 from quadcount.fileio import (
     points_from_csv,
     points_to_csv,
@@ -400,6 +401,38 @@ class TestConfigFile:
         assert json.loads(target.read_text())["count"] == 27
 
 
+COMMANDS = ("count-zeros", "detect-special", "construct", "count-coplanar",
+            "count-collinear", "count-circles", "fit-exponent")
+
+
+def subparsers(parser):
+    return next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+
+
+class TestParser:
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_subparser_has_the_full_parsers_help(self, command):
+        full, single = _build_parser(), _build_parser(command)
+        assert list(subparsers(full)) == list(COMMANDS)
+        assert list(subparsers(single)) == [command]
+        assert subparsers(single)[command].format_help() == subparsers(full)[command].format_help()
+
+    def test_unknown_command_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count-everything"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'count-everything'" in err
+        assert all(f"'{command}'" in err for command in COMMANDS)
+
+
 def child_env():
     # a child interpreter that imports this checkout's quadcount
     src = str(Path(quadcount.__file__).resolve().parents[1])
@@ -474,3 +507,142 @@ def test_no_cli_job_loads_numpy_dataclasses_or_statistics(tmp_path, sets_file):
                             capture_output=True, text=True, env=child_env(), check=True)
     verdicts = {"t - (x + y*s)": "non-special", "x^2 + y^3 + s + t^2": "special"}
     assert result.stdout.splitlines() == [f"{job[0]} {verdicts.get(job[2])} []" for job in jobs]
+
+
+# the benchmark's and the console script's way in, and python -m
+ENTRIES = {
+    "sys.exit(main())": ["-c", "import sys; from quadcount.cli import main; sys.exit(main())"],
+    "python -m": ["-m", "quadcount.cli"],
+}
+
+
+def run_entry(entry, argv, cwd):
+    # block-buffered stdout, as by default, so output left unflushed is lost
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *ENTRIES[entry], *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env)
+
+
+def without_timings(text):
+    report = json.loads(text)
+    report.pop("elapsed_s", None)
+    report.pop("stages", None)
+    if "rows" in report:
+        report["rows"] = [row[:2] for row in report["rows"]]  # drop elapsed_ms
+    return report
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_console_entry_prints_what_main_returns(capsys, monkeypatch, tmp_path, sets_file,
+                                                entry):
+    # the process ends by os._exit: its stdout must still be complete
+    (tmp_path / "e3.csv").write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
+    (tmp_path / "p2.csv").write_text("1,0\n0,1\n-1,0\n0,-1\n3/5,4/5\n")
+    jobs = [
+        ["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file],
+        ["detect-special", "--poly", "x*y - s*t", "--trials", "5"],
+        ["construct", "--kind", "elliptic", "--n", "8"],
+        ["count-coplanar", "--points", "e3.csv"],
+        ["count-collinear", "--points", "p2.csv"],
+        ["count-circles", "--points", "p2.csv"],
+        ["fit-exponent", "--experiment", "moment-coplanar", "--ns", "6,8,10"],
+    ]
+    assert [job[0] for job in jobs] == list(COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for job in jobs:
+        code, out, _ = run_cli(capsys, *job)
+        result = run_entry(entry, job, tmp_path)
+        assert (result.returncode, result.stderr) == (code, ""), job
+        assert without_timings(result.stdout) == without_timings(out), job
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_console_entry_writes_long_csv_in_full(capsys, tmp_path, entry):
+    # about 60 kB, several times an output buffer, to stdout and to --out-path
+    job = ["construct", "--kind", "moment", "--n", "2000", "--out", "csv"]
+    code, expected, _ = run_cli(capsys, *job)
+    assert code == 0 and expected.count("\n") == 2000
+    result = run_entry(entry, job, tmp_path)
+    assert (result.returncode, result.stdout) == (0, expected)
+    result = run_entry(entry, [*job, "--out-path", "points.csv"], tmp_path)
+    assert (result.returncode, result.stdout) == (0, "")
+    assert (tmp_path / "points.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_console_entry_exit_codes(tmp_path, sets_file, entry):
+    result = run_entry(entry, ["count-zeros", "--poly", "x + q", "--sets", sets_file], tmp_path)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error:parse:")
+    result = run_entry(entry, ["count-zeros", "--poly", "x", "--sets", sets_file, "--bogus"],
+                       tmp_path)
+    assert result.returncode == 2
+    assert "unrecognized arguments: --bogus" in result.stderr
+
+
+class _Exited(Exception):
+    pass
+
+
+class _Stream(io.StringIO):
+    """A stream that records its flushes in `events`, or fails them."""
+
+    def __init__(self, name, events, fail=False):
+        super().__init__()
+        self.name, self.events, self.fail = name, events, fail
+
+    def flush(self):
+        if self.fail:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.events.append(f"flush {self.name}")
+
+
+@pytest.fixture()
+def program(monkeypatch):
+    """Runs `main()` on the given argv as the program; returns the events
+    (flushes and the os._exit code), stdout and stderr."""
+    def run(*argv, fail_flush=False):
+        events = []
+
+        def fake_exit(code):
+            events.append(("exit", code))
+            raise _Exited
+
+        out, err = _Stream("stdout", events, fail_flush), _Stream("stderr", events)
+        monkeypatch.setattr(sys, "argv", ["quadcount", *argv])
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(os, "_exit", fake_exit)
+        try:
+            returned = main()
+        except _Exited:
+            returned = None
+        return returned, events, out.getvalue(), err.getvalue()
+
+    return run
+
+
+class TestProgramEntry:
+    def test_flushes_then_exits_with_the_code(self, program, sets_file):
+        returned, events, out, _ = program("count-zeros", "--poly", "x+y+s+t", "--sets", sets_file)
+        assert returned is None
+        assert events == ["flush stdout", "flush stderr", ("exit", 0)]
+        assert json.loads(out)["count"] == 27
+
+    def test_domain_error_code_is_passed_on(self, program, sets_file):
+        returned, events, out, err = program("count-zeros", "--poly", "x + q", "--sets", sets_file)
+        assert events[-1] == ("exit", 1)
+        assert out == "" and err.startswith("error:parse:")
+
+    def test_failed_flush_returns_the_code(self, program, sets_file):
+        returned, events, _, _ = program("count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
+                                         fail_flush=True)
+        assert returned == 0
+        assert events == []
+
+    def test_explicit_argv_returns(self, monkeypatch, capsys, sets_file):
+        exits = []
+        monkeypatch.setattr(os, "_exit", exits.append)
+        assert main(["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file]) == 0
+        assert exits == []
+        assert json.loads(capsys.readouterr().out)["count"] == 27

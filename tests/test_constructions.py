@@ -244,12 +244,13 @@ class TestIndexOracle:
         assert coplanar_index_oracle(5) == 1
 
     def test_small_values_match_brute_force(self):
-        for n in range(5, 41):
+        for n in range(5, 61):
             assert coplanar_index_oracle(n) == _coplanar_index_brute(n)
 
     def test_closed_form_at_benchmark_sizes(self):
         # zero-sum 4-subsets of Z_n minus {0}: M4 = N4 - N3 + N2
-        for n, count in ((128, 80755), (256, 672147), (384, 2298461)):
+        for n, count in ((128, 80755), (256, 672147), (384, 2298461),
+                         (1000, 41251581), (1024, 44303955)):
             closed = (zero_sum_subsets(n, 4) - zero_sum_subsets(n, 3)
                       + zero_sum_subsets(n, 2))
             assert coplanar_index_oracle(n) == closed == count
