@@ -1,14 +1,13 @@
 """Layer bench for the separability detector and the coplanar index oracle.
 
-Runs `classify` and its exact route `certify` on the eight polynomials of
-the `incidences-numeric` benchmark at the CLI's default seed, and
-`coplanar_index_oracle` at the sizes of its `fit-exponent --experiment
-elliptic-oracle` job, in one process.  Every timing is written next to the
-verdict, spreads or count it produced, so a speedup that changes a result
-shows in the same file.  It also times one cold `detect-special` process
-per polynomial, from interpreter start to JSON out, next to its verdict and
-whether the process loaded numpy; a cold verdict that differs from the
-in-process one exits 1.
+Runs `classify` and its certificate `certify` on the eight polynomials of
+the `incidences-numeric` benchmark, and `coplanar_index_oracle` at the
+sizes of its `fit-exponent --experiment elliptic-oracle` job, in one
+process.  Every timing is written next to the verdict, certificate or count
+it produced, so a speedup that changes a result shows in the same file.
+It also times one cold `detect-special` process per polynomial, from
+interpreter start to JSON out, next to its verdict and whether the process
+loaded numpy; a cold verdict that differs from the in-process one exits 1.
 
     PYTHONPATH=src python bench/detector_oracle.py [--out PATH]
 
@@ -33,7 +32,6 @@ import time
 from quadcount import certify, classify, coplanar_index_oracle, parse_poly
 
 VARS = ("x", "y", "s", "t")
-SEED = 1729
 POLYS = (
     "x*y - s*t",
     "t - (x + y*s)",
@@ -70,7 +68,7 @@ def detector_row(text: str) -> dict:
     stages = []
 
     def run():
-        out = classify(poly, seed=SEED).to_json()
+        out = classify(poly).to_json()
         stages.append(out.pop("stages", {}))
         return out
 
@@ -80,8 +78,6 @@ def detector_row(text: str) -> dict:
         sys.exit(f"classify reports another certificate for {text}: {verdict['certificate']}")
     return {"poly": text, "seconds": seconds, "stages": stages,
             "classification": verdict["classification"],
-            "ratio_spreads": verdict["ratio_spreads"],
-            "sampler": verdict.get("sampler"), "notes": verdict["notes"],
             "certify_seconds": certify_seconds, "certificate": certificate}
 
 
@@ -116,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"python": platform.python_version(),
                     "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count()},
-        "seed": SEED,
         "repeat": REPEAT,
         "detector_median_total_s": median_total(detector),
         "certify_median_total_s": sum(statistics.median(r["certify_seconds"]) for r in detector),

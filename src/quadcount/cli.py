@@ -3,10 +3,10 @@
 Subcommands: count-zeros, detect-special, construct, count-coplanar,
 count-collinear, count-circles, fit-exponent.  Exit codes: 0 success,
 1 domain error (reported as `error:<code>: message` on stderr), 2 usage
-error.  The detector's verdict is exact; its sampler's randomness flows
-from detect-special's --seed (default 1729), so runs are reproducible by
-default; no other subcommand draws at random.  A flat key=value file
-passed via --config supplies defaults that explicit flags override.
+error.  No subcommand draws at random: the detector's verdict is exact,
+and a polynomial it cannot prove squarefree is a domain error.  A flat
+key=value file passed via --config supplies defaults that explicit flags
+override.
 
 `main()` with no arguments is the program (the `quadcount` console script,
 `python -m quadcount.cli`): once the job's output is written and flushed it
@@ -25,8 +25,6 @@ from fractions import Fraction
 
 from . import constructions, fileio, geometry, harness, separability, zerocount
 from .polynomials import PolyParseError, parse_poly
-
-DEFAULT_SEED = 1729
 
 _VARS = ("x", "y", "s", "t")
 
@@ -110,8 +108,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("detect-special", "classify a polynomial as special / non-special / degenerate"):
         p.add_argument("--poly", required=True)
         p.add_argument("--vars", default=",".join(_VARS))
-        p.add_argument("--trials", type=int, default=None, help="draws per detector test (default 50)")
-        p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})")
         common(p)
 
     if p := add("construct", "emit an extremal or control configuration"):
@@ -143,10 +139,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {
-    "seed": DEFAULT_SEED,
     "out": "json",
     "method": None,
-    "trials": 50,
     "tol": 1e-7,
     "a": Fraction(1),
     "b": Fraction(1),
@@ -180,7 +174,7 @@ def _apply_config(args: argparse.Namespace, choices: dict[str, tuple]) -> argpar
         if key in file_values:
             lineno, raw = file_values[key]
             default = _DEFAULTS.get(key)
-            parse = type(default) if isinstance(default, (int, float, Fraction)) else str
+            parse = type(default) if isinstance(default, (float, Fraction)) else str
             try:
                 parsed = parse(raw)
             except (ValueError, ZeroDivisionError) as exc:
@@ -225,10 +219,10 @@ def _cmd_detect_special(args) -> dict:
     variables = tuple(v.strip() for v in args.vars.split(","))
     poly = _load_poly(args.poly, variables)
     try:
-        verdict = separability.classify(poly, seed=args.seed, trials=args.trials)
+        verdict = separability.classify(poly)
     except ValueError as exc:
         raise DomainError("detect", str(exc)) from exc
-    out = {"command": "detect-special", "poly": str(poly), "seed": args.seed}
+    out = {"command": "detect-special", "poly": str(poly)}
     out.update(verdict.to_json())
     return out
 

@@ -26,27 +26,27 @@ no code:
 - `ratio_test` estimates them: it walks fibers of the real surface and
   measures the spread of the ratio against explicit float tolerances.
 
-`classify` takes its verdict from the certificate and runs the sampler as
-the cross-check; a disagreement, or a sampler failure, becomes a note and
-never changes the verdict.
+`classify` runs the exact route alone: it proves F squarefree, then takes
+its verdict from the certificate.  `ratio_test` is the independent oracle
+that tests compare the certificate against; no verdict runs it.
 
 Limits: the certificate decides the same three ratio conditions that the
 sampler estimates, which is necessary for the paper's special form but not
 a proof of it.  "F divides N" is equivalent to N vanishing on F = 0 only
-when F is squarefree (in particular, irreducible); a repeated factor can
-make a failing condition read as a pass, and a reducible F is judged one
-component at a time, so a union of special surfaces certifies special.
+when F is squarefree, so `classify` refuses F unless `_require_squarefree`
+proves, at fixed integer points, that no repeated factor exists; it also
+refuses a squarefree F if every guard point gives a specialization with a
+double root.  A squarefree reducible F is still judged one component at a
+time, so a union of special surfaces certifies special.
 
-The thresholds below are fixed module constants, read where they are used,
-so a verdict depends on F alone and the sampler's spreads on F, the seed
-and the number of trials.  `popular_components` is an exact library scan for
-plane-curve components shared by parameter slices; `classify` does not
-call it.
+The thresholds below are fixed module constants that only `ratio_test`
+reads, so its spreads depend on F, the pair, the seed and the number of
+trials.  `popular_components` is an exact library scan for plane-curve
+components shared by parameter slices; `classify` does not call it.
 
 The module runs on Python floats, ints and Fractions and never loads
-numpy.  Its seeded draws come from `random.Random`: `classify` draws one
-32-bit walk seed per ratio test from `Random(seed)`, and `ratio_test` draws
-its frozen pair, base point and root pick from `Random(walk seed)`.
+numpy.  `ratio_test` draws its frozen pair, base point and root pick from
+`random.Random(seed)`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .polynomials import Polynomial, bivariate_gcd, try_divide
+from .polynomials import Polynomial, _u_gcd, _u_trim, bivariate_gcd, try_divide
 from .stages import Stages
 
 
@@ -82,6 +82,10 @@ GRADIENT_FLOOR = 1e-8     # minimum |partial derivative| at a regular sample
 RATIO_PASS = 1e-6         # ratio spread below this passes the independence test
 RATIO_FAIL = 1e-2         # ratio spread above this is a decisive failure
 _POSITIONS = 5            # points per fiber walk in the ratio test
+# where the squarefree guard specializes the other three variables: each
+# coordinate takes a new value at every point, so a factor in one of them,
+# such as y - 2, vanishes at one point at most
+_GUARD_POINTS = tuple((2 + 3 * k, -3 - 5 * k, 5 + 7 * k) for k in range(12))
 
 # Why a fiber walk was abandoned: the slice had no real root Newton could
 # polish, a walked point left the surface, a gradient component fell below
@@ -111,31 +115,22 @@ class PopularScan(NamedTuple):
 
 
 class FormVerdict(NamedTuple):
-    """Combined detector output: special | non-special | degenerate.
+    """Detector output: special | non-special | degenerate.
 
     `certificate` is what `certify` returned, one boolean per ratio test or
-    None; `ratio_spreads` holds the sampler's spread of each ratio test
-    that completed.  `stages` holds the seconds spent in each ratio test
-    that ran (h1, h2, h3); `sampler` holds the attempts of the ratio walks
-    and the abandoned ones by reason.  The JSON reports a None `notes` as []
-    and a None `stages` or `sampler` as {}.
+    None.  `stages` holds the seconds spent proving F squarefree and in
+    `certify`; the JSON reports a None `stages` as {}.
     """
 
     classification: str
-    ratio_spreads: dict[str, float]
     certificate: dict[str, bool] | None
-    notes: list[str] | None = None
     stages: dict[str, float] | None = None
-    sampler: dict | None = None
 
     def to_json(self) -> dict:
         return {
             "classification": self.classification,
-            "ratio_spreads": self.ratio_spreads,
             "certificate": self.certificate,
-            "notes": self.notes or [],
             "stages": self.stages or {},
-            "sampler": self.sampler or {},
         }
 
 
@@ -485,41 +480,48 @@ def certify(poly: Polynomial) -> dict[str, bool] | None:
     return out
 
 
-def classify(poly: Polynomial, seed: int = 0, trials: int = 50) -> FormVerdict:
-    """Decide the form of F by `certify`, cross-checked by `ratio_test`.
+def _require_squarefree(poly: Polynomial) -> None:
+    """Raise ValueError unless F provably has no repeated factor.
+
+    For each variable v that F involves, the other three are set to each of
+    `_GUARD_POINTS` in turn, skipping a point where the leading coefficient
+    in v vanishes; one point where the univariate u has gcd(u, u') == 1
+    proves that no repeated factor of F involves v.  If F = G^2 H with G
+    involving v, every such point leaves a repeated factor in u, so none
+    succeeds.
+    """
+    _require_surface(poly)
+    for v in poly.vars:
+        profile = poly.coefficients_in(v)
+        if len(profile) == 1:
+            continue
+        for point in _GUARD_POINTS:
+            u = _u_trim([c.evaluate(point) for c in profile])
+            du = tuple(k * c for k, c in enumerate(u))[1:]
+            if len(u) == len(profile) and len(_u_gcd(u, du)) == 1:
+                break
+        else:
+            raise ValueError(f"cannot prove F squarefree in {v!r}: a repeated factor "
+                             f"would make the certificate unreliable")
+
+
+def classify(poly: Polynomial) -> FormVerdict:
+    """Decide the form of F exactly: prove it squarefree, then `certify`.
 
     special       -- the certificate holds on all three ratio tests;
     non-special   -- it fails on at least one;
     degenerate    -- F involves fewer than four variables (no certificate).
 
-    The three ratio tests must each complete `trials` fiber walks; fewer
-    than one, or a negative seed, raises ValueError.  A spread of
-    `RATIO_PASS` or more on a certified pair, or of `RATIO_FAIL` or less on
-    a refuted one, and a sampler failure, each add a note; none changes the
-    verdict.
+    F with a possible repeated factor raises ValueError (see
+    `_require_squarefree`).
     """
-    _require_seed(seed)
-    certificate = certify(poly)
-    notes: list[str] = []
-    spreads: dict[str, float] = {}
     stages = Stages()
-    seeds = random.Random(seed)
-    try:
-        for label, pair in _ratio_pairs(poly.vars).items():
-            with stages.timed(label):
-                spreads[label] = ratio_test(poly, pair, trials, seeds.getrandbits(32), stages)
-    except DegenerateSurfaceError as exc:
-        notes.append(f"sampler failure: {exc}")
-
+    with stages.timed("squarefree"):
+        _require_squarefree(poly)
+    with stages.timed("certify"):
+        certificate = certify(poly)
     if certificate is None:
         classification = "degenerate"
     else:
         classification = "special" if all(certificate.values()) else "non-special"
-        for label, spread in spreads.items():
-            holds = certificate[label]
-            if (spread >= RATIO_PASS) if holds else (spread <= RATIO_FAIL):
-                notes.append(f"{label}: sampler spread {spread:.3g} disagrees with the "
-                             f"certificate ({'holds' if holds else 'fails'})")
-    sampler = {"attempts": stages.counts.get("attempts", 0),
-               "rejections": {r: stages.counts.get(r, 0) for r in _REJECTIONS}}
-    return FormVerdict(classification, spreads, certificate, notes, stages.seconds, sampler)
+    return FormVerdict(classification, certificate, stages.seconds)

@@ -90,24 +90,19 @@ def test_series_row():
 
 def test_reports_share_no_default_container():
     # defaults left out are fresh in every report's JSON, never one shared
-    # dict or list that a caller could change for the next report
+    # dict that a caller could change for the next report
     reports = [
-        (lambda: CountReport(1, "naive", 4, 0.0), "degeneracy", {}),
-        (lambda: ZeroCountReport(0, "naive", 0, 0.0, (1, 1, 1, 1)), "stages", {}),
-        (lambda: ExperimentSeries("e", [], None, None, None), "stages", {}),
-        (lambda: FormVerdict("degenerate", {}, None), "notes", []),
-        (lambda: FormVerdict("degenerate", {}, None), "stages", {}),
-        (lambda: FormVerdict("degenerate", {}, None), "sampler", {}),
+        (lambda: CountReport(1, "naive", 4, 0.0), "degeneracy"),
+        (lambda: ZeroCountReport(0, "naive", 0, 0.0, (1, 1, 1, 1)), "stages"),
+        (lambda: ExperimentSeries("e", [], None, None, None), "stages"),
+        (lambda: FormVerdict("degenerate", None), "stages"),
     ]
-    for build, key, empty in reports:
+    for build, key in reports:
         first, second = build().to_json(), build().to_json()
-        assert first[key] == second[key] == empty
+        assert first[key] == second[key] == {}
         assert first[key] is not second[key]
-        if isinstance(empty, dict):
-            first[key]["x"] = 1
-        else:
-            first[key].append("x")
-        assert build().to_json()[key] == empty
+        first[key]["x"] = 1
+        assert build().to_json()[key] == {}
 
 
 def test_zero_count_report_counters():

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quadcount import separability
 from quadcount.polynomials import Polynomial, parse_poly
 from quadcount.separability import (
     RATIO_FAIL,
@@ -17,6 +19,7 @@ from quadcount.separability import (
     popular_components,
     ratio_test,
 )
+from quadcount.stages import Stages
 
 V4 = ("x", "y", "s", "t")
 
@@ -107,57 +110,63 @@ class TestClassify:
         ],
     )
     def test_benchmark_classifications(self, text, expected):
-        assert classify(P(text), seed=1729).classification == expected
+        assert classify(P(text)).classification == expected
 
     def test_deterministic_for_fixed_seed(self):
-        a = classify(P("t - x*y*s"), seed=7)
-        b = classify(P("t - x*y*s"), seed=7)
-        assert a.classification == b.classification
-        assert a.ratio_spreads == b.ratio_spreads
-        assert a.certificate == b.certificate
+        # the verdict has no seed; the oracle's spreads are fixed by theirs
+        a, b = classify(P("t - x*y*s")), classify(P("t - x*y*s"))
+        assert (a.classification, a.certificate) == (b.classification, b.certificate)
+        assert (ratio_test(P("t - (x + y*s)"), ("s", "t"), trials=10, seed=7)
+                == ratio_test(P("t - (x + y*s)"), ("s", "t"), trials=10, seed=7))
 
     def test_special_verdicts_tight_across_seeds(self):
-        for seed in (0, 1, 2):
-            for text in ("x+y+s+t", "x*y - s*t"):
-                verdict = classify(P(text), seed=seed, trials=20)
-                assert all(v < 1e-10 for v in verdict.ratio_spreads.values())
-                assert verdict.certificate == {"h1": True, "h2": True, "h3": True}
+        for text in ("x+y+s+t", "x*y - s*t"):
+            assert classify(P(text)).certificate == {"h1": True, "h2": True, "h3": True}
+            for seed in (0, 1, 2):
+                for pair in PAIRS.values():
+                    assert ratio_test(P(text), pair, trials=20, seed=seed) < 1e-10
 
     def test_degenerate_surface_is_degenerate(self):
-        verdict = classify(P("x + s + t"), seed=0, trials=5)
+        verdict = classify(P("x + s + t"))
         assert verdict.classification == "degenerate"
         assert verdict.certificate is None
-        assert verdict.notes == ["sampler failure: F does not involve 'y': no solvable fiber"]
+        with pytest.raises(DegenerateSurfaceError, match="does not involve 'y'"):
+            ratio_test(P("x + s + t"), PAIRS["h1"], trials=5, seed=0)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_fewer_than_one_trial_is_an_error(self, trials):
-        # zero walks give zero spreads, which would read as "special"
-        poly = P("t - (x + y*s)")
+        # zero walks give zero spreads, which would read as a pass
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            classify(poly, seed=1729, trials=trials)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            ratio_test(poly, ("s", "t"), trials=trials, seed=0)
+            ratio_test(P("t - (x + y*s)"), ("s", "t"), trials=trials, seed=0)
+
+    def test_verdict_never_runs_the_sampler(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(separability, "ratio_test", refuse)
+        assert classify(P("t - (x + y*s)")).classification == "non-special"
+        assert classify(P("x^2 + y^2 + s^2 + t^2 + 1")).classification == "special"
 
 
 class TestSeed:
     @pytest.mark.parametrize("seed", [-1, -7])
     def test_negative_seed_is_an_error(self, seed):
         # random.Random(-7) draws the stream of Random(7)
-        poly = P("t - (x + y*s)")
         with pytest.raises(ValueError, match="seed must be non-negative"):
-            classify(poly, seed=seed, trials=5)
-        with pytest.raises(ValueError, match="seed must be non-negative"):
-            ratio_test(poly, ("s", "t"), trials=5, seed=seed)
+            ratio_test(P("t - (x + y*s)"), ("s", "t"), trials=5, seed=seed)
 
     def test_seed_reaches_the_stream(self):
         poly = P("t - (x + y*s)")
-        a, b = (classify(poly, seed=seed, trials=10).ratio_spreads for seed in (3, 4))
-        assert a["h1"] != b["h1"] and a["h2"] != b["h2"]
+        for pair in (PAIRS["h1"], PAIRS["h2"]):
+            a, b = (ratio_test(poly, pair, trials=10, seed=seed) for seed in (3, 4))
+            assert a != b
 
 
 # -- the exact certificate -----------------------------------------------------
 
 T, F = True, False
+# the three ratio tests, keyed as `certify` keys them
+PAIRS = {"h1": ("s", "t"), "h2": ("s", "x"), "h3": ("t", "x")}
 
 # (h1, h2, h3): whether F_s/F_t, F_s/F_x and F_t/F_x are constant along the
 # surface in the free variable; None where F involves fewer than 4 variables
@@ -198,7 +207,7 @@ class TestCertify:
     def test_degenerate_in_any_variable(self):
         for text in ("y + s + t", "x*y - s", "x + y*t", "(x + y)^2 - s"):
             assert certify(P(text)) is None
-            assert classify(P(text), seed=0, trials=5).classification == "degenerate"
+            assert classify(P(text)).classification == "degenerate"
 
     def test_requires_a_nonzero_polynomial_in_four_variables(self):
         with pytest.raises(ValueError, match="4 variables"):
@@ -207,28 +216,59 @@ class TestCertify:
             certify(P("x - x"))
 
     def test_reducible_input_is_flagged_not_hidden(self):
-        # each component is special, so F divides every N; the sampler's walks
+        # each component is special, so F divides every N; the oracle's walks
         # cross from one sheet to the other and see the ratio jump
         text = "(x + y + s + t)*(x*y - s*t)"
         assert certify(P(text)) == {"h1": True, "h2": True, "h3": True}
-        verdict = classify(P(text), seed=1729)
-        assert verdict.classification == "special"
-        disagreements = [n for n in verdict.notes if "disagrees with the certificate" in n]
-        assert disagreements
-        assert all(verdict.ratio_spreads[n[:2]] >= RATIO_PASS for n in disagreements)
+        assert classify(P(text)).classification == "special"
+        for pair in PAIRS.values():
+            assert ratio_test(P(text), pair, seed=1729) >= RATIO_PASS
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampler_agrees_with_certificate(self, seed):
         for text, expected in CERTIFIED.items():
             if expected is None:
                 continue
-            verdict = classify(P(text), seed=seed)
-            assert verdict.classification == ("special" if all(expected) else "non-special")
-            for label, holds in zip(("h1", "h2", "h3"), expected):
-                if label in verdict.ratio_spreads:  # the unit sphere's walks can run out
-                    spread = verdict.ratio_spreads[label]
-                    assert spread < RATIO_PASS if holds else spread > RATIO_FAIL, (text, label)
-            assert not any("disagrees" in note for note in verdict.notes), (text, verdict.notes)
+            assert certify(P(text)) == dict(zip(PAIRS, expected))
+            for (label, pair), holds in zip(PAIRS.items(), expected):
+                try:
+                    spread = ratio_test(P(text), pair, seed=seed)
+                except DegenerateSurfaceError:
+                    # the box [-2, 2]^3 rarely meets the ball
+                    assert text == "x^2 + y^2 + s^2 + t^2 - 1", (text, label)
+                    continue
+                assert spread < RATIO_PASS if holds else spread > RATIO_FAIL, (text, label)
+
+
+# -- the squarefree guard ------------------------------------------------------
+
+G = "(x^2 + y^2 + s*t + x*s + y*t + 1)"
+REPEATED = {
+    # G certifies non-special, but G^2 divides every N: it certified special
+    f"{G}^2": "x",
+    "(x + y + s + t)^2*(x*y - s*t)": "x",
+    "s^2*(x + y + t)": "s",
+}
+
+
+class TestSquarefreeGuard:
+    @pytest.mark.parametrize("text", REPEATED)
+    def test_repeated_factor_is_refused(self, text):
+        with pytest.raises(ValueError, match=f"cannot prove F squarefree in '{REPEATED[text]}'"):
+            classify(P(text))
+
+    def test_squared_g_certified_special(self):
+        # why the guard exists: the certificate alone is fooled by G^2
+        assert certify(P(G)) == {"h1": False, "h2": False, "h3": False}
+        assert certify(P(f"{G}^2")) == {"h1": True, "h2": True, "h3": True}
+
+    @pytest.mark.parametrize("text", [*CERTIFIED, "x^2 - (y - 2)*s*t"])
+    def test_squarefree_input_keeps_its_verdict(self, text):
+        # at y = 2 the specialization of x^2 - (y - 2)*s*t in x is x^2, so
+        # guard points that all shared y = 2 would refuse this squarefree F
+        verdict = classify(P(text))
+        assert verdict.certificate == certify(P(text))
+        assert set(verdict.stages) == {"squarefree", "certify"}
 
 
 # -- the float kernel ----------------------------------------------------------
@@ -318,10 +358,10 @@ class TestRealRoots:
         assert _real_roots([-2.0, -3.0, 0.0, 1.0]) == [-1.0, 2.0]
 
 
-# -- verdicts of the benchmark polynomials at the CLI's default seed -----------
+# -- verdicts of the benchmark polynomials, with the oracle's spreads ---------
 
-# (classification, ratio spreads); a spread is missing where the sampler
-# stopped first
+# (classification, ratio spreads at walk seeds drawn from Random(1729) in the
+# order h1, h2, h3); a spread is missing where the sampler ran out of walks
 PINNED = {
     "x*y - s*t": ("special", {"h1": 0.0, "h2": 9.7e-16, "h3": 1.5e-14}),
     "t - (x + y*s)": ("non-special",
@@ -347,37 +387,45 @@ def assert_pinned(value, pinned, floor):
 @pytest.mark.parametrize("text", PINNED)
 def test_benchmark_verdicts_are_pinned(text):
     classification, spreads = PINNED[text]
-    verdict = classify(P(text), seed=1729)
-    assert verdict.classification == classification
-    assert verdict.ratio_spreads.keys() == spreads.keys()
-    for label, pinned in spreads.items():
-        assert_pinned(verdict.ratio_spreads[label], pinned, RATIO_PASS)
+    assert classify(P(text)).classification == classification
+    seeds = random.Random(1729)
+    for label, pair in PAIRS.items():
+        seed = seeds.getrandbits(32)
+        if label in spreads:
+            assert_pinned(ratio_test(P(text), pair, seed=seed), spreads[label], RATIO_PASS)
+        elif spreads:
+            with pytest.raises(DegenerateSurfaceError, match="completed only 43/50"):
+                ratio_test(P(text), pair, seed=seed)
 
 
-# -- stage timings and sampler counters in the verdict -------------------------
+# -- the verdict's stage timings and the oracle's counters ---------------------
 
 
 class TestVerdictReport:
     def test_stages_and_sampler_account_for_every_attempt(self):
-        out = classify(P("t - (x + y*s)"), seed=5, trials=20).to_json()
-        assert set(out["stages"]) == {"h1", "h2", "h3"}
+        out = classify(P("t - (x + y*s)")).to_json()
+        assert set(out) == {"classification", "certificate", "stages"}
+        assert set(out["stages"]) == {"squarefree", "certify"}
         assert all(v >= 0.0 for v in out["stages"].values())
-        rejections = out["sampler"]["rejections"]
-        assert set(rejections) == {"no_real_root", "residual", "gradient_floor", "continuation"}
-        # three ratio tests, 20 accepted walks each
-        assert out["sampler"]["attempts"] - sum(rejections.values()) == 3 * 20
         assert out["certificate"] == {"h1": False, "h2": False, "h3": True}
+        stages = Stages()
+        for pair in PAIRS.values():
+            ratio_test(P("t - (x + y*s)"), pair, trials=20, seed=5, stages=stages)
+        rejections = sum(stages.counts.get(r, 0) for r in separability._REJECTIONS)
+        # three ratio tests, 20 accepted walks each
+        assert stages.counts["attempts"] - rejections == 3 * 20
 
     def test_sampler_failure_says_why(self):
-        # F = 0 has no real point: the walks never start, the certificate decides
-        out = classify(P("x^2 + y^2 + s^2 + t^2 + 1"), seed=1729).to_json()
-        assert out["classification"] == "special"
-        assert out["ratio_spreads"] == {}
-        assert out["notes"] == ["sampler failure: ratio test completed only 0/50 fiber walks"]
-        assert out["sampler"]["attempts"] == out["sampler"]["rejections"]["no_real_root"] == 40 * 50
-        assert set(out["stages"]) == {"h1"}
+        # F = 0 has no real point: the walks never start; the certificate decides
+        poly = P("x^2 + y^2 + s^2 + t^2 + 1")
+        assert classify(poly).classification == "special"
+        stages = Stages()
+        with pytest.raises(DegenerateSurfaceError, match="completed only 0/50 fiber walks"):
+            ratio_test(poly, PAIRS["h1"], seed=1729, stages=stages)
+        assert stages.counts == {"attempts": 40 * 50, "no_real_root": 40 * 50}
 
     def test_unsolvable_surface_reports_no_attempts(self):
-        out = classify(P("x + s + t"), seed=0, trials=5).to_json()
-        assert out["sampler"]["attempts"] == 0
-        assert set(out["stages"]) == {"h1"}
+        stages = Stages()
+        with pytest.raises(DegenerateSurfaceError):
+            ratio_test(P("x + s + t"), PAIRS["h1"], trials=5, seed=0, stages=stages)
+        assert stages.counts == {}
