@@ -16,30 +16,20 @@ integer references.
 
     python bench/zerocount.py [--out PATH] [--baseline-src DIR]
 
-The tree timed is the `src` next to this script.  With `--baseline-src`
-the same inputs are also timed on another checkout's `src`, input by input
-and in alternating order, and the script exits 1 if the two trees differ in
-any count or `degenerate_fibers`.  Each input runs REPEAT = 5 times in one
-worker process and every timing is kept (the printed figures are medians
-of 5); the results of the repeats must agree, or the script exits 1.
+Trees, repeats and checks are those of `_driver.py`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
+from statistics import median
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-REPEAT = 5
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import _driver  # noqa: E402
+import workloads  # noqa: E402
+
 VARS = ("x", "y", "s", "t")
 
 
@@ -51,9 +41,6 @@ def _grid_text(lo: int, hi: int) -> str:
 def inputs() -> list[dict]:
     """The benchmark's count jobs at seed 1, with their references, then the
     larger inputs, which have none."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     rows = []
     wl = workloads.build("zeros", 1)
     for job in wl.jobs:
@@ -75,104 +62,55 @@ def inputs() -> list[dict]:
     return rows
 
 
-def result(row: dict) -> dict:
-    """The fields of a row that must not change with the timing."""
-    return {key: row[key] for key in ("count", "degenerate_fibers")}
+def result(report: dict) -> dict:
+    """The fields of a report that must not change with the timing."""
+    return {key: report[key] for key in ("count", "degenerate_fibers")}
 
 
-def worker(spec_path: str) -> None:
-    """Time one input in process and print its row as JSON."""
+def jobs(tmp: Path) -> list[tuple[str, None]]:
+    """(name, None) per input; writes each input into `tmp`, where its worker reads it."""
+    out = []
+    for spec in inputs():
+        (tmp / f"{spec['input']}.json").write_text(json.dumps(spec))
+        out.append((spec["input"], None))
+    return out
+
+
+def worker(name: str) -> dict:
+    """The in-process row of one input; exits if it misses the workload's reference."""
     from quadcount.fileio import sets_from_csv
     from quadcount.polynomials import parse_poly
     from quadcount.zerocount import count_fiber, count_naive
 
-    spec = json.loads(Path(spec_path).read_text())
+    spec = json.loads(Path(f"{name}.json").read_text())
     poly = parse_poly(spec["poly"], VARS)
     sets = sets_from_csv(spec["sets"])
     count = count_naive if spec["method"] == "naive" else count_fiber
-    reports, seconds = [], []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        report = count(poly, sets)
-        seconds.append(time.perf_counter() - start)
-        reports.append(report.to_json())
-    results = [result(r) for r in reports]
-    if any(r != results[0] for r in results):
-        sys.exit(f"{spec['input']}: results differ between repeats: {results}")
+    reports, seconds = _driver.repeat(lambda: count(poly, sets), lambda r: result(r.to_json()))
+    reports = [r.to_json() for r in reports]
+    found, reference = result(reports[0]), spec.get("reference")
+    if reference and any(found[k] != v for k, v in reference.items()):
+        sys.exit(f"{name}: {found} differs from the workload reference {reference}")
     # the counters a report of this tree gives beside the count, if any
     counters = {k: reports[0][k] for k in ("slice_degrees", "distinct_fibers") if k in reports[0]}
-    json.dump({"input": spec["input"], "method": spec["method"], "sizes": reports[0]["sizes"],
-               **results[0], **counters, "stages": [r["stages"] for r in reports],
-               "seconds": seconds}, sys.stdout)
+    return {"method": spec["method"], "sizes": reports[0]["sizes"], **found, **counters,
+            "stages": [r["stages"] for r in reports], "seconds": seconds, "reference": reference}
 
 
-def summary(rows: list[dict]) -> dict:
+def totals(rows: list[dict]) -> dict:
     """Sums of median seconds: every input, and the benchmark's 13 jobs."""
-    medians = {r["input"]: statistics.median(r["seconds"]) for r in rows}
-    return {"median_total_s": sum(medians.values()),
-            "zeros_jobs_median_total_s": sum(medians[r["input"]] for r in rows
-                                             if r["reference"] is not None)}
+    return {"median_total_s": _driver.total(rows),
+            "zeros_jobs_median_total_s": _driver.total([r for r in rows if r["reference"]])}
 
 
-def measure(src: Path, spec_path: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, __file__, "--worker", str(spec_path)], env=env,
-                          capture_output=True, text=True)
-    if proc.returncode:
-        sys.exit(proc.stderr)
-    return json.loads(proc.stdout)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default="BENCH_zerocount.json")
-    parser.add_argument("--baseline-src", type=Path, default=None,
-                        help="also time this checkout's src and check it gives the same results")
-    parser.add_argument("--worker", default=None, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        worker(args.worker)
-        return 0
-    trees = {"change": SRC}
-    if args.baseline_src:
-        trees["baseline"] = args.baseline_src.resolve()
-    rows: dict[str, list[dict]] = {label: [] for label in trees}
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, spec in enumerate(inputs()):
-            spec_path = Path(tmp) / f"{spec['input']}.json"
-            spec_path.write_text(json.dumps(spec))
-            # alternate which tree goes first, so a drifting CPU favours neither
-            for label in sorted(trees, reverse=bool(i % 2)):
-                row = measure(trees[label], spec_path)
-                reference = spec.get("reference")
-                if reference and any(row[k] != v for k, v in reference.items()):
-                    sys.exit(f"{spec['input']}: {result(row)} on {label} differs from the "
-                             f"workload reference {reference}")
-                rows[label].append({**row, "reference": reference})
-    if "baseline" in rows:
-        for new, old in zip(rows["change"], rows["baseline"]):
-            if result(new) != result(old):
-                sys.exit(f"{new['input']}: results differ: {result(old)} -> {result(new)}")
-    record = {
-        "machine": {"python": platform.python_version(),
-                    "processor": platform.processor() or platform.machine(),
-                    "cpus": os.cpu_count()},
-        "repeat": REPEAT,
-        "runs": {label: {**summary(rows[label]), "rows": rows[label]} for label in trees},
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
-    for label in trees:
-        for row in rows[label]:
-            print(f"{label:8s} {row['input']:24s} {row['count']:>9d} "
-                  f"{statistics.median(row['seconds']):7.3f} s")
-        totals = record["runs"][label]
-        print(f"{label:8s} in process {totals['median_total_s']:.3f} s, "
-              f"zeros jobs {totals['zeros_jobs_median_total_s']:.3f} s")
-    print(f"-> {args.out}")
-    return 0
+def table(label: str, run: dict) -> None:
+    for row in run["rows"]:
+        print(f"{label:8s} {row['input']:24s} {row['count']:>9d} "
+              f"{median(row['seconds']):7.3f} s")
+    print(f"{label:8s} in process {run['median_total_s']:.3f} s, "
+          f"zeros jobs {run['zeros_jobs_median_total_s']:.3f} s")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_driver.main(__file__, __doc__, out="BENCH_zerocount.json", jobs=jobs, result=result,
+                          totals=totals, table=table, worker=worker))

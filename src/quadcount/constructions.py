@@ -53,6 +53,7 @@ from .polynomials import Polynomial, parse_poly
 from .zerocount import GridSets
 
 __all__ = [
+    "ANGLE_TOL",
     "TORSION_COPLANAR_TOL",
     "ApGrid",
     "ap_grid",
@@ -80,6 +81,9 @@ _VARS = ("x", "y", "s", "t")
 # quadruples fall below it (8.9e-13 at n = 48); `coplanar_naive` reports the
 # accepted/rejected margin that exposes this.
 TORSION_COPLANAR_TOL = 1e-12
+
+# largest accepted error of `point_at_angle`'s inversion of the angle map
+ANGLE_TOL = 1e-9
 
 
 class ApGrid(NamedTuple):
@@ -125,15 +129,13 @@ class EllipticConfig(NamedTuple):
     """Curve y^2 = x^3 + a*x + b with one real component.
 
     `period` is twice the arc integral from the real root of the cubic to
-    infinity; `root` is that real root; `angle_tol` bounds the accepted
-    error when inverting the angle map.
+    infinity; `root` is that real root.
     """
 
     a: Fraction
     b: Fraction
     period: float
     root: float
-    angle_tol: float = 1e-9
 
 
 class CurvePoint(NamedTuple):
@@ -152,7 +154,7 @@ def _cubic(cfg: EllipticConfig, x: float) -> float:
     return x * x * x + float(cfg.a) * x + float(cfg.b)
 
 
-def make_curve(a=Fraction(1), b=Fraction(1), angle_tol: float = 1e-9) -> EllipticConfig:
+def make_curve(a=Fraction(1), b=Fraction(1)) -> EllipticConfig:
     """Validate the curve; compute its real root and its real period."""
     a, b = Fraction(a), Fraction(b)
     disc = 4 * a ** 3 + 27 * b ** 2
@@ -176,7 +178,7 @@ def make_curve(a=Fraction(1), b=Fraction(1), angle_tol: float = 1e-9) -> Ellipti
         if abs(step) < 1e-16 * (1 + abs(e0)):
             break
     period = 2.0 * _arc_integral(af, e0, 0.0)
-    return EllipticConfig(a, b, period, e0, angle_tol)
+    return EllipticConfig(a, b, period, e0)
 
 
 def _rf(x: complex, y: complex, z: complex) -> complex:
@@ -333,7 +335,7 @@ def point_at_angle(cfg: EllipticConfig, theta: float) -> CurvePoint:
         raise RuntimeError("angle inversion did not converge")
     x = e0 + u * u
     pt = CurvePoint(x, u * math.sqrt(_quadratic_factor(cfg, x)))
-    if abs(angle(cfg, pt) - theta) > cfg.angle_tol:
+    if abs(angle(cfg, pt) - theta) > ANGLE_TOL:
         raise RuntimeError("angle inversion missed the requested tolerance")
     return pt
 

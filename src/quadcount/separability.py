@@ -105,14 +105,6 @@ class PopularScan(NamedTuple):
     degenerate_params: list[tuple[Fraction, Fraction]]
     threshold: int
 
-    def to_json(self) -> dict:
-        return {
-            "components": [[str(p), m] for p, m in self.components],
-            "popular": [[str(p), m] for p, m in self.popular],
-            "degenerate_params": [[str(c), str(d)] for c, d in self.degenerate_params],
-            "threshold": self.threshold,
-        }
-
 
 class FormVerdict(NamedTuple):
     """Detector output: special | non-special | degenerate.

@@ -6,6 +6,7 @@ import pytest
 
 from _generators import zero_sum_subsets
 from quadcount.constructions import (
+    ANGLE_TOL,
     IDENTITY,
     TORSION_COPLANAR_TOL,
     CurvePoint,
@@ -139,7 +140,7 @@ class TestCarlsonNumerics:
         thetas = [1e-6, 0.5 - 1e-9, 0.5 + 1e-9] + [float(t) for t in rng.uniform(0, 1, 50)]
         for theta in thetas:
             delta = abs(angle(cfg, point_at_angle(cfg, theta)) - theta)
-            assert min(delta, 1 - delta) <= cfg.angle_tol, theta
+            assert min(delta, 1 - delta) <= ANGLE_TOL, theta
 
     def test_cardano_root_residual(self):
         for a, b in ((-1, 1), (2, -3), (Fraction(1, 3), Fraction(7, 5))):

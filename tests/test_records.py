@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadcount.constructions import IDENTITY, CurvePoint, EllipticConfig, make_curve
+from quadcount.constructions import ANGLE_TOL, IDENTITY, CurvePoint, EllipticConfig, make_curve
 from quadcount.geometry import CountReport, PointSet2, PointSet3
 from quadcount.harness import ExperimentSeries, SeriesRow
 from quadcount.separability import FormVerdict
@@ -79,7 +79,7 @@ class TestCurveRecords:
     def test_elliptic_config(self):
         cfg = make_curve()
         assert_value_record(cfg, make_curve(), make_curve(Fraction(2)), "period")
-        assert cfg.angle_tol == 1e-9
+        assert ANGLE_TOL == 1e-9
         assert cfg == EllipticConfig(cfg.a, cfg.b, cfg.period, cfg.root)
 
 

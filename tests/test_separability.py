@@ -1,11 +1,15 @@
+import importlib.util
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadcount import separability
+from quadcount.constructions import coplanar_index_oracle
 from quadcount.polynomials import Polynomial, parse_poly
 from quadcount.separability import (
     RATIO_FAIL,
@@ -429,3 +433,30 @@ class TestVerdictReport:
         with pytest.raises(DegenerateSurfaceError):
             ratio_test(P("x + s + t"), PAIRS["h1"], trials=5, seed=0, stages=stages)
         assert stages.counts == {}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _detector_bench():
+    path = ROOT / "bench" / "detector_oracle.py"
+    spec = importlib.util.spec_from_file_location("detector_oracle_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_detector_bench_record_is_reproduced():
+    # every verdict, certificate and oracle count BENCH_detector_oracle.json
+    # records next to a timing, on the same inputs
+    bench = _detector_bench()
+    record = json.loads((ROOT / "BENCH_detector_oracle.json").read_text())
+    rows = record["runs"]["change"]["rows"]
+    polys = [row for row in rows if "n" not in row]
+    oracle = [row for row in rows if "n" in row]
+    assert [row["input"] for row in polys] == list(bench.workloads.VERDICTS)
+    assert [row["n"] for row in oracle] == list(bench.ORACLE_NS)
+    for row in polys:
+        assert bench.result(classify(P(row["input"])).to_json()) == bench.result(row), row["input"]
+    for row in oracle:
+        assert coplanar_index_oracle(row["n"]) == row["count"], row["n"]

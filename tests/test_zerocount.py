@@ -1,11 +1,15 @@
+import importlib.util
+import json
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _generators import random_grid_instance as random_instance
+from quadcount.fileio import sets_from_csv
 from quadcount.polynomials import Polynomial, parse_poly
 from quadcount.zerocount import GridSets, count_fiber, count_naive
 
@@ -312,3 +316,27 @@ class TestRationalGrids:
                 }
                 values.append(sorted(pool))
             self.check_all_routes(poly, GridSets.from_values(*values))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _zerocount_bench():
+    spec = importlib.util.spec_from_file_location("zerocount_bench", ROOT / "bench" / "zerocount.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_zerocount_bench_record_is_reproduced():
+    # the count and degenerate_fibers BENCH_zerocount.json records for each of
+    # the benchmark's 13 count jobs, on the same inputs
+    bench = _zerocount_bench()
+    record = json.loads((ROOT / "BENCH_zerocount.json").read_text())
+    rows = {row["input"]: row for row in record["runs"]["change"]["rows"] if row["reference"]}
+    specs = [spec for spec in bench.inputs() if spec.get("reference")]
+    assert list(rows) == [spec["input"] for spec in specs] and len(specs) == 13
+    for spec in specs:
+        count = count_naive if spec["method"] == "naive" else count_fiber
+        report = count(P(spec["poly"]), sets_from_csv(spec["sets"]))
+        assert bench.result(report.to_json()) == bench.result(rows[spec["input"]]), spec["input"]
