@@ -45,7 +45,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .geometry import PointSet3
@@ -54,6 +53,7 @@ from .zerocount import GridSets
 
 __all__ = [
     "ANGLE_TOL",
+    "ON_CURVE_TOL",
     "TORSION_COPLANAR_TOL",
     "ApGrid",
     "ap_grid",
@@ -84,6 +84,9 @@ TORSION_COPLANAR_TOL = 1e-12
 
 # largest accepted error of `point_at_angle`'s inversion of the angle map
 ANGLE_TOL = 1e-9
+
+# largest accepted |y^2 - (x^3 + a*x + b)| in `on_curve`, relative to 1 + |x|^3
+ON_CURVE_TOL = 1e-9
 
 
 class ApGrid(NamedTuple):
@@ -222,10 +225,10 @@ def _quadratic_factor(cfg: EllipticConfig, x: float) -> float:
     return x * x + e0 * x + e0 * e0 + float(cfg.a)
 
 
-def on_curve(cfg: EllipticConfig, p: CurvePoint, tol: float = 1e-9) -> bool:
+def on_curve(cfg: EllipticConfig, p: CurvePoint) -> bool:
     if p.infinity:
         return True
-    return abs(p.y * p.y - _cubic(cfg, p.x)) <= tol * (1.0 + abs(p.x) ** 3)
+    return abs(p.y * p.y - _cubic(cfg, p.x)) <= ON_CURVE_TOL * (1.0 + abs(p.x) ** 3)
 
 
 def group_neg(p: CurvePoint) -> CurvePoint:
@@ -401,13 +404,6 @@ def _halves(t: int) -> int:
 def _span(a: int, b: int) -> int:
     # sum of j for j = a..b
     return (a + b) * (b - a + 1) // 2
-
-
-def _coplanar_index_brute(n: int) -> int:
-    # O(n^4) cross-check for the oracle
-    return sum(
-        1 for quad in combinations(range(1, n), 4) if sum(quad) % n == 0
-    )
 
 
 def moment_curve_points(n: int, spacing: Fraction | int = 1) -> PointSet3:

@@ -31,6 +31,7 @@ __all__ = [
     "clear_denominators",
     "bivariate_gcd",
     "try_divide",
+    "univariate_gcd",
 ]
 
 Exponent = tuple[int, ...]
@@ -424,17 +425,27 @@ def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
     return _Parser(text, tuple(variables)).parse()
 
 
-# -- exact division ------------------------------------------------------------
+# -- division and GCDs --------------------------------------------------------
+#
+# One division routine serves exact division and both GCDs.  In one variable
+# it is Euclidean division, so `univariate_gcd` is Euclid's algorithm.
+# `bivariate_gcd` runs Euclid over the rational-function field in the first
+# variable: it reads a bivariate polynomial as one in the second variable y
+# whose coefficients are polynomials in the first, splits off the content
+# (the GCD of those coefficients) and follows the primitive pseudo-remainder
+# sequence in y, which keeps coefficient growth in check.
 
 
-def try_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Return q with f == q*g when g divides f exactly, else None."""
+def _divide(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Quotient and remainder of f by g's graded-lex leading term.
+
+    Division stops at the first remainder leader that g's leader does not
+    divide, so f == q*g + r, and r is zero exactly when g divides f.
+    """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.vars != g.vars:
         raise ValueError("polynomials declare different variables")
-    if f.is_zero:
-        return Polynomial.zero(f.vars)
     g_lead = g.leading_exponent()
     g_lc = g.terms[g_lead]
     rem = dict(f.terms)
@@ -443,7 +454,7 @@ def try_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
         r_lead = max(rem, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(r_lead, g_lead))
         if any(d < 0 for d in diff):
-            return None
+            break
         c = rem[r_lead] / g_lc
         quo[diff] = quo.get(diff, _ZERO) + c
         for exp, coeff in g.terms.items():
@@ -453,145 +464,49 @@ def try_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
                 rem.pop(e, None)
             else:
                 rem[e] = nv
-    return Polynomial(f.vars, quo)
+    return Polynomial(f.vars, quo), Polynomial(f.vars, rem)
 
 
-# -- bivariate GCD --------------------------------------------------------------
-#
-# Euclid over the rational-function field in the first variable: a bivariate
-# polynomial is handled as a polynomial in the second variable whose
-# coefficients are dense univariate polynomials in the first.  The primitive
-# polynomial remainder sequence keeps coefficient growth in check.
-
-_UC = tuple[Fraction, ...]  # univariate coefficient vector, ascending, trimmed
-
-
-def _u_trim(cs: list[Fraction]) -> _UC:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _u_mul(a: _UC, b: _UC) -> _UC:
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _u_trim(out)
-
-def _u_sub(a: _UC, b: _UC) -> _UC:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for j, cb in enumerate(b):
-        out[j] -= cb
-    return _u_trim(out)
-
-
-def _u_divmod(a: _UC, b: _UC) -> tuple[_UC, _UC]:
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    quo = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    db, lb = len(b) - 1, b[-1]
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        c = rem[-1] / lb
-        quo[shift] = c
-        for j, cb in enumerate(b):
-            rem[shift + j] -= c * cb
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _u_trim(quo), _u_trim(rem)
-
-
-def _u_div_exact(a: _UC, b: _UC) -> _UC:
-    q, r = _u_divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact univariate division")
-    return q
-
-
-def _u_monic(a: _UC) -> _UC:
-    if not a:
-        return ()
-    lc = a[-1]
-    return tuple(c / lc for c in a)
-
-
-def _u_gcd(a: _UC, b: _UC) -> _UC:
-    while b:
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    return _u_monic(a)
-
-
-_Rec = list  # list of _UC, index = degree in the main (second) variable
-
-
-def _rec_trim(r: _Rec) -> _Rec:
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _rec_content(r: _Rec) -> _UC:
-    cont: _UC = ()
-    for c in r:
-        if c:
-            cont = _u_gcd(cont, c) if cont else _u_monic(c)
-    return cont
-
-
-def _rec_primitive(r: _Rec) -> _Rec:
-    cont = _rec_content(r)
-    return [_u_div_exact(c, cont) if c else () for c in r]
-
-
-def _rec_prem(f: _Rec, g: _Rec) -> _Rec:
-    # pseudo-remainder of f by g in the main variable
-    f = list(f)
-    dg, lg = len(g) - 1, g[-1]
-    while f and len(f) - 1 >= dg:
-        shift = len(f) - 1 - dg
-        lf = f[-1]
-        out = [_u_mul(lg, c) for c in f[:-1]]
-        for i, gc in enumerate(g[:-1]):
-            out[shift + i] = _u_sub(out[shift + i], _u_mul(lf, gc))
-        f = _rec_trim(out)
-    return f
-
-
-def _to_rec(p: Polynomial) -> _Rec:
-    dy = max(e[1] for e in p.terms)
-    dx = max(e[0] for e in p.terms)
-    rows: list[list[Fraction]] = [[_ZERO] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), c in p.terms.items():
-        rows[j][i] = c
-    return _rec_trim([_u_trim(row) for row in rows])
-
-
-def _from_rec(r: _Rec, variables: tuple[str, ...]) -> Polynomial:
-    terms: dict[Exponent, Fraction] = {}
-    for j, row in enumerate(r):
-        for i, c in enumerate(row):
-            if c != 0:
-                terms[(i, j)] = c
-    return Polynomial(variables, terms)
+def try_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
+    """Return q with f == q*g when g divides f exactly, else None."""
+    q, r = _divide(f, g)
+    return q if r.is_zero else None
 
 
 def _make_primitive(p: Polynomial) -> Polynomial:
     """Scale to coprime integer coefficients with positive graded-lex leader."""
     if p.is_zero:
         return p
-    denom_lcm = math.lcm(*(c.denominator for c in p.terms.values()))
-    num_gcd = math.gcd(*(abs(c.numerator * (denom_lcm // c.denominator)) for c in p.terms.values()))
-    scale = Fraction(denom_lcm, num_gcd)
+    _, ints = clear_denominators(p.terms.values())
+    g = math.gcd(*ints)
     if p.terms[p.leading_exponent()] < 0:
-        scale = -scale
-    return Polynomial(p.vars, {e: c * scale for e, c in p.terms.items()})
+        g = -g
+    return Polynomial(p.vars, {e: n // g for e, n in zip(p.terms, ints)})
+
+
+def univariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """GCD of two polynomials in one variable, primitive with positive leader.
+
+    The GCD with the zero polynomial is the other operand made primitive.
+    """
+    if len(a.vars) != 1 or a.vars != b.vars:
+        raise ValueError("expected two univariate polynomials in the same variable")
+    while not b.is_zero:
+        a, b = b, _divide(a, b)[1]
+    return _make_primitive(a)
+
+
+def _content(p: Polynomial) -> Polynomial:
+    # GCD of p's coefficients in its second variable, a polynomial in the first
+    cont = Polynomial.zero(p.vars[:1])
+    for c in p.coefficients_in(p.vars[1]):
+        cont = univariate_gcd(cont, c)
+    return cont
+
+
+def _lift(u: Polynomial, variables: tuple[str, ...]) -> Polynomial:
+    # a polynomial in the first of two variables, read in both
+    return Polynomial(variables, {e + (0,): c for e, c in u.terms.items()})
 
 
 def bivariate_gcd(g1: Polynomial, g2: Polynomial) -> Polynomial:
@@ -605,19 +520,16 @@ def bivariate_gcd(g1: Polynomial, g2: Polynomial) -> Polynomial:
         raise ValueError("expected two bivariate polynomials over the same variables")
     if g1.is_zero or g2.is_zero:
         raise ValueError("gcd of the zero polynomial is undefined here")
-    a, b = _to_rec(g1), _to_rec(g2)
-    if len(a) == 1 or len(b) == 1:
-        # one input is free of the main variable: gcd lives in the first variable
-        u = a[0] if len(a) == 1 else _rec_content(a)
-        v = b[0] if len(b) == 1 else _rec_content(b)
-        g = [_u_gcd(u, v)]
-    else:
-        cont = _u_gcd(_rec_content(a), _rec_content(b))
-        a, b = _rec_primitive(a), _rec_primitive(b)
-        while b:
-            r = _rec_prem(a, b)
-            if r:
-                r = _rec_primitive(r)
-            a, b = b, r
-        g = [_u_mul(c, cont) for c in a]
-    return _make_primitive(_from_rec(_rec_trim(g), g1.vars))
+    y = g1.vars[1]
+    ca, cb = _content(g1), _content(g2)
+    a, b = try_divide(g1, _lift(ca, g1.vars)), try_divide(g2, _lift(cb, g2.vars))
+    while not b.is_zero:
+        # pseudo-remainder of a by b in y: r <- lc_y(b) r - lc_y(r) y^k b
+        db = b.degree_in(y)
+        lb = _lift(b.coefficients_in(y)[-1], b.vars)
+        r = a
+        while not r.is_zero and (dr := r.degree_in(y)) >= db:
+            lead = {(i, j - db): c for (i, j), c in r.terms.items() if j == dr}
+            r = lb * r - Polynomial(r.vars, lead) * b
+        a, b = b, r if r.is_zero else try_divide(r, _lift(_content(r), r.vars))
+    return _make_primitive(a * _lift(univariate_gcd(ca, cb), g1.vars))

@@ -56,7 +56,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .polynomials import Polynomial, _u_gcd, _u_trim, bivariate_gcd, try_divide
+from .polynomials import Polynomial, bivariate_gcd, try_divide, univariate_gcd
 from .stages import Stages
 
 
@@ -476,21 +476,22 @@ def _require_squarefree(poly: Polynomial) -> None:
     """Raise ValueError unless F provably has no repeated factor.
 
     For each variable v that F involves, the other three are set to each of
-    `_GUARD_POINTS` in turn, skipping a point where the leading coefficient
-    in v vanishes; one point where the univariate u has gcd(u, u') == 1
-    proves that no repeated factor of F involves v.  If F = G^2 H with G
-    involving v, every such point leaves a repeated factor in u, so none
-    succeeds.
+    `_GUARD_POINTS` in turn, giving a univariate `Polynomial` u in v; a point
+    where u's degree falls below F's degree in v (the leading coefficient
+    vanishes there) is skipped.  One point where gcd(u, u') == 1 proves that
+    no repeated factor of F involves v.  If F = G^2 H with G involving v,
+    every such point leaves a repeated factor in u, so none succeeds.
     """
     _require_surface(poly)
     for v in poly.vars:
-        profile = poly.coefficients_in(v)
-        if len(profile) == 1:
+        degree = poly.degree_in(v)
+        if degree == 0:
             continue
+        others = [w for w in poly.vars if w != v]
         for point in _GUARD_POINTS:
-            u = _u_trim([c.evaluate(point) for c in profile])
-            du = tuple(k * c for k, c in enumerate(u))[1:]
-            if len(u) == len(profile) and len(_u_gcd(u, du)) == 1:
+            u = poly.specialize(dict(zip(others, point)))
+            if (u.degree_in(v) == degree
+                    and univariate_gcd(u, u.partial(v)).total_degree == 0):
                 break
         else:
             raise ValueError(f"cannot prove F squarefree in {v!r}: a repeated factor "

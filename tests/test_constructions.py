@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from _generators import zero_sum_subsets
 from quadcount.constructions import (
     ANGLE_TOL,
     IDENTITY,
+    ON_CURVE_TOL,
     TORSION_COPLANAR_TOL,
     CurvePoint,
-    _coplanar_index_brute,
     _rf,
     angle,
     ap_grid,
@@ -31,6 +32,11 @@ from quadcount.zerocount import count_naive
 @pytest.fixture(scope="module")
 def cfg():
     return make_curve()  # y^2 = x^3 + x + 1
+
+
+def _coplanar_index_brute(n):
+    # O(n^4) cross-check for the oracle: 4-subsets of 1..n-1 summing to 0 mod n
+    return sum(1 for quad in combinations(range(1, n), 4) if sum(quad) % n == 0)
 
 
 def random_point(cfg, rng):
@@ -82,6 +88,13 @@ class TestCurveBasics:
         two = CurvePoint(cfg.root, 0.0)
         assert on_curve(cfg, two)
         assert group_add(cfg, two, two).infinity
+
+    def test_on_curve_tolerance(self, cfg):
+        # the residual y^2 - (x^3 + a*x + b) may reach ON_CURVE_TOL * (1 + |x|^3)
+        p = point_at_angle(cfg, 0.3)
+        scale = ON_CURVE_TOL * (1.0 + abs(p.x) ** 3)
+        assert on_curve(cfg, CurvePoint(p.x, math.sqrt(p.y ** 2 + 0.5 * scale)))
+        assert not on_curve(cfg, CurvePoint(p.x, math.sqrt(p.y ** 2 + 2.0 * scale)))
 
     def test_off_curve_rejected(self, cfg):
         with pytest.raises(ValueError, match="not on the curve"):

@@ -10,6 +10,7 @@ from quadcount.polynomials import (
     clear_denominators,
     parse_poly,
     try_divide,
+    univariate_gcd,
 )
 
 V4 = ("x", "y", "s", "t")
@@ -204,6 +205,34 @@ class TestClearDenominators:
         assert clear_denominators([]) == (1, [])
 
 
+class TestUnivariateGcd:
+    def test_known_common_factor(self):
+        g = parse_poly("2*x^2 - 3", ("x",))
+        a = g * parse_poly("x + 1", ("x",))
+        b = g * parse_poly("x^3 - 7/2", ("x",))
+        assert univariate_gcd(a, b) == g
+
+    def test_zero_operand(self):
+        a = parse_poly("-6*x^2 + 4/3", ("x",))
+        zero = Polynomial.zero(("x",))
+        assert univariate_gcd(a, zero) == univariate_gcd(zero, a) == parse_poly("9*x^2 - 2", ("x",))
+        assert univariate_gcd(zero, zero).is_zero
+
+    def test_coprime_gives_one(self):
+        assert univariate_gcd(parse_poly("x^2 + 1", ("x",)), parse_poly("x - 5", ("x",))) == \
+            Polynomial.constant(("x",), 1)
+
+    def test_scale_invariance(self):
+        a = parse_poly("(x - 2)*(x + 3)", ("x",))
+        b = parse_poly("(x - 2)^2", ("x",))
+        assert univariate_gcd(Fraction(-5, 3) * a, 7 * b) == univariate_gcd(a, b) == \
+            parse_poly("x - 2", ("x",))
+
+    def test_rejects_more_variables(self):
+        with pytest.raises(ValueError):
+            univariate_gcd(parse_poly("x", V2), parse_poly("y", V2))
+
+
 class TestBivariateGcd:
     def test_equal_inputs(self):
         g = parse_poly("x+y+5", V2)
@@ -219,11 +248,19 @@ class TestBivariateGcd:
         b = g * parse_poly("y-2", V2)
         assert bivariate_gcd(a, b) == g
 
+    def test_input_free_of_y(self):
+        # the GCD then lives in x alone: the content of the other input
+        a = parse_poly("(x - 1)*(x + 2)", V2)
+        b = parse_poly("(x - 1)*y^2 + (x^2 - 1)*y", V2)
+        assert bivariate_gcd(a, b) == bivariate_gcd(b, a) == parse_poly("x - 1", V2)
+
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError):
             bivariate_gcd(Polynomial.zero(V2), parse_poly("x", V2))
 
     def test_gcd_contains_common_factor(self):
+        # with coprime cofactors h, k the GCD of g*h and g*k is g up to a
+        # nonzero constant: g divides d, and d divides both products
         rng = np.random.default_rng(23)
         done = 0
         while done < 40:
@@ -235,7 +272,11 @@ class TestBivariateGcd:
             if bivariate_gcd(h, k).total_degree != 0:
                 continue  # need coprime cofactors for the clean statement
             d = bivariate_gcd(g * h, g * k)
-            assert try_divide(d, g) is not None, (str(g), str(h), str(k), str(d))
+            case = (str(g), str(h), str(k), str(d))
+            ratio = try_divide(d, g)
+            assert ratio is not None and not ratio.is_zero and ratio.total_degree == 0, case
+            assert try_divide(g * h, d) is not None, case
+            assert try_divide(g * k, d) is not None, case
             done += 1
 
     def test_scale_invariance(self):

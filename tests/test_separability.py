@@ -252,6 +252,9 @@ REPEATED = {
     f"{G}^2": "x",
     "(x + y + s + t)^2*(x*y - s*t)": "x",
     "s^2*(x + y + t)": "s",
+    # at the first guard point y = 2, so u is the zero polynomial, whose
+    # gcd with u' is 0: only the rule "u keeps F's degree in v" refuses it
+    "(y - 2)*x^2*(s + t)": "x",
 }
 
 
