@@ -44,7 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import ENTRY  # noqa: E402
 
-REPEAT = 5
+REPEAT = 11
 COLD_REPEAT = 21
 
 

@@ -40,14 +40,7 @@ from .polynomials import (
     parse_poly,
     try_divide,
 )
-from .separability import (
-    DegenerateSurfaceError,
-    FormVerdict,
-    certify,
-    classify,
-    popular_components,
-    ratio_test,
-)
+from .separability import FormVerdict, certify, classify, popular_components
 from .zerocount import GridSets, ZeroCountReport, count_fiber, count_naive
 
 __version__ = "0.1.0"
@@ -61,7 +54,6 @@ __all__ = [
     "four_point_circles",
     "ExperimentSeries", "fit_slope", "run_series",
     "PolyParseError", "Polynomial", "bivariate_gcd", "parse_poly", "try_divide",
-    "DegenerateSurfaceError", "FormVerdict", "certify", "classify",
-    "popular_components", "ratio_test",
+    "FormVerdict", "certify", "classify", "popular_components",
     "GridSets", "ZeroCountReport", "count_fiber", "count_naive",
 ]

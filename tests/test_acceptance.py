@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from _generators import random_grid_instance, random_mixed_point_instance, zero_sum_subsets
+from _ratio_oracle import ratio_test
 from quadcount.constructions import (
     TORSION_COPLANAR_TOL,
     angle,
@@ -37,7 +38,7 @@ from quadcount.geometry import (
 )
 from quadcount.harness import fit_slope
 from quadcount.polynomials import parse_poly
-from quadcount.separability import classify, popular_components, ratio_test
+from quadcount.separability import classify, popular_components
 from quadcount.zerocount import GridSets, count_fiber, count_naive
 
 DEFAULT_SEED = 1729

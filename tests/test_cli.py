@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import quadcount
+import _ratio_oracle
+from _ratio_oracle import DegenerateSurfaceError, ratio_test
 from quadcount.cli import _build_parser, main
 from quadcount.fileio import (
     points_from_csv,
@@ -170,8 +172,8 @@ class TestDetectSpecialCommand:
         assert payload["classification"] == classification
         poly = quadcount.parse_poly(text, ("x", "y", "s", "t"))
         try:
-            quadcount.ratio_test(poly, ("s", "t"), trials=5, seed=0)
-        except quadcount.DegenerateSurfaceError:
+            ratio_test(poly, ("s", "t"), trials=5, seed=0)
+        except DegenerateSurfaceError:
             assert oracle == "sampler failure"
         else:
             assert oracle is None
@@ -187,10 +189,16 @@ class TestDetectSpecialCommand:
         assert err.startswith(f"error:detect: cannot prove F squarefree in '{variable}'")
 
     def test_verdict_never_runs_the_sampler(self, capsys, monkeypatch):
+        # the float sampler is a test oracle; the verdict is exact without it
         def refuse(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr(quadcount.separability, "ratio_test", refuse)
+        monkeypatch.setattr(_ratio_oracle, "ratio_test", refuse)
+        monkeypatch.setattr(_ratio_oracle, "_Surface", refuse)
+        for name in ("ratio_test", "DegenerateSurfaceError", "SAMPLING_BOX", "RESIDUAL_TOL",
+                     "GRADIENT_FLOOR", "RATIO_PASS", "RATIO_FAIL"):
+            assert name not in quadcount.__all__
+            assert not hasattr(quadcount.separability, name)
         code, out, _ = run_cli(capsys, "detect-special", "--poly", "t - (x + y*s)")
         assert (code, json.loads(out)["classification"]) == (0, "non-special")
 

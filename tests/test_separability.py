@@ -2,28 +2,26 @@ import importlib.util
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadcount import separability
-from quadcount.constructions import coplanar_index_oracle
-from quadcount.polynomials import Polynomial, parse_poly
-from quadcount.separability import (
+import _ratio_oracle
+from _ratio_oracle import (
+    _REJECTIONS,
     RATIO_FAIL,
     RATIO_PASS,
     DegenerateSurfaceError,
     _FloatForm,
-    _horner,
-    _real_roots,
-    certify,
-    classify,
-    popular_components,
     ratio_test,
 )
-from quadcount.stages import Stages
+from quadcount import separability
+from quadcount.constructions import coplanar_index_oracle
+from quadcount.polynomials import Polynomial, parse_poly
+from quadcount.separability import certify, classify, popular_components
 
 V4 = ("x", "y", "s", "t")
 
@@ -147,7 +145,9 @@ class TestClassify:
         def refuse(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr(separability, "ratio_test", refuse)
+        monkeypatch.setattr(_ratio_oracle, "ratio_test", refuse)
+        monkeypatch.setattr(_ratio_oracle, "_Surface", refuse)
+        assert not hasattr(separability, "ratio_test")
         assert classify(P("t - (x + y*s)")).classification == "non-special"
         assert classify(P("x^2 + y^2 + s^2 + t^2 + 1")).classification == "special"
 
@@ -261,7 +261,8 @@ REPEATED = {
 class TestSquarefreeGuard:
     @pytest.mark.parametrize("text", REPEATED)
     def test_repeated_factor_is_refused(self, text):
-        with pytest.raises(ValueError, match=f"cannot prove F squarefree in '{REPEATED[text]}'"):
+        message = f"cannot prove F squarefree in '{REPEATED[text]}' after 12 guard points: "
+        with pytest.raises(ValueError, match=message):
             classify(P(text))
 
     def test_squared_g_certified_special(self):
@@ -307,62 +308,6 @@ class TestFloatForm:
 
     def test_zero_polynomial_is_zero(self):
         assert _FloatForm(Polynomial(V4, {}))((1.0, 2.0, 3.0, 4.0)) == 0.0
-
-
-# -- real roots of the slice -----------------------------------------------------
-
-
-def polished(coeffs, starts):
-    # Newton as `_Surface` polishes a root, then the same near-duplicate rule
-    dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]
-    out = []
-    for y in starts:
-        for _ in range(80):
-            g = _horner(coeffs, y)
-            if abs(g) < 1e-12:
-                break
-            y -= g / _horner(dcoeffs, y)
-        if abs(_horner(coeffs, y)) < 1e-12 and all(abs(y - p) > 1e-9 * (1 + abs(y)) for p in out):
-            out.append(y)
-    return sorted(out)
-
-
-def np_real_roots(coeffs):
-    return [float(r.real) for r in np.roots(coeffs[::-1])
-            if abs(r.imag) <= 1e-8 * (1.0 + abs(r))]
-
-
-class TestRealRoots:
-    def test_matches_np_roots_after_polish(self):
-        rng = np.random.default_rng(11)
-        for degree in range(1, 7):
-            for _ in range(300):
-                coeffs = rng.uniform(-2.0, 2.0, size=degree + 1).tolist()
-                ours, theirs = _real_roots(coeffs), np_real_roots(coeffs)
-                assert ours == sorted(ours)
-                a, b = polished(coeffs, ours), polished(coeffs, theirs)
-                assert len(a) == len(b), coeffs
-                assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-
-    def test_products_of_known_roots(self):
-        for roots in ([0.5], [-1.0, 3.0], [-1.5, 0.25, 2.0], [-1.0, -0.5, 0.5, 1.0, 1.5, 1.75]):
-            coeffs = [1.0]
-            for r in roots:  # multiply by (y - r), lowest power first
-                coeffs = [a - r * b for a, b in zip([0.0] + coeffs, coeffs + [0.0])]
-            assert _real_roots(coeffs) == pytest.approx(roots, rel=1e-12)
-
-    def test_double_and_missing_roots(self):
-        assert _real_roots([1.0, -2.0, 1.0]) == [1.0, 1.0]   # (y - 1)^2
-        # a complex pair counts as a double root while |imag| <= 1e-8 (1 + |r|)
-        assert _real_roots([1.0 + 2**-52, -2.0, 1.0]) == [1.0]  # |imag| 1.5e-8
-        assert _real_roots([1.0 + 2**-40, -2.0, 1.0]) == []     # |imag| 9.5e-7
-        assert _real_roots([1.0, 0.0, 1.0]) == []              # y^2 + 1
-        assert _real_roots([0.0, 0.0, 1.0]) == [0.0]           # y^2
-        assert _real_roots([2.0, 0.0, 0.0, 1.0, 0.0, 1.0]) == pytest.approx(
-            np_real_roots([2.0, 0.0, 0.0, 1.0, 0.0, 1.0]))    # y^5 + y^3 + 2
-        assert _real_roots([1.0, 0.0, 0.0, 0.0, 1.0]) == []    # y^4 + 1
-        # (y + 1)^2 (y - 2): the double root is a critical point, found once
-        assert _real_roots([-2.0, -3.0, 0.0, 1.0]) == [-1.0, 2.0]
 
 
 # -- verdicts of the benchmark polynomials, with the oracle's spreads ---------
@@ -415,27 +360,27 @@ class TestVerdictReport:
         assert set(out["stages"]) == {"squarefree", "certify"}
         assert all(v >= 0.0 for v in out["stages"].values())
         assert out["certificate"] == {"h1": False, "h2": False, "h3": True}
-        stages = Stages()
+        counts = Counter()
         for pair in PAIRS.values():
-            ratio_test(P("t - (x + y*s)"), pair, trials=20, seed=5, stages=stages)
-        rejections = sum(stages.counts.get(r, 0) for r in separability._REJECTIONS)
+            ratio_test(P("t - (x + y*s)"), pair, trials=20, seed=5, counts=counts)
+        rejections = sum(counts.get(r, 0) for r in _REJECTIONS)
         # three ratio tests, 20 accepted walks each
-        assert stages.counts["attempts"] - rejections == 3 * 20
+        assert counts["attempts"] - rejections == 3 * 20
 
     def test_sampler_failure_says_why(self):
         # F = 0 has no real point: the walks never start; the certificate decides
         poly = P("x^2 + y^2 + s^2 + t^2 + 1")
         assert classify(poly).classification == "special"
-        stages = Stages()
+        counts = Counter()
         with pytest.raises(DegenerateSurfaceError, match="completed only 0/50 fiber walks"):
-            ratio_test(poly, PAIRS["h1"], seed=1729, stages=stages)
-        assert stages.counts == {"attempts": 40 * 50, "no_real_root": 40 * 50}
+            ratio_test(poly, PAIRS["h1"], seed=1729, counts=counts)
+        assert counts == {"attempts": 40 * 50, "no_real_root": 40 * 50}
 
     def test_unsolvable_surface_reports_no_attempts(self):
-        stages = Stages()
+        counts = Counter()
         with pytest.raises(DegenerateSurfaceError):
-            ratio_test(P("x + s + t"), PAIRS["h1"], trials=5, seed=0, stages=stages)
-        assert stages.counts == {}
+            ratio_test(P("x + s + t"), PAIRS["h1"], trials=5, seed=0, counts=counts)
+        assert counts == {}
 
 
 ROOT = Path(__file__).resolve().parents[1]
