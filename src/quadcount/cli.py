@@ -4,9 +4,8 @@ Subcommands: count-zeros, detect-special, construct, count-coplanar,
 count-collinear, count-circles, fit-exponent.  Exit codes: 0 success,
 1 domain error (reported as `error:<code>: message` on stderr), 2 usage
 error.  No subcommand draws at random: the detector's verdict is exact,
-and a polynomial it cannot prove squarefree is a domain error.  A flat
-key=value file passed via --config supplies defaults that explicit flags
-override.
+and a polynomial it cannot prove squarefree is a domain error.  Each
+option is set by its own flag alone; --poly is read over x, y, s, t.
 
 `main()` with no arguments is the program (the `quadcount` console script,
 `python -m quadcount.cli`): once the job's output is written and flushed it
@@ -40,10 +39,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_poly(source: str, variables: tuple[str, ...]):
+def _load_poly(source: str):
     text = _read_text(source) if os.path.isfile(source) else source
     try:
-        return parse_poly(text, variables)
+        return parse_poly(text, _VARS)
     except PolyParseError as exc:
         raise DomainError("parse", str(exc)) from exc
 
@@ -93,30 +92,30 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
     def common(p):
-        p.add_argument("--out", choices=("json", "csv"), default=None, help="output format")
+        p.add_argument("--out", choices=("json", "csv"), default="json", help="output format")
         p.add_argument("--out-path", default=None, help="write output to a file instead of stdout")
-        p.add_argument("--config", default=None, help="flat key=value file with defaults")
 
     if p := add("count-zeros", "count zeros of a 4-variable polynomial on A x B x C x D"):
-        p.add_argument("--poly", required=True, help="polynomial text or a file containing it")
+        p.add_argument("--poly", required=True, help="polynomial in x, y, s, t, or a file of it")
         p.add_argument("--sets", required=True, help="CSV file with lines A:...,B:...,C:...,D:...")
-        p.add_argument("--vars", default=",".join(_VARS), help="comma-separated variable names")
-        p.add_argument("--method", choices=("naive", "fiber"), default=None)
+        p.add_argument("--method", choices=("naive", "fiber"), default="fiber")
         p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method)")
         common(p)
 
     if p := add("detect-special", "classify a polynomial as special / non-special / degenerate"):
-        p.add_argument("--poly", required=True)
-        p.add_argument("--vars", default=",".join(_VARS))
+        p.add_argument("--poly", required=True, help="polynomial in x, y, s, t, or a file of it")
         common(p)
 
     if p := add("construct", "emit an extremal or control configuration"):
         p.add_argument("--kind", required=True,
                        choices=("ap-additive", "ap-multiplicative", "elliptic", "moment"))
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--a", type=_parse_fraction, default=None, help="curve coefficient a (elliptic)")
-        p.add_argument("--b", type=_parse_fraction, default=None, help="curve coefficient b (elliptic)")
-        p.add_argument("--spacing", type=_parse_fraction, default=None, help="moment curve step")
+        p.add_argument("--a", type=_parse_fraction, default=Fraction(1),
+                       help="curve coefficient a (elliptic)")
+        p.add_argument("--b", type=_parse_fraction, default=Fraction(1),
+                       help="curve coefficient b (elliptic)")
+        p.add_argument("--spacing", type=_parse_fraction, default=Fraction(1),
+                       help="moment curve step")
         common(p)
 
     for name, help_text in (
@@ -128,7 +127,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--points", required=True, help="CSV file of points")
             if name == "count-coplanar":
                 p.add_argument("--method", choices=("naive", "fast"), default=None)
-                p.add_argument("--tol", type=float, default=None, help="float-mode tolerance")
+                p.add_argument("--tol", type=float, default=1e-7, help="float-mode tolerance")
             common(p)
 
     if p := add("fit-exponent", "run a growth experiment and fit the slope"):
@@ -138,73 +137,17 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "out": "json",
-    "method": None,
-    "tol": 1e-7,
-    "a": Fraction(1),
-    "b": Fraction(1),
-    "spacing": Fraction(1),
-    "solve_var": None,
-}
-
-
-def _option_choices(parser: argparse.ArgumentParser, command: str) -> dict[str, tuple]:
-    """The argparse `choices` of each option of `command`, by destination."""
-    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
-    return {a.dest: a.choices for a in commands[command]._actions if a.choices}
-
-
-def _apply_config(args: argparse.Namespace, choices: dict[str, tuple]) -> argparse.Namespace:
-    """Fill unset options from --config, then from built-in defaults.  A
-    config value must pass the option's own `choices`, as a flag would."""
-    file_values: dict[str, tuple[int, str]] = {}
-    if getattr(args, "config", None):
-        for lineno, raw in enumerate(_read_text(args.config).splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DomainError("config", f"line {lineno}: expected key=value")
-            file_values[key.strip().replace("-", "_")] = (lineno, value.strip())
-    for key, value in vars(args).items():
-        if value is not None:
-            continue
-        if key in file_values:
-            lineno, raw = file_values[key]
-            default = _DEFAULTS.get(key)
-            parse = type(default) if isinstance(default, (float, Fraction)) else str
-            try:
-                parsed = parse(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(
-                    "config", f"line {lineno}: bad {parse.__name__} for {key}: {raw!r}"
-                ) from exc
-            if key in choices and parsed not in choices[key]:
-                raise DomainError(
-                    "config", f"line {lineno}: bad choice for {key}: {raw!r}, "
-                              f"expected one of {', '.join(choices[key])}"
-                )
-            setattr(args, key, parsed)
-        elif key in _DEFAULTS:
-            setattr(args, key, _DEFAULTS[key])
-    return args
-
-
 # -- subcommand handlers --------------------------------------------------------
 
 
 def _cmd_count_zeros(args) -> dict:
-    variables = tuple(v.strip() for v in args.vars.split(","))
-    poly = _load_poly(args.poly, variables)
+    poly = _load_poly(args.poly)
     try:
         sets = fileio.sets_from_csv(_read_text(args.sets))
     except ValueError as exc:
         raise DomainError("sets", str(exc)) from exc
-    method = args.method or "fiber"
     try:
-        if method == "naive":
+        if args.method == "naive":
             report = zerocount.count_naive(poly, sets)
         else:
             report = zerocount.count_fiber(poly, sets, args.solve_var)
@@ -216,8 +159,7 @@ def _cmd_count_zeros(args) -> dict:
 
 
 def _cmd_detect_special(args) -> dict:
-    variables = tuple(v.strip() for v in args.vars.split(","))
-    poly = _load_poly(args.poly, variables)
+    poly = _load_poly(args.poly)
     try:
         verdict = separability.classify(poly)
     except ValueError as exc:
@@ -322,10 +264,8 @@ _HANDLERS = {
 
 def _run(argv: list[str]) -> int:
     # build only the subparser argv names, if it names one
-    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
-    args = parser.parse_args(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_args(argv)
     try:
-        args = _apply_config(args, _option_choices(parser, args.command))
         payload = _HANDLERS[args.command](args)
     except DomainError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)

@@ -33,7 +33,10 @@ def parse_value(text: str) -> Fraction | float:
         raise ValueError("empty value")
     if "." in text or "e" in text.lower():
         return float(text)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_value(value) -> str:
@@ -56,14 +59,11 @@ def sets_from_csv(text: str) -> GridSets:
             raise ValueError(f"line {lineno}: expected 'A: v1,v2,...' through 'D:'")
         if label in found:
             raise ValueError(f"line {lineno}: duplicate set {label}")
-        values = []
-        for piece in rest.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
+        try:
             # Fraction parses integers, p/q, and decimal notation exactly
-            values.append(Fraction(piece))
-        found[label] = values
+            found[label] = [Fraction(p) for p in rest.split(",") if p.strip()]
+        except ZeroDivisionError:
+            raise ValueError(f"line {lineno}: zero denominator in {line!r}") from None
     missing = [l for l in _SET_LABELS if l not in found]
     if missing:
         raise ValueError(f"missing sets: {', '.join(missing)}")
@@ -85,7 +85,10 @@ def points_from_csv(text: str, dimension: int | None = None):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        values = [parse_value(p) for p in line.split(",")]
+        try:
+            values = [parse_value(p) for p in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if width is None:
             width = len(values)
         elif len(values) != width:

@@ -61,7 +61,7 @@ _MARGIN_FACTOR = 100
 
 
 class _PointSet:
-    """Finite list of points, exact (Fraction) or float coordinates.
+    """Finite list of points, exact (Fraction) or finite float coordinates.
 
     Immutable: assigning an attribute raises AttributeError.  Equal when the
     class, the points and the kind are equal.
@@ -102,7 +102,13 @@ class _PointSet:
                 raise ValueError(f"expected {cls.dimension} coordinates, got {len(p)}")
         if all(isinstance(v, _EXACT_TYPES) for p in pts for v in p):
             return cls(tuple(tuple(Fraction(v) for v in p) for p in pts), "exact")
-        return cls(tuple(tuple(float(v) for v in p) for p in pts), "float")
+        try:
+            floats = tuple(tuple(float(v) for v in p) for p in pts)
+        except OverflowError as exc:
+            raise ValueError(f"coordinate out of float range: {exc}") from None
+        if not all(math.isfinite(v) for p in floats for v in p):
+            raise ValueError("float coordinates must be finite")
+        return cls(floats, "float")
 
     def __len__(self) -> int:
         return len(self.points)

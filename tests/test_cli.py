@@ -140,6 +140,31 @@ class TestCountZerosCommand:
             main(["count-zeros", "--poly", "x", "--sets", sets_file, "--bogus"])
         assert exc.value.code == 2
 
+    def test_solve_var(self, capsys, sets_file):
+        argv = ["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file]
+        code, out, _ = run_cli(capsys, *argv, "--solve-var", "x")
+        assert (code, json.loads(out)["count"]) == (0, 27)
+        code, out, err = run_cli(capsys, *argv, "--solve-var", "q")
+        assert (code, out) == (1, "")
+        assert err == "error:count: undeclared variable 'q'\n"
+
+    def test_zero_denominator_in_sets_is_a_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "sets.csv"
+        path.write_text("A: 1,2\nB: 1/0\nC: 1\nD: 2\n")
+        code, out, err = run_cli(capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error:sets: line 2: zero denominator in 'B: 1/0'\n"
+
+    def test_out_path_writes_file(self, capsys, tmp_path, sets_file):
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
+            "--out-path", str(target),
+        )
+        assert code == 0
+        assert out == ""
+        assert json.loads(target.read_text())["count"] == 27
+
 
 class TestDetectSpecialCommand:
     def test_non_special_verdict(self, capsys):
@@ -290,6 +315,18 @@ class TestGeometryCommands:
         assert code == 1
         assert err.startswith("error:count:")
 
+    @pytest.mark.parametrize("command,rows,message", [
+        ("count-coplanar", "0,0,0\n3,1/0,1\n", "line 2: zero denominator in '1/0'"),
+        ("count-collinear", "0,0\n1,2/0\n", "line 2: zero denominator in '2/0'"),
+        ("count-coplanar", "0.0,0.0,0.0\n1.0,1e400,0.0\n", "float coordinates must be finite"),
+    ], ids=["exact-3d", "exact-2d", "float-overflow"])
+    def test_bad_point_value_is_a_domain_error(self, capsys, tmp_path, command, rows, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(rows)
+        code, out, err = run_cli(capsys, command, "--points", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error:points: {message}\n"
+
     def test_count_collinear(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("0,0\n1,1\n2,2\n5,0\n")
@@ -347,71 +384,20 @@ class TestFitExponentCommand:
         assert err.startswith("error:experiment: n_list must be strictly increasing from n >= 1")
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path, sets_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("method=naive\nseed=7\n")
-        code, out, _ = run_cli(
-            capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
-            "--config", str(cfg),
-        )
-        assert json.loads(out)["method"] == "naive"
-        code, out, _ = run_cli(
-            capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
-            "--config", str(cfg), "--method", "fiber",
-        )
-        assert json.loads(out)["method"] == "fiber"
-
-    def test_malformed_value_is_a_config_error(self, capsys, tmp_path, sets_file):
-        # a float, a Fraction and a choices key, each on the line after a
-        # comment
-        points = tmp_path / "points.csv"
-        points.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
-        cases = [
-            (["count-coplanar", "--points", str(points)], "tol=1e-x", "bad float for tol"),
-            (["construct", "--kind", "elliptic", "--n", "8"], "a=1/0", "bad Fraction for a"),
-            (["construct", "--kind", "moment", "--n", "8"], "spacing=x", "bad Fraction for spacing"),
-            # a value outside the option's argparse choices, which as a flag exits 2
-            (["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file], "method=bogus",
-             "bad choice for method"),
-            (["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file], "out=xml",
-             "bad choice for out"),
-            (["count-coplanar", "--points", str(points)], "method=fiber", "bad choice for method"),
-        ]
-        cfg = tmp_path / "run.cfg"
-        for argv, line, message in cases:
-            cfg.write_text(f"# defaults\n{line}\n")
-            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-            assert (code, out) == (1, "")
-            assert err.startswith(f"error:config: line 2: {message}: "), err
-
-    def test_removed_threshold_key_is_ignored(self, capsys, tmp_path):
-        # like any key no option of the command reads
-        argv = ["detect-special", "--poly", "x*y - s*t"]
-        code, out, _ = run_cli(capsys, *argv)
-        plain = json.loads(out)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("box=abc\nratio_pass=1\nseed=7\ntrials=abc\n")
-        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
-        with_box = json.loads(out)
-        assert code == 0
-        for payload in (plain, with_box):
-            del payload["stages"]
-        assert with_box == plain
-
-    def test_out_path_writes_file(self, capsys, tmp_path, sets_file):
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
-            "--out-path", str(target),
-        )
-        assert code == 0
-        assert out == ""
-        assert json.loads(target.read_text())["count"] == 27
-
-
 COMMANDS = ("count-zeros", "detect-special", "construct", "count-coplanar",
             "count-collinear", "count-circles", "fit-exponent")
+
+# the required options of each command, so that only the option under test
+# can make the parse fail
+VALID_ARGS = {
+    "count-zeros": ["--poly", "x+y+s+t", "--sets", "sets.csv"],
+    "detect-special": ["--poly", "x*y - s*t"],
+    "construct": ["--kind", "moment", "--n", "4"],
+    "count-coplanar": ["--points", "points.csv"],
+    "count-collinear": ["--points", "points.csv"],
+    "count-circles": ["--points", "points.csv"],
+    "fit-exponent": ["--experiment", "moment-coplanar", "--ns", "4,6,8"],
+}
 
 
 def subparsers(parser):
@@ -433,6 +419,19 @@ class TestParser:
         assert list(subparsers(single)) == [command]
         assert subparsers(single)[command].format_help() == subparsers(full)[command].format_help()
 
+    @pytest.mark.parametrize("command,option", [
+        *((command, ["--config", "f"]) for command in COMMANDS),
+        ("count-zeros", ["--vars", "x,y,s,t"]),
+        ("detect-special", ["--vars", "x,y,s,t"]),
+    ])
+    def test_removed_options_are_usage_errors(self, capsys, command, option):
+        # every value is set by its own flag; there is no config file and
+        # --poly is always read over x, y, s, t
+        with pytest.raises(SystemExit) as exc:
+            main([command, *VALID_ARGS[command], *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
     def test_unknown_command_lists_the_choices(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count-everything"])
@@ -449,46 +448,12 @@ def child_env():
             "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def test_cli_import_path_loads_no_scipy():
-    # every CLI job pays this import; scipy alone used to cost ~0.7 s of it
-    code = ("import quadcount.cli, sys; "
-            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=child_env(), check=True)
-    assert result.stdout.strip() == "False"
-
-
-def test_cli_jobs_without_the_detector_load_no_numpy(tmp_path, sets_file):
-    # neither the CLI import nor a zero-counting job loads numpy
-    code = ("import sys; import quadcount.cli; print('numpy' in sys.modules); "
-            "quadcount.cli.main(['count-zeros', '--poly', 'x+y+s+t', '--sets', sys.argv[1], "
-            "'--out-path', sys.argv[2]]); print('numpy' in sys.modules)")
-    report = tmp_path / "report.json"
-    result = subprocess.run([sys.executable, "-c", code, sets_file, str(report)],
-                            capture_output=True, text=True, env=child_env(), check=True)
-    assert result.stdout.split() == ["False", "False"]
-    assert json.loads(report.read_text())["count"] == 27
-
-
-def test_detect_special_job_loads_no_numpy():
-    # the detector decides in exact arithmetic
-    code = ("import sys; import quadcount.cli; "
-            "quadcount.cli.main(['detect-special', '--poly', sys.argv[1]]); "
-            "print('numpy' in sys.modules)")
-    # a linear and a cubic slice in the solved variable
-    for poly, expected in (("t - (x + y*s)", "non-special"), ("x^2 + y^3 + s + t^2", "special")):
-        result = subprocess.run([sys.executable, "-c", code, poly],
-                                capture_output=True, text=True, env=child_env(), check=True)
-        *report, loaded = result.stdout.splitlines()
-        assert loaded == "False"
-        assert json.loads("\n".join(report))["classification"] == expected
-
-
 def test_no_cli_job_loads_numpy_dataclasses_or_statistics(tmp_path, sets_file):
-    # the program runs on the standard library alone: every subcommand, in
-    # one interpreter, and numpy never enters sys.modules.  Nor do
-    # dataclasses (with the inspect it pulls in) and statistics, which a cold
-    # job would pay for on every start
+    # the program runs on the standard library alone: neither the import of
+    # the CLI nor any subcommand after it, all in one interpreter, loads
+    # numpy or scipy (any of its modules; scipy once cost ~0.7 s of every
+    # job).  Nor do dataclasses (with the inspect it pulls in) and
+    # statistics, which a cold job would pay for on every start
     exact3, float3, plane = tmp_path / "e3.csv", tmp_path / "f3.csv", tmp_path / "p2.csv"
     exact3.write_text("0,0,0\n1,0,0\n0,1,0\n1,1,0\n0,0,1\n")
     float3.write_text("0.0,0.0,0.0\n1.0,0.0,0.0\n0.25,1.0,0.0\n1.0,1.5,0.0\n0.0,0.25,1.0\n")
@@ -505,17 +470,22 @@ def test_no_cli_job_loads_numpy_dataclasses_or_statistics(tmp_path, sets_file):
         ["count-circles", "--points", str(plane)],
         ["fit-exponent", "--experiment", "moment-coplanar", "--ns", "8,12,16"],
     ]
-    code = ("import json, sys; from quadcount.cli import main\n"
+    code = ("import json, sys\n"
+            "def loaded():\n"
+            "    packages = {name.split('.')[0] for name in sys.modules}\n"
+            "    return [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'statistics')\n"
+            "            if m in packages]\n"
+            "from quadcount.cli import main\n"
+            "print('import', loaded())\n"
             "for job in json.loads(sys.argv[1]):\n"
             "    assert main(job + ['--out-path', sys.argv[2]]) == 0, job\n"
             "    out = json.load(open(sys.argv[2]))\n"
-            "    print(out['command'], out.get('classification'),\n"
-            "          [m for m in ('numpy', 'dataclasses', 'inspect', 'statistics')\n"
-            "           if m in sys.modules])\n")
+            "    print(out['command'], out.get('classification'), loaded())\n")
     result = subprocess.run([sys.executable, "-c", code, json.dumps(jobs), str(tmp_path / "out")],
                             capture_output=True, text=True, env=child_env(), check=True)
     verdicts = {"t - (x + y*s)": "non-special", "x^2 + y^3 + s + t^2": "special"}
-    assert result.stdout.splitlines() == [f"{job[0]} {verdicts.get(job[2])} []" for job in jobs]
+    assert result.stdout.splitlines() == (
+        ["import []"] + [f"{job[0]} {verdicts.get(job[2])} []" for job in jobs])
 
 
 # the benchmark's and the console script's way in, and python -m

@@ -68,6 +68,18 @@ class TestPointSets:
             "PointSet2(points=((0.5, 1.0),), kind='float')"
         )
 
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"), 1e400],
+                             ids=["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_float_coordinate_is_refused(self, bad):
+        # inf / inf is NaN, which the float scan neither accepts nor rejects
+        with pytest.raises(ValueError, match="float coordinates must be finite"):
+            PointSet3.from_rows([(0.0, 0.0, 0.0), (1.0, bad, 0.0)])
+
+    def test_exact_coordinate_past_the_float_range_is_refused(self):
+        # a Fraction mixed into float rows is converted, and 10^400 overflows
+        with pytest.raises(ValueError, match="coordinate out of float range"):
+            PointSet2.from_rows([(Fraction(10) ** 400, 0.5)])
+
 
 class TestCurveRecords:
     def test_curve_point(self):
