@@ -23,9 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import constructions, fileio, geometry, harness, separability, zerocount
-from .polynomials import PolyParseError, parse_poly
-
-_VARS = ("x", "y", "s", "t")
+from .polynomials import VARS, PolyParseError, parse_poly
 
 
 class DomainError(Exception):
@@ -42,7 +40,7 @@ def _read_text(path: str) -> str:
 def _load_poly(source: str):
     text = _read_text(source) if os.path.isfile(source) else source
     try:
-        return parse_poly(text, _VARS)
+        return parse_poly(text, VARS)
     except PolyParseError as exc:
         raise DomainError("parse", str(exc)) from exc
 

@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .geometry import PointSet3
-from .polynomials import Polynomial, parse_poly
+from .polynomials import VARS, Polynomial, parse_poly
 from .zerocount import GridSets
 
 __all__ = [
@@ -71,8 +71,6 @@ __all__ = [
     "coplanar_index_oracle",
     "moment_curve_points",
 ]
-
-_VARS = ("x", "y", "s", "t")
 
 # Float-mode coplanarity tolerance validated against the index oracle for
 # torsion sets up to n = 32 (coordinates from the R_F arc map): truly
@@ -112,11 +110,11 @@ def ap_grid(kind: str, n: int) -> ApGrid:
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "additive":
-        poly = parse_poly("x + y + s + t", _VARS)
+        poly = parse_poly("x + y + s + t", VARS)
         abc = [Fraction(i) for i in range(1, n + 1)]
         d = [Fraction(-m) for m in range(3 * n, 2, -1)]
     elif kind == "multiplicative":
-        poly = parse_poly("x*y*s*t - 1", _VARS)
+        poly = parse_poly("x*y*s*t - 1", VARS)
         abc = [Fraction(2) ** i for i in range(1, n + 1)]
         d = [Fraction(2) ** (-m) for m in range(3 * n, 2, -1)]
     else:

@@ -59,11 +59,15 @@ def sets_from_csv(text: str) -> GridSets:
             raise ValueError(f"line {lineno}: expected 'A: v1,v2,...' through 'D:'")
         if label in found:
             raise ValueError(f"line {lineno}: duplicate set {label}")
+        found[label] = values = []
         try:
-            # Fraction parses integers, p/q, and decimal notation exactly
-            found[label] = [Fraction(p) for p in rest.split(",") if p.strip()]
+            for part in filter(None, map(str.strip, rest.split(","))):
+                # Fraction parses integers, p/q, and decimal notation exactly
+                values.append(Fraction(part))
         except ZeroDivisionError:
             raise ValueError(f"line {lineno}: zero denominator in {line!r}") from None
+        except ValueError:
+            raise ValueError(f"line {lineno}: invalid value {part!r}") from None
     missing = [l for l in _SET_LABELS if l not in found]
     if missing:
         raise ValueError(f"missing sets: {', '.join(missing)}")

@@ -40,7 +40,7 @@ from itertools import combinations, repeat
 from math import comb, gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
-from .polynomials import clear_denominators
+from .polynomials import Frozen, clear_denominators
 
 __all__ = [
     "PointSet2",
@@ -60,39 +60,18 @@ _EXACT_TYPES = (int, Fraction)
 _MARGIN_FACTOR = 100
 
 
-class _PointSet:
+class _PointSet(Frozen):
     """Finite list of points, exact (Fraction) or finite float coordinates.
 
-    Immutable: assigning an attribute raises AttributeError.  Equal when the
-    class, the points and the kind are equal.
-    """
+    A `Frozen` record, equal when the class, points and kind are equal."""
 
     __slots__ = ("points", "kind")
+    _fields = ("points", "kind")
     dimension: int
 
     def __init__(self, points: tuple[tuple, ...], kind: str) -> None:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.points, self.kind)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points and self.kind == other.kind
-
-    def __hash__(self) -> int:
-        return hash((self.points, self.kind))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(points={self.points!r}, kind={self.kind!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]):
@@ -140,7 +119,8 @@ class CountReport(NamedTuple):
     # the JSON reports None as {}
     degeneracy: dict[str, int] | None = None
     # float coplanarity only: {"max_accepted": ..., "min_rejected": ...} of
-    # |det| / scale, each None when no quadruple fell on that side
+    # |det| / scale, each None when no quadruple fell on that side, and
+    # "near_threshold", the quadruples with tol / 100 <= |det| / scale < 100 tol
     margin: dict[str, float | None] | None = None
     # exact hashing only: {"lines": ..., "planes": ...}
     hashing: dict[str, int] | None = None
@@ -190,8 +170,10 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
 
     Exact inputs test det == 0 exactly; float inputs test |det| / scale < tol,
     with scale the product of the three largest pairwise distances of the
-    quadruple (a volume-scale normalization).  Float reports also carry the
-    margin: the largest |det| / scale accepted and the smallest rejected.
+    quadruple (a volume-scale normalization), and tol must be finite and
+    positive.  Float reports also carry the margin: the largest
+    |det| / scale accepted and the smallest rejected, and `near_threshold`,
+    the number of quadruples within a factor 100 of tol on either side.
     The scan raises ValueError as soon as the largest accepted comes within
     a factor 100 of the smallest rejected: no tolerance then separates
     coplanar quadruples from rounding noise.  The two bounds only move toward
@@ -222,9 +204,12 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
                     offset = nx * ax + ny * ay + nz * az
                     count += [nx * x + ny * y + nz * z for x, y, z in pts[k + 1:]].count(offset)
     else:
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         pts = points.points
         dist = [[math.dist(p, q) for q in pts] for p in pts]
-        max_accepted, min_rejected = 0.0, math.inf
+        max_accepted, min_rejected, near = 0.0, math.inf, 0
+        near_low, near_high = tol / _MARGIN_FACTOR, tol * _MARGIN_FACTOR
         for i, (a0, a1, a2) in enumerate(pts):
             da = dist[i]
             for j in range(i + 1, size):
@@ -246,19 +231,24 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
                         ratio = abs(det) / (dists[5] * dists[4] * dists[3])
                         if ratio < tol:
                             count += 1
+                            if ratio >= near_low:
+                                near += 1
                             if ratio <= max_accepted:
                                 continue
                             max_accepted = ratio
-                        elif ratio < min_rejected:
-                            min_rejected = ratio
                         else:
-                            continue
+                            if ratio < near_high:
+                                near += 1
+                            if ratio >= min_rejected:
+                                continue
+                            min_rejected = ratio
                         if _MARGIN_FACTOR * max_accepted > min_rejected:
                             raise ValueError(
                                 f"float coplanarity margin collapsed: accepted |det|/scale "
                                 f"up to {max_accepted:.2e}, rejected from {min_rejected:.2e}")
         margin = {"max_accepted": max_accepted if count else None,
-                  "min_rejected": min_rejected if min_rejected < math.inf else None}
+                  "min_rejected": min_rejected if min_rejected < math.inf else None,
+                  "near_threshold": near}
     return CountReport(count, "naive", 4, time.perf_counter() - start, margin=margin)
 
 

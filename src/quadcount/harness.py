@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import constructions, geometry, zerocount
-from .polynomials import parse_poly
+from .polynomials import VARS, parse_poly
 from .stages import Stages
 
 __all__ = ["SeriesRow", "ExperimentSeries", "fit_slope", "run_series", "EXPERIMENTS"]
@@ -96,7 +96,7 @@ class _GridConfig(NamedTuple):
 
 
 def _nonspecial_grid(n: int) -> _GridConfig:
-    poly = parse_poly("t - (x + y*s)", ("x", "y", "s", "t"))
+    poly = parse_poly("t - (x + y*s)", VARS)
     values = [Fraction(i) for i in range(1, n + 1)]
     sets = zerocount.GridSets.from_values(values, values, values, values)
     return _GridConfig(poly, sets)

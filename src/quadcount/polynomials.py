@@ -25,6 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
+    "VARS",
+    "Frozen",
     "PolyParseError",
     "Polynomial",
     "parse_poly",
@@ -38,6 +40,42 @@ Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# the variables of F(x, y, s, t), bound to the sets A, B, C, D in this order
+VARS = ("x", "y", "s", "t")
+
+
+class Frozen:
+    """Immutable record over the attributes `_fields` names, which its
+    constructor takes in order and sets with `object.__setattr__`.  Records
+    of one class with equal fields are equal and hash alike."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
 
 
 class PolyParseError(ValueError):
@@ -53,13 +91,16 @@ def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     return (sum(exp), exp)
 
 
-class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+class Polynomial(Frozen):
+    """Sparse polynomial with exact rational coefficients: a `Frozen` record
+    of `vars`, the variable names, and `terms`, a dict from exponent tuples to
+    nonzero Fractions that must not change, since the hash is computed once."""
 
     __slots__ = ("vars", "terms", "_hash")
+    _fields = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction | int]):
-        self.vars: tuple[str, ...] = tuple(variables)
+        object.__setattr__(self, "vars", tuple(variables))
         nvars = len(self.vars)
         clean: dict[Exponent, Fraction] = {}
         for exp, coeff in terms.items():
@@ -71,8 +112,8 @@ class Polynomial:
             c = Fraction(coeff)
             if c != 0:
                 clean[exp] = c
-        self.terms: dict[Exponent, Fraction] = clean
-        self._hash: int | None = None
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_hash", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -178,14 +219,10 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.terms.items())))
+            key = (self.vars, frozenset(self.terms.items()))
+            object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
     # -- evaluation and calculus --------------------------------------------

@@ -27,21 +27,21 @@ from itertools import compress
 from operator import add, not_
 from typing import NamedTuple, Sequence
 
-from .polynomials import Polynomial, clear_denominators
+from .polynomials import Frozen, Polynomial, clear_denominators
 from .stages import Stages
 
 __all__ = ["GridSets", "ZeroCountReport", "count_naive", "count_fiber"]
 
 
-class GridSets:
+class GridSets(Frozen):
     """Four finite sets of exact rationals, bound to a polynomial's variables
     in declared order.  Sizes may differ; values within a set are distinct.
 
-    Immutable: assigning an attribute raises AttributeError.  Equal when the
-    sets are equal.
+    A `Frozen` record: equal when the sets are equal.
     """
 
     __slots__ = ("sets",)
+    _fields = ("sets",)
 
     def __init__(self, sets: tuple[tuple[Fraction, ...], ...]) -> None:
         if len(sets) != 4:
@@ -50,26 +50,6 @@ class GridSets:
             if len(set(values)) != len(values):
                 raise ValueError(f"set #{i} contains repeated values")
         object.__setattr__(self, "sets", sets)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return GridSets, (self.sets,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sets == other.sets
-
-    def __hash__(self) -> int:
-        return hash((self.sets,))
-
-    def __repr__(self) -> str:
-        return f"GridSets(sets={self.sets!r})"
 
     @classmethod
     def from_values(cls, a: Sequence, b: Sequence, c: Sequence, d: Sequence) -> GridSets:

@@ -155,6 +155,13 @@ class TestCountZerosCommand:
         assert (code, out) == (1, "")
         assert err == "error:sets: line 2: zero denominator in 'B: 1/0'\n"
 
+    def test_bad_literal_in_sets_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "sets.csv"
+        path.write_text("# grid\nA: 1,abc\nB: 1\nC: 1\nD: 2\n")
+        code, out, err = run_cli(capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error:sets: line 2: invalid value 'abc'\n"
+
     def test_out_path_writes_file(self, capsys, tmp_path, sets_file):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -297,6 +304,7 @@ class TestGeometryCommands:
         assert payload["method"] == "naive"
         assert payload["count"] == 1
         assert payload["max_accepted"] < 1e-7 <= payload["min_rejected"]
+        assert payload["near_threshold"] == 0
 
     def test_collapsed_float_margin_is_domain_error(self, capsys, tmp_path):
         # accepted |det|/scale reaches 7.9e-8, rejected starts at 1.1e-7
@@ -305,6 +313,14 @@ class TestGeometryCommands:
         code, out, err = run_cli(capsys, "count-coplanar", "--points", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error:count:") and "margin collapsed" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_float_tol_must_be_finite_and_positive(self, capsys, tmp_path, tol):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.0,0.0,0.0\n1.0,0.0,0.0\n0.25,1.0,0.0\n1.0,1.5,0.0\n0.0,0.25,1.0\n")
+        code, out, err = run_cli(capsys, "count-coplanar", "--points", str(path), f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:count: tol must be finite and positive")
 
     def test_float_fast_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"

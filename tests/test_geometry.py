@@ -50,8 +50,9 @@ def coplanar_reference(points, tol):
     the quadruple-at-a-time loop, kept as the reference for the hoisted scan.
     A float scan stops at the first quadruple after which the largest
     accepted ratio is within a factor 100 of the smallest rejected one, and
-    returns None for the count with the margin as it stood then."""
-    count = 0
+    returns None for the count with the margin as it stood then.  A full
+    float scan also counts the quadruples with tol / 100 <= ratio < 100 tol."""
+    count = near = 0
     max_accepted, min_rejected = 0.0, math.inf
     dist = math.dist
     for a, b, c, d in combinations(points.points, 4):
@@ -65,6 +66,7 @@ def coplanar_reference(points, tol):
         dists = sorted((dist(a, b), dist(a, c), dist(a, d),
                         dist(b, c), dist(b, d), dist(c, d)))
         ratio = abs(det) / (dists[5] * dists[4] * dists[3])
+        near += tol / 100 <= ratio < 100 * tol
         if ratio < tol:
             count += 1
             if ratio > max_accepted:
@@ -76,7 +78,8 @@ def coplanar_reference(points, tol):
     if points.kind == "exact":
         return count, None
     return count, {"max_accepted": max_accepted if count else None,
-                   "min_rejected": min_rejected if min_rejected < math.inf else None}
+                   "min_rejected": min_rejected if min_rejected < math.inf else None,
+                   "near_threshold": near}
 
 
 class TestCoplanarNaive:
@@ -154,6 +157,25 @@ class TestCoplanarNaive:
         out = report.to_json()
         assert out["max_accepted"] < 1e-15
         assert out["min_rejected"] > 1e-10
+        assert out["near_threshold"] == 0
+
+    def test_near_threshold_on_torsion_32(self):
+        # at tol = 1e-11 the nearest non-coplanar quadruples, from 1.25e-10,
+        # fall within a factor 100 of tol; no coplanar one does
+        cfg = make_curve()
+        points = embed_quartic(cfg, torsion_points(cfg, 32)[1:])
+        report = coplanar_naive(points, tol=1e-11)
+        assert report.margin["near_threshold"] == 46
+        assert (report.count, report.margin) == coplanar_reference(points, 1e-11)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf],
+                             ids=["nan", "-1", "0", "inf"])
+    def test_float_tol_must_be_finite_and_positive(self, tol):
+        points = PointSet3.from_rows(
+            [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.25, 0.6, 1e-12), (0.3, 0.2, 0.9)]
+        )
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            coplanar_naive(points, tol=tol)
 
     def test_float_scan_refuses_within_a_factor_100(self):
         # one near-coplanar quadruple, |det|/scale about h / 2, and four
@@ -176,7 +198,7 @@ class TestCoplanarNaive:
     def test_exact_report_has_no_margin(self):
         report = coplanar_naive(pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)]))
         out = report.to_json()
-        assert "max_accepted" not in out and "min_rejected" not in out
+        assert not {"max_accepted", "min_rejected", "near_threshold"} & set(out)
 
     def test_ordered_count_factor(self):
         points = pts3([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)])

@@ -1,14 +1,19 @@
 """Value semantics of the record types: equality, hashing, immutability,
-validation, repr, and defaults that are never shared between instances."""
+validation, repr, and defaults that are never shared between instances;
+and the package's exports."""
 
+import contextlib
 import pickle
 from fractions import Fraction
 
 import pytest
 
+import quadcount
+from quadcount import constructions, geometry, harness, polynomials, separability, zerocount
 from quadcount.constructions import ANGLE_TOL, IDENTITY, CurvePoint, EllipticConfig, make_curve
 from quadcount.geometry import CountReport, PointSet2, PointSet3
 from quadcount.harness import ExperimentSeries, SeriesRow
+from quadcount.polynomials import VARS, Polynomial, parse_poly
 from quadcount.separability import FormVerdict
 from quadcount.zerocount import GridSets, ZeroCountReport
 
@@ -46,6 +51,34 @@ class TestGridSets:
             "GridSets(sets=((Fraction(1, 1),), (Fraction(2, 1),), "
             "(Fraction(3, 1),), (Fraction(4, 1),)))"
         )
+
+
+class TestPolynomial:
+    def test_value_semantics(self):
+        p = parse_poly("x*y - s*t", VARS)
+        hash(p)  # cache the hash before the assignments are tried
+        assert_value_record(p, parse_poly("-t*s + y*x", VARS), parse_poly("x*y + s*t", VARS),
+                            "vars")
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        with pytest.raises(AttributeError):
+            del p.vars
+        assert p.vars == VARS and p in {parse_poly("x*y - s*t", VARS)}
+
+    def test_equal_polynomials_hash_equal(self):
+        x, y, s, t = (Polynomial.variable(VARS, v) for v in VARS)
+        built = (x + s) * (y - t) - x * y + s * t - s * y
+        parsed = parse_poly("s*y - x*t - s*y", VARS)
+        direct = Polynomial(VARS, {(1, 0, 0, 1): Fraction(-1)})
+        assert built == parsed == direct
+        assert hash(built) == hash(parsed) == hash(direct)
+        assert len({built, parsed, direct}) == 1
+        # the hash is cached, so a polynomial renamed after hashing would
+        # equal one it does not hash like
+        with contextlib.suppress(AttributeError):
+            direct.vars = ("a", "b", "c", "d")
+        for other in (built, parse_poly("-a*d", "abcd")):
+            assert (direct == other) == (hash(direct) == hash(other)) == (other in {direct})
 
 
 class TestPointSets:
@@ -126,3 +159,13 @@ def test_zero_count_report_counters():
     assert naive["distinct_fibers"] == 3 and "slice_degrees" not in naive
     fiber = base._replace(method="fiber", slice_degrees=(2, 0, 1)).to_json()
     assert fiber["slice_degrees"] == [2, 0, 1] and "distinct_fibers" not in fiber
+
+
+def test_package_exports_what_each_layer_declares():
+    layers = (polynomials, zerocount, geometry, constructions, separability, harness)
+    joined = [name for layer in layers for name in layer.__all__]
+    assert quadcount.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(quadcount, name) is getattr(layer, name)
