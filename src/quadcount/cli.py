@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands: count-zeros, detect-special, construct, count-coplanar,
-count-collinear, count-circles, fit-exponent.  Exit codes: 0 success,
-1 domain error (reported as `error:<code>: message` on stderr), 2 usage
-error.  No subcommand draws at random: the detector's verdict is exact,
-and a polynomial it cannot prove squarefree is a domain error.  Each
+count-collinear, count-circles, fit-exponent.  Output is JSON; `--out csv`
+exists only on construct and fit-exponent, which have a CSV format of their
+own.  Exit codes: 0 success, 1 domain error (reported as `error:<code>:
+message` on stderr), 2 usage error.  A bad --poly, sets file or points file
+is reported as `parse`, `sets` or `points`, an unreadable file as `io`, and
+any other ValueError or RuntimeError under the command's code in
+`_HANDLERS`.  No subcommand draws at random: the detector's verdict is
+exact, and a polynomial it cannot prove squarefree is a domain error.  Each
 option is set by its own flag alone; --poly is read over x, y, s, t.
 
 `main()` with no arguments is the program (the `quadcount` console script,
@@ -23,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import constructions, fileio, geometry, harness, separability, zerocount
-from .polynomials import VARS, PolyParseError, parse_poly
+from .polynomials import VARS, parse_poly
 
 
 class DomainError(Exception):
@@ -38,23 +42,29 @@ def _read_text(path: str) -> str:
 
 
 def _load_poly(source: str):
-    text = _read_text(source) if os.path.isfile(source) else source
     try:
-        return parse_poly(text, VARS)
-    except PolyParseError as exc:
+        return parse_poly(_read_text(source) if os.path.isfile(source) else source, VARS)
+    except ValueError as exc:
         raise DomainError("parse", str(exc)) from exc
 
 
+def _load_sets(path: str):
+    try:
+        return fileio.sets_from_csv(_read_text(path))
+    except ValueError as exc:
+        raise DomainError("sets", str(exc)) from exc
+
+
+def _load_points(path: str, dimension: int):
+    try:
+        return fileio.points_from_csv(_read_text(path), dimension)
+    except ValueError as exc:
+        raise DomainError("points", str(exc)) from exc
+
+
 def _emit(payload: dict, args) -> None:
-    if args.out == "json":
-        payload.pop("_csv", None)
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = payload.pop("_csv", None)
-        if text is None:
-            # generic one-record CSV: header row then value row
-            keys = [k for k, v in payload.items() if not isinstance(v, (dict, list))]
-            text = ",".join(keys) + "\n" + ",".join(str(payload[k]) for k in keys) + "\n"
+    csv = payload.pop("_csv", None)
+    text = csv if args.out == "csv" else json.dumps(payload, indent=2) + "\n"
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -89,8 +99,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     def add(name, help_text):
         return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
-    def common(p):
-        p.add_argument("--out", choices=("json", "csv"), default="json", help="output format")
+    def common(p, formats=("json",)):
+        p.add_argument("--out", choices=formats, default="json", help="output format")
         p.add_argument("--out-path", default=None, help="write output to a file instead of stdout")
 
     if p := add("count-zeros", "count zeros of a 4-variable polynomial on A x B x C x D"):
@@ -114,7 +124,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="curve coefficient b (elliptic)")
         p.add_argument("--spacing", type=_parse_fraction, default=Fraction(1),
                        help="moment curve step")
-        common(p)
+        common(p, ("json", "csv"))
 
     for name, help_text in (
         ("count-coplanar", "count coplanar 4-subsets of a 3D point set"),
@@ -131,148 +141,106 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("fit-exponent", "run a growth experiment and fit the slope"):
         p.add_argument("--experiment", required=True, choices=sorted(harness.EXPERIMENTS))
         p.add_argument("--ns", type=_parse_ns, required=True, help="comma list, e.g. 16,32,64,128")
-        common(p)
+        common(p, ("json", "csv"))
     return parser
 
 
 # -- subcommand handlers --------------------------------------------------------
+#
+# A handler maps the parsed options to the report's fields after "command".
 
 
 def _cmd_count_zeros(args) -> dict:
-    poly = _load_poly(args.poly)
-    try:
-        sets = fileio.sets_from_csv(_read_text(args.sets))
-    except ValueError as exc:
-        raise DomainError("sets", str(exc)) from exc
-    try:
-        if args.method == "naive":
-            report = zerocount.count_naive(poly, sets)
-        else:
-            report = zerocount.count_fiber(poly, sets, args.solve_var)
-    except ValueError as exc:
-        raise DomainError("count", str(exc)) from exc
-    out = {"command": "count-zeros", "poly": str(poly)}
-    out.update(report.to_json())
-    return out
+    poly, sets = _load_poly(args.poly), _load_sets(args.sets)
+    if args.method == "naive":
+        report = zerocount.count_naive(poly, sets)
+    else:
+        report = zerocount.count_fiber(poly, sets, args.solve_var)
+    return {"poly": str(poly), **report.to_json()}
 
 
 def _cmd_detect_special(args) -> dict:
     poly = _load_poly(args.poly)
-    try:
-        verdict = separability.classify(poly)
-    except ValueError as exc:
-        raise DomainError("detect", str(exc)) from exc
-    out = {"command": "detect-special", "poly": str(poly)}
-    out.update(verdict.to_json())
-    return out
+    return {"poly": str(poly), **separability.classify(poly).to_json()}
 
 
 def _cmd_construct(args) -> dict:
     if args.n < 1:
-        raise DomainError("construct", "n must be >= 1")
-    kind = args.kind
-    try:
-        if kind in ("ap-additive", "ap-multiplicative"):
-            grid = constructions.ap_grid(kind.removeprefix("ap-"), args.n)
-            csv = f"# poly: {grid.poly}\n# expected-count: {grid.expected}\n"
-            csv += fileio.sets_to_csv(grid.sets)
-            return {
-                "command": "construct", "kind": kind, "n": args.n,
-                "poly": str(grid.poly), "expected_count": grid.expected,
-                "sets": {l: [str(v) for v in s] for l, s in zip("ABCD", grid.sets.sets)},
-                "_csv": csv,
-            }
-        if kind == "elliptic":
-            cfg = constructions.make_curve(args.a, args.b)
-            points = constructions.torsion_points(cfg, args.n)[1:]
-            embedded = constructions.embed_quartic(cfg, points)
-            return {
-                "command": "construct", "kind": kind, "n": args.n,
-                "curve": {"a": str(cfg.a), "b": str(cfg.b), "period": cfg.period},
-                "points": [list(p) for p in embedded.points],
-                "_csv": fileio.points_to_csv(embedded),
-            }
-        points = constructions.moment_curve_points(args.n, args.spacing)
+        raise ValueError("n must be >= 1")
+    kind, out = args.kind, {"kind": args.kind, "n": args.n}
+    if kind in ("ap-additive", "ap-multiplicative"):
+        grid = constructions.ap_grid(kind.removeprefix("ap-"), args.n)
         return {
-            "command": "construct", "kind": kind, "n": args.n,
-            "points": [[str(v) for v in p] for p in points.points],
-            "_csv": fileio.points_to_csv(points),
+            **out, "poly": str(grid.poly), "expected_count": grid.expected,
+            "sets": {l: [str(v) for v in s] for l, s in zip("ABCD", grid.sets.sets)},
+            "_csv": f"# poly: {grid.poly}\n# expected-count: {grid.expected}\n"
+                    + fileio.sets_to_csv(grid.sets),
         }
-    except (ValueError, RuntimeError) as exc:
-        raise DomainError("construct", str(exc)) from exc
+    if kind == "elliptic":
+        cfg = constructions.make_curve(args.a, args.b)
+        points = constructions.torsion_points(cfg, args.n)[1:]
+        embedded = constructions.embed_quartic(cfg, points)
+        return {
+            **out, "curve": {"a": str(cfg.a), "b": str(cfg.b), "period": cfg.period},
+            "points": [list(p) for p in embedded.points],
+            "_csv": fileio.points_to_csv(embedded),
+        }
+    points = constructions.moment_curve_points(args.n, args.spacing)
+    return {**out, "points": [[str(v) for v in p] for p in points.points],
+            "_csv": fileio.points_to_csv(points)}
 
 
-def _load_points(path: str, dimension: int):
-    try:
-        return fileio.points_from_csv(_read_text(path), dimension)
-    except ValueError as exc:
-        raise DomainError("points", str(exc)) from exc
-
-
-def _cmd_count_coplanar(args) -> dict:
-    points = _load_points(args.points, 3)
-    method = args.method or ("fast" if points.kind == "exact" else "naive")
-    try:
-        if method == "fast":
-            report = geometry.coplanar_fast(points)
-        else:
-            report = geometry.coplanar_naive(points, tol=args.tol)
-    except ValueError as exc:
-        raise DomainError("count", str(exc)) from exc
-    out = {"command": "count-coplanar", "points": len(points), "kind": points.kind}
-    out.update(report.to_json())
-    return out
-
-
-def _cmd_count_plane(args, count) -> dict:
-    """count-collinear and count-circles: `count` maps 2D points to a report."""
-    points = _load_points(args.points, 2)
-    try:
+def _cmd_count_points(args) -> dict:
+    """count-coplanar on 3D points, count-collinear and count-circles on 2D.
+    The geometry functions are read at call time, so that a wrapper put on
+    the module attribute sees the call."""
+    coplanar = args.command == "count-coplanar"
+    points = _load_points(args.points, 3 if coplanar else 2)
+    if not coplanar:
+        count = (geometry.collinear_triples if args.command == "count-collinear"
+                 else geometry.four_point_circles)
         report = count(points)
-    except ValueError as exc:
-        raise DomainError("count", str(exc)) from exc
-    out = {"command": args.command, "points": len(points), "kind": points.kind}
-    out.update(report.to_json())
-    return out
+    elif (args.method or ("fast" if points.kind == "exact" else "naive")) == "fast":
+        report = geometry.coplanar_fast(points)
+    else:
+        report = geometry.coplanar_naive(points, tol=args.tol)
+    return {"points": len(points), "kind": points.kind, **report.to_json()}
 
 
 def _cmd_fit_exponent(args) -> dict:
-    try:
-        series = harness.run_series(args.experiment, args.ns)
-    except ValueError as exc:
-        raise DomainError("experiment", str(exc)) from exc
-    out = {"command": "fit-exponent", "name": args.experiment}
-    out.update(series.to_json())
-    out["_csv"] = series.to_csv()
-    return out
+    series = harness.run_series(args.experiment, args.ns)
+    return {"name": args.experiment, **series.to_json(), "_csv": series.to_csv()}
 
 
+# each command's handler and the code of its domain errors
 _HANDLERS = {
-    "count-zeros": _cmd_count_zeros,
-    "detect-special": _cmd_detect_special,
-    "construct": _cmd_construct,
-    "count-coplanar": _cmd_count_coplanar,
-    # read the geometry function at call time, so a wrapper put on the
-    # module attribute sees the call
-    "count-collinear": lambda args: _cmd_count_plane(args, geometry.collinear_triples),
-    "count-circles": lambda args: _cmd_count_plane(args, geometry.four_point_circles),
-    "fit-exponent": _cmd_fit_exponent,
+    "count-zeros": (_cmd_count_zeros, "count"),
+    "detect-special": (_cmd_detect_special, "detect"),
+    "construct": (_cmd_construct, "construct"),
+    "count-coplanar": (_cmd_count_points, "count"),
+    "count-collinear": (_cmd_count_points, "count"),
+    "count-circles": (_cmd_count_points, "count"),
+    "fit-exponent": (_cmd_fit_exponent, "experiment"),
 }
 
 
 def _run(argv: list[str]) -> int:
     # build only the subparser argv names, if it names one
     args = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_args(argv)
+    handler, code = _HANDLERS[args.command]
     try:
-        payload = _HANDLERS[args.command](args)
+        payload = {"command": args.command, **handler(args)}
     except DomainError as exc:
-        print(f"error:{exc.code}: {exc}", file=sys.stderr)
-        return 1
+        code, error = exc.code, exc
     except OSError as exc:
-        print(f"error:io: {exc}", file=sys.stderr)
-        return 1
-    _emit(payload, args)
-    return 0
+        code, error = "io", exc
+    except (ValueError, RuntimeError) as exc:
+        error = exc
+    else:
+        _emit(payload, args)
+        return 0
+    print(f"error:{code}: {error}", file=sys.stderr)
+    return 1
 
 
 def main(argv: list[str] | None = None) -> int:

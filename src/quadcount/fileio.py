@@ -31,12 +31,14 @@ def parse_value(text: str) -> Fraction | float:
     text = text.strip()
     if not text:
         raise ValueError("empty value")
-    if "." in text or "e" in text.lower():
-        return float(text)
     try:
+        if "." in text or "e" in text.lower():
+            return float(text)
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"invalid value {text!r}") from None
 
 
 def format_value(value) -> str:

@@ -459,7 +459,13 @@ class _Parser:
 
 def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse polynomial text over the declared variables into canonical form."""
-    return _Parser(text, tuple(variables)).parse()
+    parser = _Parser(text, tuple(variables))
+    try:
+        return parser.parse()
+    except RecursionError:
+        # the parser recurses once per nesting level of parentheses and signs
+        at = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise PolyParseError("expression nested too deeply", at) from None
 
 
 # -- division and GCDs --------------------------------------------------------

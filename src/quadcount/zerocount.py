@@ -71,11 +71,12 @@ class ZeroCountReport(NamedTuple):
     power tables (naive) or the coefficient profile (fiber), and counting;
     the JSON reports None as {}.
 
-    A fiber report also gives `slice_degrees`, the number of fibers whose
-    trimmed slice has degree k at index k (identically vanishing slices are
-    the `degenerate_fibers`), and a naive report `distinct_fibers`, the
-    number of distinct coefficient vectors it evaluated.  The JSON leaves
-    out whichever is None."""
+    `degenerate_fibers` counts the fibers whose slice in the solved variable
+    (the last one, for a naive report) vanishes identically.  A fiber report
+    also gives `slice_degrees`, the number of fibers whose trimmed slice has
+    degree k at index k, and a naive report `distinct_fibers`, the number of
+    distinct coefficient vectors it evaluated.  The JSON leaves out
+    whichever is None."""
 
     count: int
     method: str
@@ -159,7 +160,8 @@ def count_naive(poly: Polynomial, sets: GridSets) -> ZeroCountReport:
             for p, column in zip(row, columns[1:]):
                 values = map(add, values, map(p.__mul__, column))
             count += sum(compress(multiplicities, map(not_, values)))
-    return ZeroCountReport(count, "naive", 0, time.perf_counter() - start, sets.sizes,
+    degenerate = fibers[(0,) * (degrees[3] + 1)]  # fibers with the all-zero vector
+    return ZeroCountReport(count, "naive", degenerate, time.perf_counter() - start, sets.sizes,
                            stages.seconds, distinct_fibers=len(fibers))
 
 

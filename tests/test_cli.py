@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -220,6 +221,14 @@ class TestDetectSpecialCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error:detect: cannot prove F squarefree in '{variable}'")
 
+    @pytest.mark.parametrize("text", ["(" * 2000 + "x+y+s+t" + ")" * 2000, "-" * 2000 + "x"],
+                             ids=["parentheses", "signs"])
+    def test_deep_nesting_is_a_parse_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "detect-special", f"--poly={text}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:parse: expression nested too deeply (at position ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_verdict_never_runs_the_sampler(self, capsys, monkeypatch):
         # the float sampler is a test oracle; the verdict is exact without it
         def refuse(*args, **kwargs):
@@ -335,7 +344,9 @@ class TestGeometryCommands:
         ("count-coplanar", "0,0,0\n3,1/0,1\n", "line 2: zero denominator in '1/0'"),
         ("count-collinear", "0,0\n1,2/0\n", "line 2: zero denominator in '2/0'"),
         ("count-coplanar", "0.0,0.0,0.0\n1.0,1e400,0.0\n", "float coordinates must be finite"),
-    ], ids=["exact-3d", "exact-2d", "float-overflow"])
+        ("count-coplanar", "0,0,0\n1,abc,0\n", "line 2: invalid value 'abc'"),
+        ("count-circles", "0,0\n1.5,2.x\n", "line 2: invalid value '2.x'"),
+    ], ids=["exact-3d", "exact-2d", "float-overflow", "bad-literal", "bad-decimal"])
     def test_bad_point_value_is_a_domain_error(self, capsys, tmp_path, command, rows, message):
         path = tmp_path / "pts.csv"
         path.write_text(rows)
@@ -350,6 +361,14 @@ class TestGeometryCommands:
         payload = json.loads(out)
         assert payload["count"] == 1
         assert (payload["lines"], payload["planes"]) == (5, 0)
+
+    @pytest.mark.parametrize("command", ["count-collinear", "count-circles"])
+    def test_float_points_on_exact_counters_are_domain_errors(self, capsys, tmp_path, command):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.0,0.0\n1.0,1.0\n2.0,2.0\n0.5,3.0\n")
+        code, out, err = run_cli(capsys, command, "--points", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:count:") and "requires exact coordinates" in err
 
     def test_count_circles(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
@@ -447,6 +466,25 @@ class TestParser:
             main([command, *VALID_ARGS[command], *option])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS
+                                         if c not in ("construct", "fit-exponent")])
+    def test_csv_out_is_a_usage_error_without_a_csv_format(self, capsys, command):
+        # only construct and fit-exponent write a CSV format of their own
+        with pytest.raises(SystemExit) as exc:
+            main([command, *VALID_ARGS[command], "--out", "csv"])
+        assert exc.value.code == 2
+        assert "argument --out: invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        # every quadcount line of README's Command line block is a valid call
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        calls = [shlex.split(line)[1:] for line in block.splitlines()
+                 if line.startswith("quadcount ")]
+        assert {call[0] for call in calls} == set(COMMANDS)
+        for call in calls:
+            assert _build_parser(call[0]).parse_args(call).command == call[0]
 
     def test_unknown_command_lists_the_choices(self, capsys):
         with pytest.raises(SystemExit) as exc:

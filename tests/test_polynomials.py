@@ -78,6 +78,17 @@ class TestParse:
         with pytest.raises(PolyParseError):
             P("x + y)")
 
+    @pytest.mark.parametrize("text", ["(" * 2000 + "x+y+s+t" + ")" * 2000, "-" * 2000 + "x"],
+                             ids=["parentheses", "signs"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        # the parser recurses per level; running out of stack is malformed input
+        with pytest.raises(PolyParseError, match="nested too deeply") as err:
+            P(text)
+        assert 0 < err.value.position < len(text)
+
+    def test_moderate_nesting_parses(self):
+        assert P("(" * 150 + "x+y+s+t" + ")" * 150) == P("x+y+s+t")
+
 
 def random_poly(rng, variables=V4, max_deg=6, max_terms=8) -> Polynomial:
     terms = {}

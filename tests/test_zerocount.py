@@ -90,6 +90,15 @@ class TestDistinctFibers:
         # and an empty C leaves no vector to evaluate
         assert count_naive(poly, grid([1, 2], [1, 4], [], [1, 2])).distinct_fibers == 0
 
+    def test_all_zero_vectors_are_degenerate_fibers(self):
+        # the vector (s - x, x - y) vanishes where x = y = s: 18 fibers
+        poly = P("x*t - y*t - x + s")
+        values = range(1, 19)
+        sets = grid(values, values, values, values)
+        naive, fiber = count_naive(poly, sets), count_fiber(poly, sets, solve_var="t")
+        assert (naive.count, naive.degenerate_fibers) == (fiber.count, fiber.degenerate_fibers)
+        assert (naive.count, naive.degenerate_fibers) == (1156, 18)
+
     def test_never_uses_the_coefficient_profile(self, monkeypatch):
         # the ground truth shares no code with the fiber route's profile
         poly = P("t^2 - x*y - s")
@@ -203,10 +212,12 @@ class TestEquivalenceAndProperties:
         rng = np.random.default_rng(20240818)
         for i in range(100):
             poly, sets = random_instance(rng)
-            expected = count_naive(poly, sets).count
+            naive = count_naive(poly, sets)
             solve_var = V4[int(rng.integers(4))]
             got = count_fiber(poly, sets, solve_var=solve_var)
-            assert got.count == expected, (i, str(poly), sets.sizes, solve_var)
+            assert got.count == naive.count, (i, str(poly), sets.sizes, solve_var)
+            # both routes see the same fibers when the fiber route solves for t
+            assert count_fiber(poly, sets).degenerate_fibers == naive.degenerate_fibers, i
 
     def test_monotone_in_each_set(self):
         poly = P("x*y - s*t")
