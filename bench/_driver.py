@@ -5,8 +5,11 @@ A bench script lists its inputs, each with the CLI job that times it cold
 (or None), and says what its worker times in process; `main` does the rest.
 
 - The tree timed is the `src` next to this directory.  `--baseline-src DIR`
-  adds another checkout's `src`, and the script exits 1 if the two trees
-  give different results on any input.
+  adds another checkout's `src`, and the script exits 1 if, on any input,
+  a field of the baseline's result is missing from the change's or differs.
+  Fields that only the change reports are allowed, and the record lists
+  them under `added_fields`, so a change that adds a report field can still
+  be timed against its parent.
 - Each tree is compiled once, first, and every child runs without
   PYTHONDONTWRITEBYTECODE, so no process pays for compiling the package.
 - The trees alternate, so a drifting CPU favours neither: which runs first
@@ -21,7 +24,7 @@ A bench script lists its inputs, each with the CLI job that times it cold
 
 Children run in a temporary directory, where a script's `jobs(tmp)` writes
 their input files.  Every record is `{"machine", "repeat", "runs": {label:
-{<totals>, "rows": [...]}}}`.
+{<totals>, "rows": [...]}}}`, plus `"added_fields"` with a baseline.
 """
 
 from __future__ import annotations
@@ -65,6 +68,22 @@ def repeat(call, key=lambda out: out) -> tuple[list, list[float]]:
 def total(rows: list[dict], key: str = "seconds") -> float:
     """The sum of the median `key` seconds of the rows that have them."""
     return sum(statistics.median(row[key]) for row in rows if key in row)
+
+
+def added_fields(base, change, prefix: str = "") -> list[str]:
+    """The dotted names of the fields that the result `change` reports and
+    `base` does not, looking into nested dicts; ValueError names the first
+    field of `base` that `change` lacks or gives another value."""
+    if not (isinstance(base, dict) and isinstance(change, dict)):
+        if base != change:
+            raise ValueError(prefix.rstrip(".") or "result")
+        return []
+    added = [prefix + key for key in change if key not in base]
+    for key, value in base.items():
+        if key not in change:
+            raise ValueError(prefix + key)
+        added += added_fields(value, change[key], f"{prefix}{key}.")
+    return added
 
 
 def _order(trees: dict[str, Path], i: int) -> list[str]:
@@ -119,6 +138,7 @@ def main(script: str, doc: str, *, out: str, jobs, result, totals, table, worker
             sys.exit(f"could not compile {src}")
     script = str(Path(script).resolve())
     rows: dict[str, list[dict]] = {label: [] for label in trees}
+    added: set[str] = set()
     with tempfile.TemporaryDirectory() as tmp:
         runs = extra(trees, tmp) if extra else {label: {} for label in trees}
         for i, (name, argv) in enumerate(jobs(Path(tmp))):
@@ -139,8 +159,12 @@ def main(script: str, doc: str, *, out: str, jobs, result, totals, table, worker
                 if any(r != outcome[label] for r in found):
                     sys.exit(f"{name}: cold results on {label} differ from {outcome[label]}: {found}")
                 rows[label].append(row)
-            if outcome.get("baseline", outcome["change"]) != outcome["change"]:
-                sys.exit(f"{name}: results differ: {outcome['baseline']} -> {outcome['change']}")
+            if "baseline" in outcome:
+                try:
+                    added.update(added_fields(outcome["baseline"], outcome["change"]))
+                except ValueError as exc:
+                    sys.exit(f"{name}: results differ in {exc}: "
+                             f"{outcome['baseline']} -> {outcome['change']}")
     record = {
         "machine": {"python": platform.python_version(),
                     "processor": platform.processor() or platform.machine(),
@@ -149,6 +173,8 @@ def main(script: str, doc: str, *, out: str, jobs, result, totals, table, worker
         "runs": {label: {**runs[label], **totals(rows[label]), "rows": rows[label]}
                  for label in trees},
     }
+    if args.baseline_src:
+        record["added_fields"] = sorted(added)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, allow_nan=False)
         fh.write("\n")

@@ -79,6 +79,22 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+# the options that take a fraction: argparse reads a separate value such as
+# "-1/2" as an option, not as a negative number, so `_run` joins such a value
+# to its flag as "--b=-1/2"
+_FRACTION_OPTIONS = ("--a", "--b", "--spacing")
+
+
+def _join_negative_fractions(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _FRACTION_OPTIONS and word[:1] == "-" and word[1:2].isdigit():
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _parse_ns(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",") if p.strip()]
@@ -226,7 +242,8 @@ _HANDLERS = {
 
 def _run(argv: list[str]) -> int:
     # build only the subparser argv names, if it names one
-    args = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_args(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
+    args = parser.parse_args(_join_negative_fractions(argv))
     handler, code = _HANDLERS[args.command]
     try:
         payload = {"command": args.command, **handler(args)}

@@ -31,9 +31,8 @@ __all__ = [
     "Polynomial",
     "parse_poly",
     "clear_denominators",
-    "bivariate_gcd",
+    "gcd",
     "try_divide",
-    "univariate_gcd",
 ]
 
 Exponent = tuple[int, ...]
@@ -468,15 +467,16 @@ def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
         raise PolyParseError("expression nested too deeply", at) from None
 
 
-# -- division and GCDs --------------------------------------------------------
+# -- division and the GCD -----------------------------------------------------
 #
-# One division routine serves exact division and both GCDs.  In one variable
-# it is Euclidean division, so `univariate_gcd` is Euclid's algorithm.
-# `bivariate_gcd` runs Euclid over the rational-function field in the first
-# variable: it reads a bivariate polynomial as one in the second variable y
-# whose coefficients are polynomials in the first, splits off the content
-# (the GCD of those coefficients) and follows the primitive pseudo-remainder
-# sequence in y, which keeps coefficient growth in check.
+# One division routine serves exact division and the GCD.  In one variable it
+# is Euclidean division, so `gcd` there is Euclid's algorithm.  In more
+# variables `gcd` runs Euclid over the rational-function field in all but the
+# last variable: it reads a polynomial as one in the last variable whose
+# coefficients are polynomials in the others, splits off the content (the GCD
+# of those coefficients, found by `gcd` one variable down) and follows the
+# primitive pseudo-remainder sequence in the last variable, which keeps
+# coefficient growth in check.
 
 
 def _divide(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -527,52 +527,40 @@ def _make_primitive(p: Polynomial) -> Polynomial:
     return Polynomial(p.vars, {e: n // g for e, n in zip(p.terms, ints)})
 
 
-def univariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """GCD of two polynomials in one variable, primitive with positive leader.
-
-    The GCD with the zero polynomial is the other operand made primitive.
-    """
-    if len(a.vars) != 1 or a.vars != b.vars:
-        raise ValueError("expected two univariate polynomials in the same variable")
-    while not b.is_zero:
-        a, b = b, _divide(a, b)[1]
-    return _make_primitive(a)
-
-
 def _content(p: Polynomial) -> Polynomial:
-    # GCD of p's coefficients in its second variable, a polynomial in the first
-    cont = Polynomial.zero(p.vars[:1])
-    for c in p.coefficients_in(p.vars[1]):
-        cont = univariate_gcd(cont, c)
+    # GCD of p's coefficients in its last variable, a polynomial in the others
+    cont = Polynomial.zero(p.vars[:-1])
+    for c in p.coefficients_in(p.vars[-1]):
+        cont = gcd(cont, c)
     return cont
 
 
 def _lift(u: Polynomial, variables: tuple[str, ...]) -> Polynomial:
-    # a polynomial in the first of two variables, read in both
+    # a polynomial in all but the last variable, read in all of them
     return Polynomial(variables, {e + (0,): c for e, c in u.terms.items()})
 
 
-def bivariate_gcd(g1: Polynomial, g2: Polynomial) -> Polynomial:
-    """GCD of two bivariate polynomials, primitive with positive leader.
-
-    Used to expose plane-curve components shared by many parameter slices of
-    a quadrivariate polynomial; a nontrivial result means the two slices have
-    a common component.
-    """
-    if len(g1.vars) != 2 or g1.vars != g2.vars:
-        raise ValueError("expected two bivariate polynomials over the same variables")
-    if g1.is_zero or g2.is_zero:
-        raise ValueError("gcd of the zero polynomial is undefined here")
-    y = g1.vars[1]
-    ca, cb = _content(g1), _content(g2)
-    a, b = try_divide(g1, _lift(ca, g1.vars)), try_divide(g2, _lift(cb, g2.vars))
+def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """GCD of two polynomials over the same variables, primitive with a
+    positive graded-lex leader; the GCD with the zero polynomial is the
+    other operand made primitive, so gcd(0, 0) is zero."""
+    if a.vars != b.vars:
+        raise ValueError("polynomials declare different variables")
+    if len(a.vars) < 2 or a.is_zero or b.is_zero:
+        # Euclid, which also takes a zero operand in any number of variables
+        while not b.is_zero:
+            a, b = b, _divide(a, b)[1]
+        return _make_primitive(a)
+    y = a.vars[-1]
+    ca, cb = _content(a), _content(b)
+    a, b = try_divide(a, _lift(ca, a.vars)), try_divide(b, _lift(cb, b.vars))
     while not b.is_zero:
         # pseudo-remainder of a by b in y: r <- lc_y(b) r - lc_y(r) y^k b
         db = b.degree_in(y)
         lb = _lift(b.coefficients_in(y)[-1], b.vars)
         r = a
         while not r.is_zero and (dr := r.degree_in(y)) >= db:
-            lead = {(i, j - db): c for (i, j), c in r.terms.items() if j == dr}
+            lead = {e[:-1] + (dr - db,): c for e, c in r.terms.items() if e[-1] == dr}
             r = lb * r - Polynomial(r.vars, lead) * b
         a, b = b, r if r.is_zero else try_divide(r, _lift(_content(r), r.vars))
-    return _make_primitive(a * _lift(univariate_gcd(ca, cb), g1.vars))
+    return _make_primitive(a * _lift(gcd(ca, cb), a.vars))

@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .polynomials import Polynomial, bivariate_gcd, try_divide, univariate_gcd
+from .polynomials import Polynomial, gcd, try_divide
 from .stages import Stages
 
 
@@ -121,7 +121,7 @@ def popular_components(
     candidates: dict[Polynomial, None] = {}
     for i in range(len(slices)):
         for j in range(i + 1, len(slices)):
-            g = bivariate_gcd(slices[i], slices[j])
+            g = gcd(slices[i], slices[j])
             if g.total_degree > 0:
                 candidates.setdefault(g)
     components: list[tuple[Polynomial, int]] = []
@@ -175,11 +175,12 @@ def _require_squarefree(poly: Polynomial) -> None:
     """Raise ValueError unless F provably has no repeated factor.
 
     For each variable v that F involves, the other three are set to each of
-    `_GUARD_POINTS` in turn, giving a univariate `Polynomial` u in v; a point
+    `_GUARD_POINTS` in turn, giving a `Polynomial` u in v alone; a point
     where u's degree falls below F's degree in v (the leading coefficient
-    vanishes there) is skipped.  One point where gcd(u, u') == 1 proves that
-    no repeated factor of F involves v.  If F = G^2 H with G involving v,
-    every such point leaves a repeated factor in u, so none succeeds.
+    vanishes there) is skipped.  One point where `gcd(u, u')` is 1 (Euclid
+    in one variable) proves that no repeated factor of F involves v.  If
+    F = G^2 H with G involving v, every such point leaves a repeated factor
+    in u, so none succeeds.
     """
     _require_surface(poly)
     for v in poly.vars:
@@ -190,7 +191,7 @@ def _require_squarefree(poly: Polynomial) -> None:
         for point in _GUARD_POINTS:
             u = poly.specialize(dict(zip(others, point)))
             if (u.degree_in(v) == degree
-                    and univariate_gcd(u, u.partial(v)).total_degree == 0):
+                    and gcd(u, u.partial(v)).total_degree == 0):
                 break
         else:
             raise ValueError(f"cannot prove F squarefree in {v!r} after {len(_GUARD_POINTS)} "

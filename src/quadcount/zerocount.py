@@ -59,12 +59,6 @@ class GridSets(Frozen):
     def sizes(self) -> tuple[int, int, int, int]:
         return tuple(len(s) for s in self.sets)  # type: ignore[return-value]
 
-    def product_size(self) -> int:
-        n = 1
-        for s in self.sets:
-            n *= len(s)
-        return n
-
 
 class ZeroCountReport(NamedTuple):
     """`stages` holds the seconds spent clearing denominators, building the

@@ -287,6 +287,15 @@ class TestConstructCommand:
         assert points.kind == "exact"
         assert points.points[0] == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 
+    @pytest.mark.parametrize("flag, value", [("--a", "-3/2"), ("--b", "-1/2"),
+                                             ("--spacing", "-1/3")])
+    def test_negative_fraction_as_a_separate_value(self, capsys, flag, value):
+        kind = "moment" if flag == "--spacing" else "elliptic"
+        runs = [run_cli(capsys, "construct", "--kind", kind, "--n", "4", *words)
+                for words in ([flag, value], [f"{flag}={value}"])]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and json.loads(runs[0][1])["command"] == "construct"
+
     def test_singular_curve_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", "--kind", "elliptic", "--n", "4",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,10 @@ import pytest
 from quadcount.polynomials import (
     PolyParseError,
     Polynomial,
-    bivariate_gcd,
     clear_denominators,
+    gcd,
     parse_poly,
     try_divide,
-    univariate_gcd,
 )
 
 V4 = ("x", "y", "s", "t")
@@ -221,53 +221,45 @@ class TestUnivariateGcd:
         g = parse_poly("2*x^2 - 3", ("x",))
         a = g * parse_poly("x + 1", ("x",))
         b = g * parse_poly("x^3 - 7/2", ("x",))
-        assert univariate_gcd(a, b) == g
+        assert gcd(a, b) == g
 
     def test_zero_operand(self):
         a = parse_poly("-6*x^2 + 4/3", ("x",))
         zero = Polynomial.zero(("x",))
-        assert univariate_gcd(a, zero) == univariate_gcd(zero, a) == parse_poly("9*x^2 - 2", ("x",))
-        assert univariate_gcd(zero, zero).is_zero
+        assert gcd(a, zero) == gcd(zero, a) == parse_poly("9*x^2 - 2", ("x",))
+        assert gcd(zero, zero).is_zero
 
     def test_coprime_gives_one(self):
-        assert univariate_gcd(parse_poly("x^2 + 1", ("x",)), parse_poly("x - 5", ("x",))) == \
+        assert gcd(parse_poly("x^2 + 1", ("x",)), parse_poly("x - 5", ("x",))) == \
             Polynomial.constant(("x",), 1)
 
     def test_scale_invariance(self):
         a = parse_poly("(x - 2)*(x + 3)", ("x",))
         b = parse_poly("(x - 2)^2", ("x",))
-        assert univariate_gcd(Fraction(-5, 3) * a, 7 * b) == univariate_gcd(a, b) == \
+        assert gcd(Fraction(-5, 3) * a, 7 * b) == gcd(a, b) == \
             parse_poly("x - 2", ("x",))
-
-    def test_rejects_more_variables(self):
-        with pytest.raises(ValueError):
-            univariate_gcd(parse_poly("x", V2), parse_poly("y", V2))
 
 
 class TestBivariateGcd:
     def test_equal_inputs(self):
         g = parse_poly("x+y+5", V2)
-        assert bivariate_gcd(g, g) == g
+        assert gcd(g, g) == g
 
     def test_coprime_lines(self):
-        g = bivariate_gcd(parse_poly("x+y+5", V2), parse_poly("x+y+6", V2))
+        g = gcd(parse_poly("x+y+5", V2), parse_poly("x+y+6", V2))
         assert g.total_degree == 0
 
     def test_constructed_factor(self):
         g = parse_poly("x+y", V2)
         a = g * parse_poly("x-1", V2)
         b = g * parse_poly("y-2", V2)
-        assert bivariate_gcd(a, b) == g
+        assert gcd(a, b) == g
 
     def test_input_free_of_y(self):
         # the GCD then lives in x alone: the content of the other input
         a = parse_poly("(x - 1)*(x + 2)", V2)
         b = parse_poly("(x - 1)*y^2 + (x^2 - 1)*y", V2)
-        assert bivariate_gcd(a, b) == bivariate_gcd(b, a) == parse_poly("x - 1", V2)
-
-    def test_zero_input_rejected(self):
-        with pytest.raises(ValueError):
-            bivariate_gcd(Polynomial.zero(V2), parse_poly("x", V2))
+        assert gcd(a, b) == gcd(b, a) == parse_poly("x - 1", V2)
 
     def test_gcd_contains_common_factor(self):
         # with coprime cofactors h, k the GCD of g*h and g*k is g up to a
@@ -280,9 +272,9 @@ class TestBivariateGcd:
             k = random_poly(rng, V2, max_deg=3, max_terms=4)
             if g.is_zero or h.is_zero or k.is_zero or g.total_degree == 0:
                 continue
-            if bivariate_gcd(h, k).total_degree != 0:
+            if gcd(h, k).total_degree != 0:
                 continue  # need coprime cofactors for the clean statement
-            d = bivariate_gcd(g * h, g * k)
+            d = gcd(g * h, g * k)
             case = (str(g), str(h), str(k), str(d))
             ratio = try_divide(d, g)
             assert ratio is not None and not ratio.is_zero and ratio.total_degree == 0, case
@@ -293,7 +285,51 @@ class TestBivariateGcd:
     def test_scale_invariance(self):
         a = parse_poly("(x+y)*(x-1)", V2)
         b = parse_poly("(x+y)*(y-2)", V2)
-        assert bivariate_gcd(3 * a, Fraction(-1, 7) * b) == bivariate_gcd(a, b)
+        assert gcd(3 * a, Fraction(-1, 7) * b) == gcd(a, b)
+
+
+class TestGcd:
+    def test_contract(self):
+        # one rule for every number of variables: both operands declare the
+        # same variables, and the GCD with zero is the other operand made
+        # primitive
+        for variables, text, primitive in [
+            (("x",), "-6*x^2 + 4/3", "9*x^2 - 2"),
+            (V2, "-2/3*x*y + 4*y^2", "x*y - 6*y^2"),
+            (V4, "-1/2*x*s + 3*t - y", "x*s + 2*y - 6*t"),
+        ]:
+            a, zero = parse_poly(text, variables), Polynomial.zero(variables)
+            assert gcd(a, zero) == gcd(zero, a) == parse_poly(primitive, variables)
+            assert gcd(zero, zero).is_zero
+        with pytest.raises(ValueError, match="different variables"):
+            gcd(parse_poly("x", ("x",)), parse_poly("x", V2))
+        with pytest.raises(ValueError, match="different variables"):
+            gcd(parse_poly("x + y", V2), parse_poly("x + y", ("y", "x")))
+
+    def test_four_variable_common_factor(self):
+        a = P("(x + y + s + t)*(t - x - y*s)")
+        b = P("(x + y + s + t)*(x*y - s*t)")
+        assert gcd(a, b) == gcd(b, a) == P("x + y + s + t")
+
+    @pytest.mark.parametrize("variables", [("x", "y", "s"), V4])
+    def test_common_factor_in_more_variables(self, variables):
+        # g divides gcd(g*h, g*k), which divides both products and is
+        # primitive with a positive graded-lex leader
+        rng = np.random.default_rng(26 + len(variables))
+        done = 0
+        while done < 25:
+            g, h, k = (random_poly(rng, variables, max_deg=4, max_terms=4) for _ in range(3))
+            if g.total_degree == 0 or h.is_zero or k.is_zero:
+                continue
+            d = gcd(g * h, g * k)
+            case = (str(g), str(h), str(k), str(d))
+            assert try_divide(d, g) is not None, case
+            assert try_divide(g * h, d) is not None, case
+            assert try_divide(g * k, d) is not None, case
+            assert all(c.denominator == 1 for c in d.terms.values()), case
+            assert math.gcd(*(c.numerator for c in d.terms.values())) == 1, case
+            assert d.terms[d.leading_exponent()] > 0, case
+            done += 1
 
 
 class TestTryDivide:

@@ -38,7 +38,7 @@ class TestGridSets:
                             GridSets.from_values([1, 2], [3], [4], [5]), "sets")
         with pytest.raises(AttributeError):
             del a.sets
-        assert a.sizes == (2, 1, 1, 2) and a.product_size() == 4
+        assert a.sizes == (2, 1, 1, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="expected 4 sets, got 3"):

@@ -408,3 +408,17 @@ def test_detector_bench_record_is_reproduced():
         assert bench.result(classify(P(row["input"])).to_json()) == bench.result(row), row["input"]
     for row in oracle:
         assert coplanar_index_oracle(row["n"]) == row["count"], row["n"]
+
+
+def test_bench_driver_compares_only_the_fields_the_baseline_reports():
+    added_fields = _detector_bench()._driver.added_fields
+    base = {"classification": "special", "certificate": {"h1": True}}
+    change = {"classification": "special", "certificate": {"h1": True, "h2": False},
+              "route": "exact"}
+    assert added_fields(base, change) == ["route", "certificate.h2"]
+    assert added_fields(base, base) == []
+    for other, field in [({**change, "classification": "non-special"}, "classification"),
+                         ({**change, "certificate": {"h1": False}}, "certificate.h1"),
+                         ({"classification": "special"}, "certificate")]:
+        with pytest.raises(ValueError, match=f"^{field}$"):
+            added_fields(base, other)
