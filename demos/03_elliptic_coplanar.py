@@ -17,7 +17,6 @@ from quadcount import (
     point_at_angle,
     torsion_points,
 )
-from quadcount.constructions import TORSION_COPLANAR_TOL
 
 cfg = make_curve()  # y^2 = x^3 + x + 1, one real component
 print(f"curve y^2 = x^3 + {cfg.a}*x + {cfg.b}: real period {cfg.period:.6f}, "
@@ -41,11 +40,12 @@ for _ in range(n - 1):
 print(f"generator added {n} times -> angle {angle(cfg, acc):.2e} (identity)")
 
 # Embedded in space, group sums of zero become coplanar quadruples, counted
-# geometrically (floats, tolerance mode) and arithmetically (index sums).
+# geometrically (floats, at the default tolerance TORSION_COPLANAR_TOL) and
+# arithmetically (index sums).
 print("\n n | geometric count | index oracle")
 for n in (8, 12, 16, 24, 32):
     embedded = embed_quartic(cfg, torsion_points(cfg, n)[1:])  # identity stripped
-    geometric = coplanar_naive(embedded, tol=TORSION_COPLANAR_TOL).count
+    geometric = coplanar_naive(embedded).count
     oracle = coplanar_index_oracle(n)
     marker = "" if geometric == oracle else "  <-- MISMATCH"
     print(f"{n:3d} | {geometric:15d} | {oracle:12d}{marker}")

@@ -9,7 +9,8 @@ is reported as `parse`, `sets` or `points`, an unreadable file as `io`, and
 any other ValueError or RuntimeError under the command's code in
 `_HANDLERS`.  No subcommand draws at random: the detector's verdict is
 exact, and a polynomial it cannot prove squarefree is a domain error.  Each
-option is set by its own flag alone; --poly is read over x, y, s, t.
+option is set by its own flag alone and takes one value, which may start
+with "-" also as a separate word; --poly is read over x, y, s, t.
 
 `main()` with no arguments is the program (the `quadcount` console script,
 `python -m quadcount.cli`): once the job's output is written and flushed it
@@ -79,16 +80,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-# the options that take a fraction: argparse reads a separate value such as
-# "-1/2" as an option, not as a negative number, so `_run` joins such a value
-# to its flag as "--b=-1/2"
-_FRACTION_OPTIONS = ("--a", "--b", "--spacing")
+# every option takes exactly one value, but argparse reads a separate value
+# that starts with "-" ("-1/2", "-x+y+s+t") as an option: `_run` joins such a
+# word to the flag before it, as "--b=-1/2", unless either is a help flag
+_HELP = ("-h", "--help")
 
 
-def _join_negative_fractions(argv: list[str]) -> list[str]:
+def _join_dash_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for word in argv:
-        if out and out[-1] in _FRACTION_OPTIONS and word[:1] == "-" and word[1:2].isdigit():
+        flag = out[-1] if out else ""
+        if (flag[:1] == "-" and "=" not in flag and flag not in _HELP
+                and word[:1] == "-" and word not in _HELP):
             out[-1] += "=" + word
         else:
             out.append(word)
@@ -151,7 +154,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--points", required=True, help="CSV file of points")
             if name == "count-coplanar":
                 p.add_argument("--method", choices=("naive", "fast"), default=None)
-                p.add_argument("--tol", type=float, default=1e-7, help="float-mode tolerance")
+                p.add_argument("--tol", type=float, default=geometry.TORSION_COPLANAR_TOL,
+                               help="float-mode tolerance")
             common(p)
 
     if p := add("fit-exponent", "run a growth experiment and fit the slope"):
@@ -181,8 +185,6 @@ def _cmd_detect_special(args) -> dict:
 
 
 def _cmd_construct(args) -> dict:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     kind, out = args.kind, {"kind": args.kind, "n": args.n}
     if kind in ("ap-additive", "ap-multiplicative"):
         grid = constructions.ap_grid(kind.removeprefix("ap-"), args.n)
@@ -243,7 +245,7 @@ _HANDLERS = {
 def _run(argv: list[str]) -> int:
     # build only the subparser argv names, if it names one
     parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
-    args = parser.parse_args(_join_negative_fractions(argv))
+    args = parser.parse_args(_join_dash_values(argv))
     handler, code = _HANDLERS[args.command]
     try:
         payload = {"command": args.command, **handler(args)}

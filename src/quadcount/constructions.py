@@ -54,7 +54,6 @@ from .zerocount import GridSets
 __all__ = [
     "ANGLE_TOL",
     "ON_CURVE_TOL",
-    "TORSION_COPLANAR_TOL",
     "ApGrid",
     "ap_grid",
     "EllipticConfig",
@@ -71,14 +70,6 @@ __all__ = [
     "coplanar_index_oracle",
     "moment_curve_points",
 ]
-
-# Float-mode coplanarity tolerance validated against the index oracle for
-# torsion sets up to n = 32 (coordinates from the R_F arc map): truly
-# coplanar quadruples stay below 1e-15 of the distance-product scale, the
-# nearest non-coplanar ones above 1e-10.  From n = 48 on, some non-coplanar
-# quadruples fall below it (8.9e-13 at n = 48); `coplanar_naive` reports the
-# accepted/rejected margin that exposes this.
-TORSION_COPLANAR_TOL = 1e-12
 
 # largest accepted error of `point_at_angle`'s inversion of the angle map
 ANGLE_TOL = 1e-9

@@ -19,14 +19,20 @@ is counted once, at its smallest index, so lines need no correction.  The
 keys are tuples of Python ints counted in plain dicts, so one path serves
 every coordinate size.  No float enters an exact count.
 
+Both exact determinant oracles run one scan over integer points:
+`coplanar_naive` on the points, `concyclic_quadruples_naive` on their
+paraboloid lift with vertical planes skipped, as `four_point_circles` does.
+
 Float inputs (the numeric elliptic construction) only get the quadruple-at-
-a-time determinant test with a dimensionally normalized tolerance; float
-counts are validated against the exact index oracle, never trusted alone.
+a-time determinant test with a dimensionally normalized tolerance, by
+default `TORSION_COPLANAR_TOL`; float counts are validated against the exact
+index oracle, never trusted alone.
 Their reports carry the margin the tolerance had to fall into: the largest
 normalized |det| accepted and the smallest rejected.  The scan refuses, with
 ValueError, as soon as that margin collapses.
 
-Counts are reported unordered; reports carry the x24 / x6 ordered
+A point set refuses repeated points when it is made, so no counter meets
+one.  Counts are reported unordered; reports carry the x24 / x6 ordered
 equivalents, exact for proper tuples.
 """
 
@@ -36,13 +42,14 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 from math import comb, gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .polynomials import Frozen, clear_denominators
 
 __all__ = [
+    "TORSION_COPLANAR_TOL",
     "PointSet2",
     "PointSet3",
     "CountReport",
@@ -54,6 +61,15 @@ __all__ = [
 ]
 
 _EXACT_TYPES = (int, Fraction)
+
+# `coplanar_naive`'s float-mode tolerance, validated against the index oracle
+# for the torsion sets of `constructions` up to n = 32 (coordinates from the
+# R_F arc map): truly coplanar quadruples stay below 1e-15 of the
+# distance-product scale, the nearest non-coplanar ones above 1e-10.  From
+# n = 48 on, some non-coplanar quadruples fall below it (8.9e-13 at n = 48);
+# `coplanar_naive` reports the accepted/rejected margin that exposes this.
+TORSION_COPLANAR_TOL = 1e-12
+
 # a float count needs its largest accepted |det| / scale at least this factor
 # below its smallest rejected one; the torsion construction misses it from
 # n = 48 on
@@ -61,7 +77,8 @@ _MARGIN_FACTOR = 100
 
 
 class _PointSet(Frozen):
-    """Finite list of points, exact (Fraction) or finite float coordinates.
+    """Finite list of distinct points, exact (Fraction) or finite float
+    coordinates; a repeated point raises ValueError.
 
     A `Frozen` record, equal when the class, points and kind are equal."""
 
@@ -70,6 +87,8 @@ class _PointSet(Frozen):
     dimension: int
 
     def __init__(self, points: tuple[tuple, ...], kind: str) -> None:
+        if len(set(points)) != len(points):
+            raise ValueError("duplicate points")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "kind", kind)
 
@@ -147,25 +166,33 @@ class CountReport(NamedTuple):
         return out
 
 
-def _require_distinct(points: Sequence[tuple]) -> None:
-    if len(set(points)) != len(points):
-        raise ValueError("duplicate points")
-
-
 def _integerize(points: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Scale each axis by the lcm of its denominators; incidences survive."""
     return list(zip(*(clear_denominators(axis)[1] for axis in zip(*points))))
 
 
-def _det3(u, v, w) -> float | int:
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
+def _plane_scan(pts: Sequence[tuple[int, int, int]], skip_vertical: bool = False) -> int:
+    """Coplanar 4-subsets of integer 3D points: per triple (a, b, c) the
+    normal n = (b - a) x (c - a) is computed once and the later points d with
+    n . d == n . a are counted; `skip_vertical` skips normals with nz == 0."""
+    count = 0
+    size = len(pts)
+    for i, (ax, ay, az) in enumerate(pts):
+        for j in range(i + 1, size):
+            bx, by, bz = pts[j]
+            ux, uy, uz = bx - ax, by - ay, bz - az
+            for k in range(j + 1, size):
+                cx, cy, cz = pts[k]
+                vx, vy, vz = cx - ax, cy - ay, cz - az
+                nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+                if skip_vertical and not nz:
+                    continue
+                offset = nx * ax + ny * ay + nz * az
+                count += [nx * x + ny * y + nz * z for x, y, z in pts[k + 1:]].count(offset)
+    return count
 
 
-def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
+def coplanar_naive(points: PointSet3, tol: float = TORSION_COPLANAR_TOL) -> CountReport:
     """Count coplanar 4-subsets by testing the 4x4 determinant of every one.
 
     Exact inputs test det == 0 exactly; float inputs test |det| / scale < tol,
@@ -179,30 +206,18 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
     coplanar quadruples from rounding noise.  The two bounds only move toward
     each other, so this is the verdict a full scan would give.
 
-    The part of the determinant fixed by a triple (a, b, c) is computed once
-    and tested against every later point d.  Exact inputs take the normal
-    n = (b - a) x (c - a): det = n . d - n . a, the same integer.  Float
-    inputs keep `_det3(u, v, w)`'s order of operations and read the six
-    distances from one table, so counts and margins match the
+    Exact inputs run `_plane_scan` on the integerized points.  Float inputs
+    compute the part of the determinant fixed by a triple once, keep the
+    order of operations of the 3x3 determinant of (b - a, c - a, d - a), and
+    read the six distances from one table, so counts and margins match the
     quadruple-at-a-time loop bit for bit.
     """
-    _require_distinct(points.points)
     start = time.perf_counter()
     count = 0
     margin = None
     size = len(points.points)
     if points.kind == "exact":
-        pts = _integerize(points.points)
-        for i, (ax, ay, az) in enumerate(pts):
-            for j in range(i + 1, size):
-                bx, by, bz = pts[j]
-                ux, uy, uz = bx - ax, by - ay, bz - az
-                for k in range(j + 1, size):
-                    cx, cy, cz = pts[k]
-                    vx, vy, vz = cx - ax, cy - ay, cz - az
-                    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-                    offset = nx * ax + ny * ay + nz * az
-                    count += [nx * x + ny * y + nz * z for x, y, z in pts[k + 1:]].count(offset)
+        count = _plane_scan(_integerize(points.points))
     else:
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -223,7 +238,7 @@ def coplanar_naive(points: PointSet3, tol: float = 1e-7) -> CountReport:
                     for m in range(k + 1, size):
                         d0, d1, d2 = pts[m]
                         w0, w1, w2 = d0 - a0, d1 - a1, d2 - a2
-                        # _det3(u, v, w), inlined
+                        # the 3x3 determinant of (u, v, w), inlined
                         det = (u0 * (v1 * w2 - v2 * w1)
                                - u1 * (v0 * w2 - v2 * w0)
                                + u2 * (v0 * w1 - v1 * w0))
@@ -357,7 +372,6 @@ def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) ->
 def _exact_points(points, name: str) -> tuple[tuple, ...]:
     if points.kind != "exact":
         raise ValueError(f"{name} requires exact coordinates")
-    _require_distinct(points.points)
     return points.points
 
 
@@ -425,30 +439,17 @@ def four_point_circles(points: PointSet2) -> CountReport:
 
 
 def concyclic_quadruples_naive(points: PointSet2) -> CountReport:
-    """Independent oracle for concyclic 4-subsets via the circle determinant.
+    """Oracle for concyclic 4-subsets via the circle determinant.
 
-    A quadruple is concyclic-or-collinear exactly when the 4x4 determinant
-    with rows (x^2 + y^2, x, y, 1) vanishes; all-collinear quadruples are
-    excluded to match the circle counter.
+    The 4x4 determinant with rows (x^2 + y^2, x, y, 1) is the coplanarity
+    determinant of the lift (x, y, x^2 + y^2), so this is `coplanar_naive`'s
+    exact scan on the lift.  A triple collinear in the plane has a vertical
+    lifted normal, and a fourth point shares its plane only when all four
+    are collinear: skipping those triples excludes exactly the collinear
+    quadruples, which lie on no circle.
     """
-    if points.kind != "exact":
-        raise ValueError("concyclic oracle requires exact coordinates")
-    _require_distinct(points.points)
+    pts = _exact_points(points, "concyclic_quadruples_naive")
     start = time.perf_counter()
-    pts = points.points
-    count = 0
-    for quad in combinations(pts, 4):
-        rows = [(x * x + y * y, x, y) for x, y in quad]
-        a = rows[0]
-        u = tuple(rows[1][i] - a[i] for i in range(3))
-        v = tuple(rows[2][i] - a[i] for i in range(3))
-        w = tuple(rows[3][i] - a[i] for i in range(3))
-        if _det3(u, v, w) != 0:
-            continue
-        (x1, y1), (x2, y2), (x3, y3), (x4, y4) = quad
-        cross1 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-        cross2 = (x2 - x1) * (y4 - y1) - (y2 - y1) * (x4 - x1)
-        if cross1 == 0 and cross2 == 0:
-            continue  # degenerate circle: all four on one line
-        count += 1
+    count = _plane_scan(_integerize([(x, y, x * x + y * y) for x, y in pts]),
+                        skip_vertical=True)
     return CountReport(count, "det-oracle", 4, time.perf_counter() - start)

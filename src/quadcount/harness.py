@@ -113,9 +113,9 @@ def _count_fiber(config) -> int:
 
 
 def _count_coplanar_naive(points) -> int:
-    # the torsion construction's float points: its determinant gap was
-    # measured at >= 1e-10 * scale for n <= 32, so 1e-12 separates cleanly
-    return geometry.coplanar_naive(points, tol=constructions.TORSION_COPLANAR_TOL).count
+    # the torsion construction's float points, at the default tolerance
+    # validated on them (`geometry.TORSION_COPLANAR_TOL`)
+    return geometry.coplanar_naive(points).count
 
 
 # name -> (build: n -> configuration, count: configuration -> int)

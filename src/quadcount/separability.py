@@ -102,10 +102,10 @@ def popular_components(
     first two.  Pairwise GCDs of the slices propose candidate components;
     each candidate is then charged with the number of slices it divides.  A
     component dividing more than deg(F)^2 slices is flagged popular.
-    Parameters whose slice vanishes identically are set aside.
+    Parameters whose slice vanishes identically are set aside.  F must be a
+    nonzero polynomial in 4 variables, as for the detector.
     """
-    if len(poly.vars) != 4:
-        raise ValueError("expected a polynomial in 4 variables")
+    _require_surface(poly)
     vc, vd = poly.vars[2], poly.vars[3]
     slices: list[Polynomial] = []
     degenerate: list[tuple[Fraction, Fraction]] = []

@@ -19,7 +19,6 @@ import numpy as np
 from _generators import random_grid_instance, random_mixed_point_instance, zero_sum_subsets
 from _ratio_oracle import ratio_test
 from quadcount.constructions import (
-    TORSION_COPLANAR_TOL,
     angle,
     coplanar_index_oracle,
     embed_quartic,
@@ -30,6 +29,7 @@ from quadcount.constructions import (
     torsion_points,
 )
 from quadcount.geometry import (
+    TORSION_COPLANAR_TOL,
     PointSet2,
     concyclic_quadruples_naive,
     coplanar_fast,

@@ -188,6 +188,25 @@ class TestDetectSpecialCommand:
         code, out, _ = run_cli(capsys, "detect-special", "--poly", "x+y+s+t")
         assert json.loads(out)["classification"] == "special"
 
+    def test_value_starting_with_a_dash_as_a_separate_word(self, capsys):
+        # the same JSON but for the stage timings
+        payloads = []
+        for words in (["--poly", "-x+y+s+t"], ["--poly=-x+y+s+t"]):
+            code, out, err = run_cli(capsys, "detect-special", *words)
+            assert (code, err) == (0, "")
+            payloads.append(json.loads(out))
+            assert set(payloads[-1].pop("stages")) == {"squarefree", "certify"}
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["poly"] == "-x + y + s + t"
+
+    @pytest.mark.parametrize("words", [["-h"], ["--poly", "x", "--help"], ["--poly", "-x", "-h"]],
+                             ids=["alone", "after-value", "after-dash-value"])
+    def test_help_as_its_own_word_prints_help(self, capsys, words):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect-special", *words])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: quadcount detect-special")
+
     @pytest.mark.parametrize("text,classification,oracle", [
         ("x*y - s*t", "special", None),
         ("t - (x + y*s)", "non-special", None),
@@ -296,6 +315,11 @@ class TestConstructCommand:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and json.loads(runs[0][1])["command"] == "construct"
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_construction_checks_its_own_n(self, capsys, n):
+        code, out, err = run_cli(capsys, "construct", "--kind", "moment", "--n", n)
+        assert (code, out, err) == (1, "", "error:construct: n must be >= 1\n")
+
     def test_singular_curve_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", "--kind", "elliptic", "--n", "4",
@@ -328,9 +352,20 @@ class TestGeometryCommands:
         # accepted |det|/scale reaches 7.9e-8, rejected starts at 1.1e-7
         path = tmp_path / "pts.csv"
         path.write_text("0.0,0.0,0.0\n1.0,0.0,0.0\n0.0,1.0,0.0\n1.0,1.0,1e-9\n1.0,2.0,5e-7\n")
-        code, out, err = run_cli(capsys, "count-coplanar", "--points", str(path))
+        code, out, err = run_cli(capsys, "count-coplanar", "--points", str(path), "--tol=1e-7")
         assert (code, out) == (1, "")
         assert err.startswith("error:count:") and "margin collapsed" in err
+
+    def test_default_tol_counts_the_torsion_construction(self, capsys, tmp_path):
+        # the default tolerance is the one validated on the torsion points:
+        # at n = 32 the index oracle's count, where 1e-7 collapses the margin
+        code, out, _ = run_cli(capsys, "construct", "--kind", "elliptic", "--n", "32",
+                               "--out", "csv")
+        path = tmp_path / "torsion.csv"
+        path.write_text(out)
+        code, out, err = run_cli(capsys, "count-coplanar", "--points", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 987
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_float_tol_must_be_finite_and_positive(self, capsys, tmp_path, tol):
@@ -378,6 +413,12 @@ class TestGeometryCommands:
         code, out, err = run_cli(capsys, command, "--points", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error:count:") and "requires exact coordinates" in err
+
+    def test_repeated_point_is_a_points_error(self, capsys, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("1,0\n0,1\n-1,0\n0,-1\n0,1\n")
+        code, out, err = run_cli(capsys, "count-circles", "--points", str(path))
+        assert (code, out, err) == (1, "", "error:points: duplicate points\n")
 
     def test_count_circles(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"

@@ -10,7 +10,6 @@ from quadcount.constructions import (
     ANGLE_TOL,
     IDENTITY,
     ON_CURVE_TOL,
-    TORSION_COPLANAR_TOL,
     CurvePoint,
     _rf,
     angle,
@@ -25,7 +24,7 @@ from quadcount.constructions import (
     point_at_angle,
     torsion_points,
 )
-from quadcount.geometry import coplanar_naive
+from quadcount.geometry import TORSION_COPLANAR_TOL, coplanar_naive
 from quadcount.zerocount import count_naive
 
 

@@ -12,13 +12,13 @@ import pytest
 from _generators import random_mixed_point_instance as random_mixed_instance
 from quadcount import geometry
 from quadcount.constructions import (
-    TORSION_COPLANAR_TOL,
     embed_quartic,
     make_curve,
     moment_curve_points,
     torsion_points,
 )
 from quadcount.geometry import (
+    TORSION_COPLANAR_TOL,
     PointSet2,
     PointSet3,
     collinear_triples,
@@ -140,8 +140,16 @@ class TestCoplanarNaive:
         assert coplanar_naive(moment_curve_points(10)).count == 0
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            coplanar_naive(pts3([(0, 0, 0), (0, 0, 0), (1, 1, 1), (2, 0, 1)]))
+        # a point set refuses a repeated point when it is made, exact or
+        # float, so no counter ever meets one
+        for cls, rows in [
+            (PointSet3, [(0, 0, 0), (Fraction(1, 2), 1, 1), (0, 0, 0), (2, 0, 1)]),
+            (PointSet3, [(0.0, 0.0, 0.0), (0.5, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 0.0, 1.0)]),
+            (PointSet2, [(0, 0), (Fraction(1, 2), 1), (1, 2), (Fraction(2, 4), 1)]),
+            (PointSet2, [(0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (0.5, 1.0)]),
+        ]:
+            with pytest.raises(ValueError, match="^duplicate points$"):
+                cls.from_rows(rows)
 
     def test_float_mode_tolerance(self):
         points = PointSet3.from_rows(
@@ -327,6 +335,20 @@ class TestFourPointCircles:
             points = pts2(rows)
             assert four_point_circles(points).count == concyclic_quadruples_naive(points).count
             done += 1
+        # 20-40 distinct rational points with small numerators and
+        # denominators, so that some quadruples are concyclic and many
+        # triples collinear
+        total = 0
+        for n in range(20, 41, 4):
+            rows: dict[tuple[Fraction, Fraction], None] = {}
+            while len(rows) < n:
+                a, b, q, r = (int(v) for v in rng.integers((-5, -5, 1, 1), (6, 6, 4, 4)))
+                rows[(Fraction(a, q), Fraction(b, r))] = None
+            points = pts2(list(rows))
+            count = concyclic_quadruples_naive(points).count
+            assert four_point_circles(points).count == count
+            total += count
+        assert total > 0
 
     def test_cocircular_cluster_matches_oracle(self):
         # many points on one circle: x^2 + y^2 = 25

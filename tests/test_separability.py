@@ -94,6 +94,14 @@ class TestPopularComponents:
         with pytest.raises(ValueError):
             popular_components(P("s*x + t*y"), [(0, 0), (1, 0)])
 
+    @pytest.mark.parametrize("poly, message", [
+        (parse_poly("x + y + s", ("x", "y", "s")), "polynomial in 4 variables"),
+        (Polynomial.zero(V4), "nonzero polynomial"),
+    ], ids=["three-variables", "zero"])
+    def test_requires_the_detectors_surface(self, poly, message):
+        with pytest.raises(ValueError, match=f"detector requires a {message}"):
+            popular_components(poly, [(1, 2), (2, 1)])
+
     def test_invariant_under_rescaling(self):
         params = [(1, 2), (2, 1), (0, 3), (4, -1)]
         base = popular_components(P("x+y+s+t"), params)
