@@ -168,7 +168,11 @@ def main(script: str, doc: str, *, out: str, jobs, result, totals, table, worker
     record = {
         "machine": {"python": platform.python_version(),
                     "processor": platform.processor() or platform.machine(),
-                    "cpus": os.cpu_count()},
+                    "cpus": os.cpu_count(),
+                    # the CPUs this process may run on, which the exact
+                    # counters split their kernels across
+                    "usable_cpus": (len(os.sched_getaffinity(0))
+                                    if hasattr(os, "sched_getaffinity") else None)},
         "repeat": {"in_process": REPEAT, "cold": COLD_REPEAT},
         "runs": {label: {**runs[label], **totals(rows[label]), "rows": rows[label]}
                  for label in trees},

@@ -8,16 +8,21 @@ P_i and the points after it are hashed:
 
 - a line through P_i is keyed by the primitive, sign-normalized direction
   P_j - P_i, and l is its number of later points;
-- a plane through P_i is keyed by the primitive, sign-normalized cross
-  product of two of those line directions, and the pairs of lines that
-  hash to it are counted.  A plane of k lines is met by C(k, 2) pairs, which
-  gives k; its number of later points m and the sum c of C(l, 3) over its
-  lines come from the pairs that touch a line with l >= 2.
+- each such line a keys every later line b by the plane span(a, b): the
+  primitive 2D vector of b projected along a.  A plane of k lines shows up
+  as groups of k - 1, ..., 1 lines at its first k - 1 lines, and from the
+  group sizes and the sums M of their l come the planes, their number of
+  later points m, and their C(m, 3) - c triples, c the sum of C(l, 3) over
+  their lines.
 
 Every key passes through P_i, so it needs no offset term, and each subset
 is counted once, at its smallest index, so lines need no correction.  The
-keys are tuples of Python ints counted in plain dicts, so one path serves
-every coordinate size.  No float enters an exact count.
+keys are tuples of Python ints counted in `Counter`s, so one path serves
+every coordinate size.  No float enters an exact count.  The pivots of the
+hashing kernel and of the exact determinant scan are interleaved across
+the CPUs the process may run on, one forked child per extra CPU, once the
+input is large enough to pay for the fork; the counts do not depend on
+the split, and the reports give the `workers` used.
 
 Both exact determinant oracles run one scan over integer points:
 `coplanar_naive` on the points, `concyclic_quadruples_naive` on their
@@ -38,13 +43,16 @@ equivalents, exact for proper tuples.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import math
+import os
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from math import comb, gcd, isqrt
-from typing import Iterable, NamedTuple, Sequence
+from math import comb, gcd
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 from .polynomials import Frozen, clear_denominators
 
@@ -74,6 +82,11 @@ TORSION_COPLANAR_TOL = 1e-12
 # below its smallest rejected one; the torsion construction misses it from
 # n = 48 on
 _MARGIN_FACTOR = 100
+
+# `_fan_out` forks once a kernel has this many steps (pivot triples, or
+# pairs in 2D) per extra share: a fork and its reap cost about 2 ms, the
+# time of some 3000 triples of `_pivot_flats`
+_FORK_MIN_STEPS = 20_000
 
 
 class _PointSet(Frozen):
@@ -141,7 +154,7 @@ class CountReport(NamedTuple):
     # |det| / scale, each None when no quadruple fell on that side, and
     # "near_threshold", the quadruples with tol / 100 <= |det| / scale < 100 tol
     margin: dict[str, float | None] | None = None
-    # exact hashing only: {"lines": ..., "planes": ...}
+    # exact hashing only: {"lines": ..., "planes": ..., "workers": ...}
     hashing: dict[str, int] | None = None
 
     @property
@@ -171,25 +184,92 @@ def _integerize(points: Sequence[tuple]) -> list[tuple[int, ...]]:
     return list(zip(*(clear_denominators(axis)[1] for axis in zip(*points))))
 
 
+def _fan_out(work, steps: int) -> list[tuple[int, ...]]:
+    """The tuples of ints `work(start, step)` returns for each share of the
+    pivots i = start (mod step), the caller's own share first.
+
+    Once `steps` (the kernel's pivot triples, or pairs) reaches
+    `_FORK_MIN_STEPS`, each CPU this process may run on beyond the first
+    forks one child for a share, up to one per `_FORK_MIN_STEPS` steps;
+    otherwise, or without `os.fork` and `os.sched_getaffinity`, the one
+    share runs in process.  A child writes nothing to stdout, sends its
+    tuple through a pipe with `marshal` and ends in `os._exit`.  A share that
+    exits non-zero raises RuntimeError, a fork that fails raises its
+    OSError, and on any exit every child left is killed and reaped.
+    """
+    shares = 1
+    if steps >= _FORK_MIN_STEPS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        shares = min(len(os.sched_getaffinity(0)), max(2, steps // max(_FORK_MIN_STEPS, 1)))
+    children: list[tuple[int, int, BinaryIO]] = []  # (start, pid, pipe) until reaped
+    try:
+        for start in range(1, shares):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps(work(start, shares)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((start, pid, open(read, "rb")))
+        parts = [work(0, shares)]
+        while children:
+            start, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status:
+                raise RuntimeError(f"pivot share {start} of {shares} (pid {pid}) "
+                                   f"exited with status {status}")
+            parts.append(marshal.loads(data))
+        return parts
+    finally:
+        if children:
+            # only this exit needs `signal`, which costs every CLI job about
+            # 1 ms to import
+            import signal
+        for _, pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _plane_scan(pts: Sequence[tuple[int, int, int]], skip_vertical: bool = False) -> int:
     """Coplanar 4-subsets of integer 3D points: per triple (a, b, c) the
     normal n = (b - a) x (c - a) is computed once and the later points d with
-    n . d == n . a are counted; `skip_vertical` skips normals with nz == 0."""
-    count = 0
+    n . d == n . a are counted; `skip_vertical` skips normals with nz == 0.
+    The pivots a are split across CPUs by `_fan_out`."""
     size = len(pts)
-    for i, (ax, ay, az) in enumerate(pts):
-        for j in range(i + 1, size):
-            bx, by, bz = pts[j]
-            ux, uy, uz = bx - ax, by - ay, bz - az
-            for k in range(j + 1, size):
-                cx, cy, cz = pts[k]
-                vx, vy, vz = cx - ax, cy - ay, cz - az
-                nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-                if skip_vertical and not nz:
-                    continue
-                offset = nx * ax + ny * ay + nz * az
-                count += [nx * x + ny * y + nz * z for x, y, z in pts[k + 1:]].count(offset)
-    return count
+
+    def work(start: int, step: int) -> tuple[int]:
+        count = 0
+        for i in range(start, size, step):
+            ax, ay, az = pts[i]
+            for j in range(i + 1, size):
+                bx, by, bz = pts[j]
+                ux, uy, uz = bx - ax, by - ay, bz - az
+                for k in range(j + 1, size):
+                    cx, cy, cz = pts[k]
+                    vx, vy, vz = cx - ax, cy - ay, cz - az
+                    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+                    if skip_vertical and not nz:
+                        continue
+                    offset = nx * ax + ny * ay + nz * az
+                    count += [nx * x + ny * y + nz * z for x, y, z in pts[k + 1:]].count(offset)
+        return (count,)
+
+    return sum(part[0] for part in _fan_out(work, comb(size, 3)))
 
 
 def coplanar_naive(points: PointSet3, tol: float = TORSION_COPLANAR_TOL) -> CountReport:
@@ -278,9 +358,18 @@ class _Flats(NamedTuple):
     line_triples: int = 0   # sum of C(l, 3): collinear quadruples
     plane_triples: int = 0  # sum of C(m, 3) - c: coplanar, not collinear, quadruples
     planes_of_3: int = 0    # planes with m == 3
+    workers: int = 1        # processes that hashed the pivots
+
+    @classmethod
+    def combine(cls, parts: Sequence[tuple[int, ...]]) -> _Flats:
+        """The flats of all pivots from those of each share: maxima of the
+        max_ fields, sums of the rest."""
+        fields = [max(col) if name.startswith("max_") else sum(col)
+                  for name, col in zip(cls._fields, zip(*parts))]
+        return cls(*fields, workers=len(parts))
 
     def counters(self) -> dict[str, int]:
-        return {"lines": self.lines, "planes": self.planes}
+        return {"lines": self.lines, "planes": self.planes, "workers": self.workers}
 
 
 def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) -> _Flats:
@@ -288,85 +377,115 @@ def _pivot_flats(pts: Sequence[tuple[int, ...]], skip_vertical: bool = False) ->
     and the points after it; `skip_vertical` drops planes whose normal has
     third component 0.
 
-    Lines are keyed by direction in one Counter per pivot.  Every pair of
-    lines is keyed by its primitive normal, and one Counter per pivot counts
-    the pairs of each plane: p = C(k, 2) pairs give k = (1 + isqrt(1 + 8p)) // 2
-    lines.  Only pairs that touch a line with l >= 2 also sum (l - 1) and
-    C(l, 3) of both lines, which over a plane come to (k - 1)(m - k) and
-    (k - 1) c.  At a pivot with no such line m = k and c = 0, so each
-    distinct pair count is decoded once.  Per pivot this holds O(n^2) keys.
+    Lines are keyed by direction in one Counter per pivot; l is a line's
+    number of later points.  Each line a then keys every later line b by the
+    plane span(a, b): the primitive 2D vector of b projected along a.  For
+    a = (ux, uy, uz) with ux != 0 that is (ux vy - vx uy, ux vz - vx uz),
+    whose first entry is the normal's z; other lines project along y or z.
+
+    A plane of k lines a_1 < ... < a_k shows up as one group at each of its
+    first k - 1 lines, of k - 1, ..., 1 lines.  With M the sum of l over a
+    group at line a:
+    - the planes are the groups of one line;
+    - the group holds C(la + M, 3) - C(la, 3) - C(M, 3) of its plane's
+      C(m, 3) - c triples, and m is la + M at the plane's first line;
+    - a group of two or more lines has the next group's la + M as its M, so
+      the planes with m == 3 are the groups with la + M == 3 less the groups
+      of two or more lines with M == 3.
+    Lines are taken longest first, so after a line with la == 1 every line
+    has l == 1, and its groups are decoded by their size alone.
+
+    The pivots are split across CPUs by `_fan_out`; a process holds O(n)
+    keys at a time.
     """
-    n_lines = n_planes = max_line = max_plane = 0
-    line_pairs = line_triples = plane_triples = planes_of_3 = 0
-    for i in range(len(pts) - 1):
-        # one loop per dimension: unpacking the coordinates by name is much
-        # faster than a generic tuple(v // g for v in d)
-        directions: list[tuple[int, ...]] = []
-        if len(pts[i]) == 2:
-            px, py = pts[i]
-            for x, y in pts[i + 1:]:
-                dx, dy = x - px, y - py
-                g = gcd(dx, dy)
-                if dx < 0 or (not dx and dy < 0):
-                    g = -g
-                directions.append((dx // g, dy // g))
-        else:
-            px, py, pz = pts[i]
-            for x, y, z in pts[i + 1:]:
-                dx, dy, dz = x - px, y - py, z - pz
-                g = gcd(dx, dy, dz)
-                if dx < 0 or (not dx and (dy < 0 or (not dy and dz < 0))):
-                    g = -g
-                directions.append((dx // g, dy // g, dz // g))
-        lines = Counter(directions)
-        ls = lines.values()
-        top = max(ls)
-        n_lines += len(ls)
-        max_line = max(max_line, top + 1)
-        line_pairs += sum(map(comb, ls, repeat(2)))
-        line_triples += sum(map(comb, ls, repeat(3)))
-        if len(pts[i]) != 3:
-            continue
-        dirs = list(lines.items())
-        normals: list[tuple[int, int, int]] = []
-        # plane -> sums, over its pairs that touch a line with l >= 2, of
-        # (la - 1) + (lb - 1) and of C(la, 3) + C(lb, 3)
-        long_sums: dict[tuple[int, int, int], tuple[int, int]] = {}
-        for a, ((ux, uy, uz), la) in enumerate(dirs):
-            for (vx, vy, vz), lb in dirs[a + 1:]:
-                nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-                if skip_vertical and not nz:
+    size = len(pts)
+    space = bool(pts) and len(pts[0]) == 3
+
+    def work(start: int, step: int) -> tuple[int, ...]:
+        n_lines = n_planes = max_line = max_plane = 0
+        line_pairs = line_triples = plane_triples = planes_of_3 = 0
+        # group size -> groups, over the lines with la == 1
+        unit_groups: Counter[int] = Counter()
+        for i in range(start, size - 1, step):
+            # one loop per dimension: unpacking the coordinates by name is much
+            # faster than a generic tuple(v // g for v in d)
+            directions: list[tuple[int, ...]] = []
+            if not space:
+                px, py = pts[i]
+                for x, y in pts[i + 1:]:
+                    dx, dy = x - px, y - py
+                    g = gcd(dx, dy)
+                    if dx < 0 or (not dx and dy < 0):
+                        g = -g
+                    directions.append((dx // g, dy // g))
+            else:
+                px, py, pz = pts[i]
+                for x, y, z in pts[i + 1:]:
+                    dx, dy, dz = x - px, y - py, z - pz
+                    g = gcd(dx, dy, dz)
+                    if dx < 0 or (not dx and (dy < 0 or (not dy and dz < 0))):
+                        g = -g
+                    directions.append((dx // g, dy // g, dz // g))
+            lines = Counter(directions)
+            ls = lines.values()
+            n_lines += len(ls)
+            max_line = max(max_line, max(ls) + 1)
+            line_pairs += sum(map(comb, ls, repeat(2)))
+            line_triples += sum(map(comb, ls, repeat(3)))
+            if not space:
+                continue
+            by_length = lines.most_common()
+            xyz = [u for u, _ in by_length]
+            # the directions with their coordinates rotated, for the lines a
+            # with ux == 0: the projection then runs along y, or along z
+            yxz = [(y, x, z) for x, y, z in xyz]
+            zxy = [(z, x, y) for x, y, z in xyz]
+            for a, ((ux, uy, uz), la) in enumerate(by_length):
+                if ux:
+                    rows, ua, ub, uc = xyz, ux, uy, uz
+                elif uy:
+                    rows, ua, ub, uc = yxz, uy, ux, uz
+                elif skip_vertical:
+                    continue  # every plane through a vertical line is vertical
+                else:
+                    rows, ua, ub, uc = zxy, uz, ux, uy
+                keys = []
+                for va, vb, vc in rows[a + 1:]:
+                    p, q = ua * vb - va * ub, ua * vc - va * uc
+                    g = gcd(p, q)
+                    if p < 0 or (not p and q < 0):
+                        g = -g
+                    keys.append((p // g, q // g))
+                groups = Counter(keys)
+                if skip_vertical:
+                    # p is +-nz, so the vertical plane through a is (0, 1)
+                    del groups[(0, 1)]
+                if la == 1:
+                    unit_groups.update(groups.values())
                     continue
-                g = gcd(nx, ny, nz)
-                if nx < 0 or (not nx and (ny < 0 or (not ny and nz < 0))):
-                    g = -g
-                key = (nx // g, ny // g, nz // g)
-                normals.append(key)
-                if la > 1 or lb > 1:
-                    dm, dc = long_sums.get(key, (0, 0))
-                    long_sums[key] = (dm + la + lb - 2, dc + comb(la, 3) + comb(lb, 3))
-        pairs = Counter(normals)
-        n_planes += len(pairs)
-        if top == 1:
-            # every m is k and every c is 0: decode each pair count once
-            for p, planes in Counter(pairs.values()).items():
-                k = (1 + isqrt(1 + 8 * p)) // 2
-                plane_triples += planes * comb(k, 3)
-                if k == 3:
-                    planes_of_3 += planes
-                if k >= max_plane:
-                    max_plane = k + 1
-            continue
-        for key, p in pairs.items():
-            k = (1 + isqrt(1 + 8 * p)) // 2
-            dm, dc = long_sums.get(key, (0, 0))
-            m = k + dm // (k - 1)
-            plane_triples += comb(m, 3) - dc // (k - 1)
-            planes_of_3 += m == 3
-            if m >= max_plane:
-                max_plane = m + 1
-    return _Flats(n_lines, n_planes, max_line, max_plane,
-                  line_pairs, line_triples, plane_triples, planes_of_3)
+                # the longer lines after a add l - 1 each to their group's M
+                extra: Counter[tuple[int, int]] = Counter()
+                for key, (_, lb) in zip(keys, by_length[a + 1:]):
+                    if lb == 1:
+                        break
+                    extra[key] += lb - 1
+                for key, s in groups.items():
+                    m = s + extra[key]
+                    t = la + m
+                    plane_triples += comb(t, 3) - comb(la, 3) - comb(m, 3)
+                    n_planes += s == 1
+                    planes_of_3 += (t == 3) - (s >= 2 and m == 3)
+                    max_plane = max(max_plane, t + 1)
+        # a group of s lines with l == 1 after a line with la == 1: M = s
+        for s, count in unit_groups.items():
+            plane_triples += count * comb(s, 2)
+            max_plane = max(max_plane, s + 2)
+        n_planes += unit_groups[1]
+        planes_of_3 += unit_groups[2] - unit_groups[3]
+        return (n_lines, n_planes, max_line, max_plane,
+                line_pairs, line_triples, plane_triples, planes_of_3)
+
+    return _Flats.combine(_fan_out(work, comb(size, 3 if space else 2)))
 
 
 def _exact_points(points, name: str) -> tuple[tuple, ...]:
@@ -383,7 +502,7 @@ def coplanar_fast(points: PointSet3) -> CountReport:
     coplanar 4-subsets whose smallest index is i number
     sum_lines C(l, 3) + sum_planes (C(m, 3) - c), and four collinear points
     are counted once without a line correction.  O(n^3) dict operations,
-    O(n^2) memory per pivot.
+    O(n) keys held at a time per process.
     """
     pts = _exact_points(points, "coplanar_fast")
     start = time.perf_counter()

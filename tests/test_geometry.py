@@ -1,7 +1,11 @@
 import importlib.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -432,7 +436,9 @@ def _check_space(rows):
     ints = _ints(points)
     assert report.degeneracy == {"max_points_per_plane": _max_plane(ints),
                                  "max_points_per_line": _max_line(ints)}
-    assert report.hashing == {"lines": _pivot_lines(ints), "planes": _pivot_planes(ints)}
+    # these sets are far below the split threshold: one process hashes them
+    assert report.hashing == {"lines": _pivot_lines(ints), "planes": _pivot_planes(ints),
+                              "workers": 1}
 
 
 def _check_plane(rows):
@@ -448,11 +454,12 @@ def _check_plane(rows):
     lifted = [(x, y, x * x + y * y) for x, y in ints]
     assert circles.hashing == {
         "lines": _pivot_lines(lifted),
-        "planes": _pivot_planes(ints, _concyclic4, lambda p, q, r: _cross2(p, q, r) == 0)}
+        "planes": _pivot_planes(ints, _concyclic4, lambda p, q, r: _cross2(p, q, r) == 0),
+        "workers": 1}
     lines = collinear_triples(points)
     assert lines.count == sum(_cross2(*t) == 0 for t in combinations(ints, 3))
     assert lines.degeneracy == {"max_points_per_line": _max_line(ints)}
-    assert lines.hashing == {"lines": _pivot_lines(ints), "planes": 0}
+    assert lines.hashing == {"lines": _pivot_lines(ints), "planes": 0, "workers": 1}
 
 
 def _random_rows(rng, dim, box, denominators=(1,)):
@@ -515,6 +522,175 @@ class TestPivotKernels:
         assert "kernel" not in out and "stages" not in out
         out = collinear_triples(pts2([(0, 0), (1, 1), (2, 2)])).to_json()
         assert (out["lines"], out["planes"]) == (2, 0)
+
+
+# -- the pivot kernels split across processes ----------------------------------
+
+
+def _split_then_serial(monkeypatch, call):
+    """(call() with every kernel split into three forked shares, call() in
+    one process), whatever the machine's CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(geometry, "_FORK_MIN_STEPS", 0)
+    split = call()
+    monkeypatch.setattr(geometry, "_FORK_MIN_STEPS", math.inf)
+    return split, call()
+
+
+def _kernels(rows, skip_vertical=False):
+    """Every `_Flats` field and the `_plane_scan` count of exact rows."""
+    ints = geometry._integerize(pts3(rows).points if rows and len(rows[0]) == 3
+                                else pts2(rows).points)
+    flats = geometry._pivot_flats(ints, skip_vertical)
+    scan = geometry._plane_scan(ints, skip_vertical) if ints and len(ints[0]) == 3 else None
+    return flats, scan
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestSplitKernels:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def check(self, monkeypatch, rows, skip_vertical=False):
+        (flats, scan), (serial, serial_scan) = _split_then_serial(
+            monkeypatch, lambda: _kernels(rows, skip_vertical))
+        assert flats._replace(workers=1) == serial and scan == serial_scan
+        assert flats.workers > 1 and serial.workers == 1
+
+    @pytest.mark.parametrize("move", _TRANSFORMS)
+    def test_integer_and_rational_space_sets(self, monkeypatch, move):
+        rng = random.Random(7070)
+        for _ in range(20):
+            rows = _random_rows(rng, 3, rng.choice((1, 2, 5, 30)), rng.choice(((1,), (1, 2, 3))))
+            self.check(monkeypatch, [tuple(map(move, p)) for p in rows])
+
+    @pytest.mark.parametrize("move", _TRANSFORMS)
+    def test_plane_sets_and_their_lifted_circles(self, monkeypatch, move):
+        rng = random.Random(7171)
+        for _ in range(20):
+            rows = _random_rows(rng, 2, rng.choice((2, 3, 6)), rng.choice(((1,), (1, 2, 5))))
+            moved = [tuple(map(move, p)) for p in rows]
+            self.check(monkeypatch, moved)
+            self.check(monkeypatch, [(x, y, x * x + y * y) for x, y in moved], skip_vertical=True)
+
+    def test_lattices_with_long_lines(self, monkeypatch):
+        for k in (3, 4):
+            cube = [(x, y, z) for x in range(k) for y in range(k) for z in range(k)]
+            self.check(monkeypatch, cube)
+            self.check(monkeypatch, cube, skip_vertical=True)
+        self.check(monkeypatch, [(x, y) for x in range(9) for y in range(9)])
+
+    @pytest.mark.parametrize("size", range(4))
+    def test_zero_to_three_points(self, monkeypatch, size):
+        self.check(monkeypatch, [(0, 0, 0), (1, 2, 3), (1, 0, 0)][:size])
+        self.check(monkeypatch, [(0, 0), (1, 2), (1, 0)][:size])
+
+    def test_skip_vertical_on_long_lines_keeps_the_recorded_counts(self, monkeypatch):
+        # 31 points of {0..3}^3, many on lines of 3 or 4: a kernel that drops
+        # the vertical planes from a line's keys before pairing them with the
+        # later lines' l reads plane_triples 1915 here
+        rng = random.Random(0)
+        rows: set[tuple[int, ...]] = set()
+        while len(rows) < 31:
+            rows.add(tuple(rng.randint(0, 3) for _ in range(3)))
+        rows = sorted(rows)
+        split, serial = _split_then_serial(
+            monkeypatch, lambda: geometry._pivot_flats(rows, skip_vertical=True))
+        # every field as the single-level kernel (one normal per line pair) gave
+        recorded = (426, 1807, 4, 11, 43, 4, 1900, 314)
+        assert split[:8] == serial[:8] == recorded
+        self.check(monkeypatch, rows, skip_vertical=True)
+
+    def test_reports_give_the_workers_and_the_same_results(self, monkeypatch):
+        cube = pts3([(x, y, z) for x in range(4) for y in range(4) for z in range(3)])
+        grid = pts2([(x, y) for x in range(7) for y in range(6)])
+        for counter, points in ((coplanar_fast, cube), (coplanar_naive, cube),
+                                (four_point_circles, grid), (collinear_triples, grid),
+                                (concyclic_quadruples_naive, grid)):
+            split, serial = _split_then_serial(monkeypatch, lambda: counter(points).to_json())
+            if "workers" in serial:
+                assert (split["workers"], serial["workers"]) == (3, 1)
+            for report in (split, serial):
+                del report["elapsed_s"]
+                report.pop("workers", None)
+            assert split == serial
+
+    def test_a_failing_own_share_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+        def work(start, step):
+            if start == 0:
+                raise ZeroDivisionError("own share")
+            time.sleep(60)
+            return (start,)
+
+        began = time.perf_counter()
+        with pytest.raises(ZeroDivisionError, match="own share"):
+            geometry._fan_out(work, 10**6)
+        assert time.perf_counter() - began < 30
+
+    def test_a_failing_child_is_named_and_the_others_are_reaped(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+        def work(start, step):
+            if start == 1:
+                raise ValueError("share 1")
+            if start == 2:
+                time.sleep(60)
+            return (start,)
+
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"pivot share 1 of 3 \(pid \d+\) exited with status 1"):
+            geometry._fan_out(work, 10**6)
+        assert time.perf_counter() - began < 30
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc")
+    def test_a_failed_fork_leaves_no_child_and_no_pipe(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="no process to spare"):
+            geometry._fan_out(lambda start, step: (start,), 10**6)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_in_process_below_the_threshold_and_on_one_cpu(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        work = lambda start, step: (start, step)
+        assert geometry._fan_out(work, geometry._FORK_MIN_STEPS - 1) == [(0, 1)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert geometry._fan_out(work, 10**9) == [(0, 1)]
+
+    def test_children_write_nothing_to_stdout(self):
+        # a child that left through the interpreter's exit would run the
+        # atexit handler, or go on with the caller's code, and print again
+        code = (
+            "import atexit, os\n"
+            "from quadcount import geometry\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "atexit.register(print, 'exit')\n"
+            "print(geometry._fan_out(lambda start, step: (start, -2**200 * step), 10**6))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        big = -2**200 * 3
+        assert out.stdout == f"[(0, {big}), (1, {big}), (2, {big})]\nexit\n"
+        assert out.stderr == ""
 
 
 ROOT = Path(__file__).resolve().parents[1]
