@@ -8,7 +8,7 @@ message` on stderr), 2 usage error.  A bad --poly, sets file or points file
 is reported as `parse`, `sets` or `points`, an unreadable file as `io`, and
 any other ValueError or RuntimeError under the command's code in
 `_HANDLERS`.  No subcommand draws at random: the detector's verdict is
-exact, and a polynomial it cannot prove squarefree is a domain error.  Each
+exact, and a polynomial with a repeated factor is a domain error.  Each
 option is set by its own flag alone and takes one value, which may start
 with "-" also as a separate word; --poly is read over x, y, s, t.
 
@@ -126,7 +126,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--poly", required=True, help="polynomial in x, y, s, t, or a file of it")
         p.add_argument("--sets", required=True, help="CSV file with lines A:...,B:...,C:...,D:...")
         p.add_argument("--method", choices=("naive", "fiber"), default="fiber")
-        p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method)")
+        p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method only)")
         common(p)
 
     if p := add("detect-special", "classify a polynomial as special / non-special / degenerate"):
@@ -158,7 +158,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                                help="float-mode tolerance")
             common(p)
 
-    if p := add("fit-exponent", "run a growth experiment and fit the slope"):
+    if p := add("fit-exponent", "run a growth experiment and estimate its exponent"):
         p.add_argument("--experiment", required=True, choices=sorted(harness.EXPERIMENTS))
         p.add_argument("--ns", type=_parse_ns, required=True, help="comma list, e.g. 16,32,64,128")
         common(p, ("json", "csv"))
@@ -171,6 +171,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_count_zeros(args) -> dict:
+    if args.method == "naive" and args.solve_var is not None:
+        raise DomainError("count", "--solve-var applies to --method fiber only")
     poly, sets = _load_poly(args.poly), _load_sets(args.sets)
     if args.method == "naive":
         report = zerocount.count_naive(poly, sets)

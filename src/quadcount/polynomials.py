@@ -232,20 +232,7 @@ class Polynomial(Frozen):
             raise ValueError(
                 f"arity mismatch: {len(self.vars)} variables, {len(values)} values"
             )
-        vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-        powers: list[dict[int, Fraction]] = [{} for _ in vals]
-        total = _ZERO
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exp):
-                if e:
-                    p = powers[i].get(e)
-                    if p is None:
-                        p = vals[i] ** e
-                        powers[i][e] = p
-                    term = term * p
-            total += term
-        return total
+        return self.specialize(dict(zip(self.vars, values))).terms.get((), _ZERO)
 
     def partial(self, name: str) -> Polynomial:
         """Formal partial derivative with respect to `name`."""

@@ -28,11 +28,13 @@ spread of each ratio (`tests/_ratio_oracle.py`).
 Limits: the certificate decides three ratio conditions, which is necessary
 for the paper's special form but not a proof of it.  "F divides N" is
 equivalent to N vanishing on F = 0 only when F is squarefree, so `classify`
-refuses F unless `_require_squarefree` proves, at fixed integer points,
-that no repeated factor exists; it also refuses a squarefree F if every
-guard point gives a specialization with a double root.  A squarefree
-reducible F is still judged one component at a time, so a union of special
-surfaces certifies special.
+refuses F when `_require_squarefree` finds a repeated factor.  That proof
+runs at fixed integer points first.  They all lie on one line, so a
+squarefree F can have a double root at every one of them (y^2 - 4*x - s + t
+does: the line lies in the plane 4x + s - t = 0); then the exact gcd of F
+and its partial derivative decides.  A squarefree reducible F is still
+judged one component at a time, so a union of special surfaces certifies
+special.
 
 `popular_components` is an exact library scan for plane-curve components
 shared by parameter slices, the paper's popular-curve step; `classify` does
@@ -172,7 +174,7 @@ def certify(poly: Polynomial) -> dict[str, bool] | None:
 
 
 def _require_squarefree(poly: Polynomial) -> None:
-    """Raise ValueError unless F provably has no repeated factor.
+    """Raise ValueError if F has a repeated factor.
 
     For each variable v that F involves, the other three are set to each of
     `_GUARD_POINTS` in turn, giving a `Polynomial` u in v alone; a point
@@ -180,7 +182,9 @@ def _require_squarefree(poly: Polynomial) -> None:
     vanishes there) is skipped.  One point where `gcd(u, u')` is 1 (Euclid
     in one variable) proves that no repeated factor of F involves v.  If
     F = G^2 H with G involving v, every such point leaves a repeated factor
-    in u, so none succeeds.
+    in u, so none succeeds.  When none does, `gcd(F, F_v)` decides: it
+    involves v exactly when a repeated factor of F does.  A squarefree F
+    reaches it only if u has a double root at every guard point.
     """
     _require_surface(poly)
     for v in poly.vars:
@@ -194,9 +198,9 @@ def _require_squarefree(poly: Polynomial) -> None:
                     and gcd(u, u.partial(v)).total_degree == 0):
                 break
         else:
-            raise ValueError(f"cannot prove F squarefree in {v!r} after {len(_GUARD_POINTS)} "
-                             f"guard points: a repeated factor would make the certificate "
-                             f"unreliable")
+            if gcd(poly, poly.partial(v)).degree_in(v) > 0:
+                raise ValueError(f"F is not squarefree in {v!r}: a repeated factor would "
+                                 f"make the certificate unreliable")
 
 
 def classify(poly: Polynomial) -> FormVerdict:

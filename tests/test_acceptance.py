@@ -2,11 +2,12 @@
 one pass/fail line (run with `pytest tests/test_acceptance.py -v -s`).
 
 Criterion 3b measures the growth exponent of the torsion construction's
-coplanar-quadruple counts over n in {16, 32, 64, 128} by a first-order
-Richardson extrapolation of the doubling slopes.  The exact count is
-C(n-1, 4)/n + O(1) = n^3/24 * (1 - 10/n + O(n^-2)); the 1/n deficit puts
+coplanar-quadruple counts over n in {16, 32, 64, 128} by
+`harness.extrapolated_exponent`, the first-order Richardson extrapolation
+of the last two doubling slopes, 2*s(64->128) - s(32->64).  The exact
+count is C(n-1, 4)/n + O(1) = n^3/24 * (1 - 10/n + O(n^-2)); the 1/n deficit puts
 every finite-range slope above 3 (the least-squares slope on this range is
-3.2813), and the extrapolation cancels it.
+3.2813), and the extrapolation cancels it (2.9934).
 """
 
 import math
@@ -36,7 +37,7 @@ from quadcount.geometry import (
     coplanar_naive,
     four_point_circles,
 )
-from quadcount.harness import fit_slope
+from quadcount.harness import extrapolated_exponent, fit_slope
 from quadcount.polynomials import parse_poly
 from quadcount.separability import classify, popular_components
 from quadcount.zerocount import GridSets, count_fiber, count_naive
@@ -104,25 +105,14 @@ def test_criterion_3a_elliptic_geometric_counts_match_oracle():
     assert elapsed < 300
 
 
-def _extrapolated_exponent(counts):
-    """First-order Richardson extrapolation of the doubling slopes.
-
-    For counts c(n) = K n^a (1 + b/n + O(n^-2)) at n, 2n, 4n the doubling
-    slope log2(c(2m)/c(m)) is a - b/(2m ln 2) + O(m^-2), so twice the last
-    slope minus the one before cancels the 1/m term and leaves a + O(n^-2).
-    """
-    (n0, c0), (n1, c1), (n2, c2) = counts[-3:]
-    assert n1 == 2 * n0 and n2 == 2 * n1
-    return 2 * math.log2(c2 / c1) - math.log2(c1 / c0)
-
-
 def test_criterion_3b_elliptic_oracle_slope():
     """Growth exponent of oracle counts over {16, 32, 64, 128} within 3.0 +/- 0.1.
 
     The counts must equal the closed form for zero-sum 4-subsets of
-    Z_n minus {0}, M4 = N4 - N3 + N2.  The exponent is the Richardson
-    extrapolation of the doubling slopes, which cancels the (1 - 10/n)
-    deficit; the least-squares slope (3.2813) is printed but not asserted.
+    Z_n minus {0}, M4 = N4 - N3 + N2.  The exponent (2.9934) is the
+    Richardson extrapolation of the doubling slopes, which cancels the
+    (1 - 10/n) deficit; the least-squares slope (3.2813) is printed but not
+    asserted.
     A synthetic n^(8/3) (1 - 10/n) series must land outside the band.
     """
     ns = (16, 32, 64, 128)
@@ -134,9 +124,9 @@ def test_criterion_3b_elliptic_oracle_slope():
          + zero_sum_subsets(n, 2))
         for n in ns
     ]
-    exponent = _extrapolated_exponent(counts)
+    exponent = extrapolated_exponent(counts)
     lsq_slope, _, _ = fit_slope(counts)
-    control = _extrapolated_exponent(
+    control = extrapolated_exponent(
         [(n, n ** (8 / 3) * (1 - 10 / n)) for n in ns]
     )
     ok = (abs(exponent - 3.0) <= 0.1 and counts == closed

@@ -149,6 +149,13 @@ class TestCountZerosCommand:
         assert (code, out) == (1, "")
         assert err == "error:count: undeclared variable 'q'\n"
 
+    def test_solve_var_with_naive_method_is_refused(self, capsys, sets_file):
+        # the naive route solves for no variable; it once ignored the flag
+        code, out, err = run_cli(capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
+                                 "--method", "naive", "--solve-var", "x")
+        assert (code, out) == (1, "")
+        assert err == "error:count: --solve-var applies to --method fiber only\n"
+
     def test_zero_denominator_in_sets_is_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "sets.csv"
         path.write_text("A: 1,2\nB: 1/0\nC: 1\nD: 2\n")
@@ -238,7 +245,7 @@ class TestDetectSpecialCommand:
     def test_repeated_factor_is_a_domain_error(self, capsys, text, variable):
         code, out, err = run_cli(capsys, "detect-special", "--poly", text)
         assert (code, out) == (1, "")
-        assert err.startswith(f"error:detect: cannot prove F squarefree in '{variable}'")
+        assert err.startswith(f"error:detect: F is not squarefree in '{variable}': ")
 
     @pytest.mark.parametrize("text", ["(" * 2000 + "x+y+s+t" + ")" * 2000, "-" * 2000 + "x"],
                              ids=["parentheses", "signs"])
@@ -438,6 +445,7 @@ class TestFitExponentCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "n,count,elapsed_ms"
         assert lines[1].startswith("4,64,")
+        assert lines[-2].startswith("exponent,3.0000")
         assert lines[-1].startswith("slope,3.0000")
 
     def test_json_output_round_trips(self, capsys):
@@ -447,6 +455,7 @@ class TestFitExponentCommand:
         )
         payload = json.loads(out)
         assert payload["slope"] == pytest.approx(3.0, abs=1e-12)
+        assert payload["exponent"] == pytest.approx(3.0, abs=1e-12)
         assert [row[1] for row in payload["rows"]] == [64, 512, 4096]
         assert set(payload["stages"]) == {f"{stage}_{n}" for stage in ("build", "count")
                                           for n in (4, 8, 16)}
@@ -459,6 +468,27 @@ class TestFitExponentCommand:
         payload = json.loads(out)
         assert payload["experiment"] == payload["name"] == "elliptic-oracle"
         assert [row[:2] for row in payload["rows"]] == [[16, 87], [32, 987], [64, 9315]]
+
+    @pytest.mark.parametrize("experiment,ns,slope,exponent", [
+        ("elliptic-coplanar", "8,16,32", 3.8125, 2.8869),
+        ("elliptic-oracle", "16,32,64,128", 3.2813, 2.9934),
+        ("nonspecial-grid-zeros", "8,16,32,64", 2.3656, 2.2169),
+        ("ap-additive-zeros", "4,8,16,32", 3.0000, 3.0000),
+        # not all doublings: the benchmark's two fit jobs
+        ("elliptic-coplanar", "8,16,24,32", 3.8257, 2.9820),
+        ("elliptic-oracle", "128,256,384", 3.0490, 2.9995),
+    ])
+    def test_exponent_table(self, capsys, experiment, ns, slope, exponent):
+        # the extrapolation cancels the 1/n deficit that lifts the slope
+        code, out, _ = run_cli(capsys, "fit-exponent", "--experiment", experiment, "--ns", ns)
+        payload = json.loads(out)
+        assert code == 0
+        assert (round(payload["slope"], 4), round(payload["exponent"], 4)) == (slope, exponent)
+        code, out, _ = run_cli(capsys, "fit-exponent", "--experiment", experiment, "--ns", ns,
+                               "--out", "csv")
+        lines = out.strip().splitlines()
+        assert lines[-2] == f"exponent,{payload['exponent']:.6f},"
+        assert lines[-1] == f"slope,{payload['slope']:.6f},"
 
     @pytest.mark.parametrize("experiment", sorted(quadcount.harness.EXPERIMENTS))
     @pytest.mark.parametrize("ns", ["0,1,2", "-2,1,2"])

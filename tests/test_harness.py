@@ -3,7 +3,7 @@ import math
 import pytest
 
 import quadcount.constructions
-from quadcount.harness import EXPERIMENTS, fit_slope, run_series
+from quadcount.harness import EXPERIMENTS, extrapolated_exponent, fit_slope, run_series
 
 
 class TestFitSlope:
@@ -35,16 +35,50 @@ class TestFitSlope:
             fit_slope([(4, 16), (4, 17)])
 
 
+class TestExtrapolatedExponent:
+    def test_doublings_give_twice_the_last_slope_less_the_one_before(self):
+        points = [(16, 87), (32, 987), (64, 9315), (128, 80755)]
+        s01, s12 = (math.log2(c1 / c0) for (_, c0), (_, c1) in zip(points[1:], points[2:]))
+        assert extrapolated_exponent(points) == pytest.approx(2 * s12 - s01, abs=1e-12)
+
+    def test_cancels_a_one_over_n_term_on_any_spacing(self):
+        # log c = a log n + b/n exactly, so only rounding is left
+        for ns in ((8, 16, 32), (8, 16, 24), (100, 150, 225), (128, 256, 384), (90, 91, 300)):
+            for a, b in ((3, -10), (8 / 3, -10), (2, 5)):
+                points = [(n, n ** a * math.exp(b / n)) for n in ns]
+                assert extrapolated_exponent(points) == pytest.approx(a, abs=1e-9)
+
+    def test_only_the_last_three_positive_points_count(self):
+        points = [(2, 1), (4, 64), (5, 0), (8, 512), (16, 4096)]
+        assert extrapolated_exponent(points) == pytest.approx(3.0, abs=1e-12)
+
+    def test_too_few_points(self):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            extrapolated_exponent([(4, 16), (8, 64), (16, 0)])
+
+    def test_n_must_increase(self):
+        with pytest.raises(ValueError, match="increase strictly"):
+            extrapolated_exponent([(4, 16), (8, 64), (8, 65)])
+
+
 class TestRunSeries:
     def test_additive_grid_is_exactly_cubic(self):
         series = run_series("ap-additive-zeros", [4, 8, 16, 32])
         assert [r.count for r in series.rows] == [64, 512, 4096, 32768]
         assert series.slope == pytest.approx(3.0, abs=1e-12)
+        assert series.exponent == pytest.approx(3.0, abs=1e-12)
 
     def test_moment_curve_slope_undefined(self):
         series = run_series("moment-coplanar", [4, 8, 16])
         assert all(r.count == 0 for r in series.rows)
-        assert series.slope is None
+        assert series.slope is None and series.exponent is None
+
+    @pytest.mark.parametrize("ns,defined", [([1, 2, 3], False), ([1, 2, 3, 4], True)])
+    def test_exponent_is_defined_exactly_when_the_slope_is(self, ns, defined):
+        # the zero count at n = 1 is left out, so [1, 2, 3] leaves two rows to fit
+        series = run_series("nonspecial-grid-zeros", ns)
+        assert [r.count for r in series.rows] == [0, 1, 4, 9][:len(ns)]
+        assert (series.slope is not None) == (series.exponent is not None) == defined
 
     def test_elliptic_oracle_and_geometry_agree(self):
         oracle = run_series("elliptic-oracle", [8, 12, 16])
@@ -95,7 +129,12 @@ class TestRunSeries:
         series = run_series("ap-additive-zeros", [2, 4, 8])
         lines = series.to_csv().strip().splitlines()
         assert lines[0] == "n,count,elapsed_ms"
+        assert lines[-2].startswith("exponent,3.0000")
         assert lines[-1].startswith("slope,3.0000")
+
+    def test_csv_reports_undefined_estimates(self):
+        lines = run_series("moment-coplanar", [4, 8, 16]).to_csv().strip().splitlines()
+        assert lines[-2:] == ["exponent,undefined,", "slope,undefined,"]
 
     def test_experiment_registry_names_resolve(self):
         for name, (build, count) in EXPERIMENTS.items():

@@ -139,7 +139,7 @@ def test_reports_share_no_default_container():
     reports = [
         (lambda: CountReport(1, "naive", 4, 0.0), "degeneracy"),
         (lambda: ZeroCountReport(0, "naive", 0, 0.0, (1, 1, 1, 1)), "stages"),
-        (lambda: ExperimentSeries("e", [], None, None, None), "stages"),
+        (lambda: ExperimentSeries("e", [], None, None, None, None), "stages"),
         (lambda: FormVerdict("degenerate", None), "stages"),
     ]
     for build, key in reports:

@@ -269,7 +269,7 @@ REPEATED = {
 class TestSquarefreeGuard:
     @pytest.mark.parametrize("text", REPEATED)
     def test_repeated_factor_is_refused(self, text):
-        message = f"cannot prove F squarefree in '{REPEATED[text]}' after 12 guard points: "
+        message = f"F is not squarefree in '{REPEATED[text]}': "
         with pytest.raises(ValueError, match=message):
             classify(P(text))
 
@@ -278,13 +278,17 @@ class TestSquarefreeGuard:
         assert certify(P(G)) == {"h1": False, "h2": False, "h3": False}
         assert certify(P(f"{G}^2")) == {"h1": True, "h2": True, "h3": True}
 
-    @pytest.mark.parametrize("text", [*CERTIFIED, "x^2 - (y - 2)*s*t"])
+    @pytest.mark.parametrize("text", [*CERTIFIED, "x^2 - (y - 2)*s*t", "y^2 - 4*x - s + t"])
     def test_squarefree_input_keeps_its_verdict(self, text):
         # at y = 2 the specialization of x^2 - (y - 2)*s*t in x is x^2, so
-        # guard points that all shared y = 2 would refuse this squarefree F
+        # guard points that all shared y = 2 would refuse this squarefree F;
+        # every guard point lies in the plane 4x + s - t = 0, where each
+        # y-slice of y^2 - 4*x - s + t is y^2, so only the exact gcd keeps it
         verdict = classify(P(text))
         assert verdict.certificate == certify(P(text))
         assert set(verdict.stages) == {"squarefree", "certify"}
+        if text == "y^2 - 4*x - s + t":
+            assert verdict.classification == "special"
 
 
 # -- the float kernel ----------------------------------------------------------
