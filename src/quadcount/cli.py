@@ -43,8 +43,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_poly(source: str):
+    # the text itself, or, only when it does not parse, the file it names
     try:
-        return parse_poly(_read_text(source) if os.path.isfile(source) else source, VARS)
+        try:
+            return parse_poly(source, VARS)
+        except ValueError:
+            if not os.path.isfile(source):
+                raise
+        return parse_poly(_read_text(source), VARS)
     except ValueError as exc:
         raise DomainError("parse", str(exc)) from exc
 

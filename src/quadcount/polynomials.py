@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction` throughout, so zero tests, slice
-comparisons and GCDs are exact.  A polynomial keeps an ordered tuple of
+Coefficients are exact, an `int` when integral and else a `Fraction`, so
+integer polynomials compute on ints.  A polynomial keeps an ordered tuple of
 variable names plus a dict mapping exponent tuples to nonzero coefficients.
 Terms are printed in graded-lexicographic order (total degree first, then
 the declared variable order), which makes parse -> print -> parse a fixed
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 Exponent = tuple[int, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # the variables of F(x, y, s, t), bound to the sets A, B, C, D in this order
 VARS = ("x", "y", "s", "t")
@@ -91,9 +88,9 @@ def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
 
 
 class Polynomial(Frozen):
-    """Sparse polynomial with exact rational coefficients: a `Frozen` record
-    of `vars`, the variable names, and `terms`, a dict from exponent tuples to
-    nonzero Fractions that must not change, since the hash is computed once."""
+    """Sparse polynomial: a `Frozen` record of `vars`, the variable names, and
+    `terms`, a dict from exponent tuples to nonzero coefficients, an `int` when
+    integral and else a `Fraction`, that must not change (the hash is cached)."""
 
     __slots__ = ("vars", "terms", "_hash")
     _fields = ("vars", "terms")
@@ -101,7 +98,7 @@ class Polynomial(Frozen):
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction | int]):
         object.__setattr__(self, "vars", tuple(variables))
         nvars = len(self.vars)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Fraction | int] = {}
         for exp, coeff in terms.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
@@ -109,8 +106,8 @@ class Polynomial(Frozen):
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
             c = Fraction(coeff)
-            if c != 0:
-                clean[exp] = c
+            if c:
+                clean[exp] = c.numerator if c.denominator == 1 else c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -122,7 +119,7 @@ class Polynomial(Frozen):
 
     @classmethod
     def constant(cls, variables: Sequence[str], value: Fraction | int) -> Polynomial:
-        return cls(variables, {(0,) * len(tuple(variables)): Fraction(value)})
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> Polynomial:
@@ -131,7 +128,7 @@ class Polynomial(Frozen):
             raise ValueError(f"undeclared variable {name!r}")
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return cls(variables, {tuple(exp): _ONE})
+        return cls(variables, {tuple(exp): 1})
 
     # -- basic structure ---------------------------------------------------
 
@@ -176,7 +173,7 @@ class Polynomial(Frozen):
             return NotImplemented
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, _ZERO) + c
+            out[exp] = out.get(exp, 0) + c
         return Polynomial(self.vars, out)
 
     __radd__ = __add__
@@ -197,11 +194,11 @@ class Polynomial(Frozen):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, _ZERO) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.vars, out)
 
     __rmul__ = __mul__
@@ -232,18 +229,18 @@ class Polynomial(Frozen):
             raise ValueError(
                 f"arity mismatch: {len(self.vars)} variables, {len(values)} values"
             )
-        return self.specialize(dict(zip(self.vars, values))).terms.get((), _ZERO)
+        return Fraction(self.specialize(dict(zip(self.vars, values))).terms.get((), 0))
 
     def partial(self, name: str) -> Polynomial:
         """Formal partial derivative with respect to `name`."""
         i = self._var_index(name)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for exp, coeff in self.terms.items():
             if exp[i] == 0:
                 continue
             e = list(exp)
             e[i] -= 1
-            out[tuple(e)] = out.get(tuple(e), _ZERO) + coeff * exp[i]
+            out[tuple(e)] = out.get(tuple(e), 0) + coeff * exp[i]
         return Polynomial(self.vars, out)
 
     def specialize(self, bindings: Mapping[str, Fraction | int]) -> Polynomial:
@@ -256,7 +253,7 @@ class Polynomial(Frozen):
             self._var_index(name)
         bound = {self._var_index(n): Fraction(v) for n, v in bindings.items()}
         keep = [i for i in range(len(self.vars)) if i not in bound]
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         powers: dict[tuple[int, int], Fraction] = {}
         for exp, coeff in self.terms.items():
             c = coeff
@@ -269,7 +266,7 @@ class Polynomial(Frozen):
                         powers[(i, e)] = p
                     c = c * p
             rest = tuple(exp[i] for i in keep)
-            nc = out.get(rest, _ZERO) + c
+            nc = out.get(rest, 0) + c
             if nc == 0:
                 out.pop(rest, None)
             else:
@@ -285,7 +282,7 @@ class Polynomial(Frozen):
         """
         i = self._var_index(name)
         rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: list[dict[Exponent, Fraction]] = [{} for _ in range(self.degree_in(name) + 1)]
+        buckets: list[dict[Exponent, Fraction | int]] = [{} for _ in range(self.degree_in(name) + 1)]
         for exp, coeff in self.terms.items():
             buckets[exp[i]][exp[:i] + exp[i + 1:]] = coeff
         return [Polynomial(rest, bucket) for bucket in buckets]
@@ -479,17 +476,17 @@ def _divide(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     g_lead = g.leading_exponent()
     g_lc = g.terms[g_lead]
     rem = dict(f.terms)
-    quo: dict[Exponent, Fraction] = {}
+    quo: dict[Exponent, Fraction | int] = {}
     while rem:
         r_lead = max(rem, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(r_lead, g_lead))
         if any(d < 0 for d in diff):
             break
-        c = rem[r_lead] / g_lc
-        quo[diff] = quo.get(diff, _ZERO) + c
+        c = Fraction(rem[r_lead], g_lc)
+        quo[diff] = quo.get(diff, 0) + c
         for exp, coeff in g.terms.items():
             e = tuple(a + b for a, b in zip(diff, exp))
-            nv = rem.get(e, _ZERO) - c * coeff
+            nv = rem.get(e, 0) - c * coeff
             if nv == 0:
                 rem.pop(e, None)
             else:

@@ -176,20 +176,19 @@ def certify(poly: Polynomial) -> dict[str, bool] | None:
 def _require_squarefree(poly: Polynomial) -> None:
     """Raise ValueError if F has a repeated factor.
 
-    For each variable v that F involves, the other three are set to each of
-    `_GUARD_POINTS` in turn, giving a `Polynomial` u in v alone; a point
-    where u's degree falls below F's degree in v (the leading coefficient
-    vanishes there) is skipped.  One point where `gcd(u, u')` is 1 (Euclid
-    in one variable) proves that no repeated factor of F involves v.  If
-    F = G^2 H with G involving v, every such point leaves a repeated factor
-    in u, so none succeeds.  When none does, `gcd(F, F_v)` decides: it
-    involves v exactly when a repeated factor of F does.  A squarefree F
+    A repeated factor G^2 with G in v gives F degree at least 2 in v, so only
+    such v are checked.  The other three variables are set to each of
+    `_GUARD_POINTS` in turn, giving a `Polynomial` u in v alone; a point where
+    u's degree falls below F's degree in v is skipped.  One point where
+    `gcd(u, u')` is 1 proves that no repeated factor of F involves v; if
+    F = G^2 H with G involving v, no point does.  Then `gcd(F, F_v)` decides:
+    it involves v exactly when a repeated factor of F does.  A squarefree F
     reaches it only if u has a double root at every guard point.
     """
     _require_surface(poly)
     for v in poly.vars:
         degree = poly.degree_in(v)
-        if degree == 0:
+        if degree < 2:
             continue
         others = [w for w in poly.vars if w != v]
         for point in _GUARD_POINTS:

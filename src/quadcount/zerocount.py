@@ -103,7 +103,7 @@ def _cleared(poly: Polynomial, sets: GridSets) -> tuple[Polynomial, list[list[in
         raise ValueError(f"expected a polynomial in 4 variables, got {len(poly.vars)}")
     scales, int_sets = zip(*(clear_denominators(values) for values in sets.sets))
     _, coeffs = clear_denominators(
-        c / math.prod(scale ** e for scale, e in zip(scales, exp))
+        Fraction(c, math.prod(scale ** e for scale, e in zip(scales, exp)))
         for exp, c in poly.terms.items()
     )
     return Polynomial(poly.vars, dict(zip(poly.terms, coeffs))), list(int_sets)
@@ -132,7 +132,7 @@ def count_naive(poly: Polynomial, sets: GridSets) -> ZeroCountReport:
         ]
         c_columns = [[c ** e for c in int_sets[2]] for e in range(degrees[2] + 1)]
         d_powers = [[d ** e for e in range(1, degrees[3] + 1)] for d in int_sets[3]]
-        terms = [(int(c), *exp) for exp, c in g.terms.items()]
+        terms = [(c, *exp) for exp, c in g.terms.items()]
     fibers: Counter[tuple[int, ...]] = Counter()
     zero_c = [0] * len(int_sets[2])
     count = 0
@@ -199,7 +199,7 @@ def count_fiber(
     with stages.timed("profile"):
         # profile[k]: the (coeff, e1, e2, e3) terms of the coefficient of solve_var^k
         profile = [
-            [(int(c), *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(solve_var)
+            [(c, *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(solve_var)
         ]
         # c_columns[e] = every value of the third loop coordinate ** e
         c_degree = max((term[-1] for terms in profile for term in terms), default=0)

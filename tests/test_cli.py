@@ -195,6 +195,20 @@ class TestDetectSpecialCommand:
         code, out, _ = run_cli(capsys, "detect-special", "--poly", "x+y+s+t")
         assert json.loads(out)["classification"] == "special"
 
+    def test_poly_text_is_parsed_before_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        # `t` is the polynomial t, which misses three variables, even next to
+        # a file named t; `t.txt` does not parse, so the file is read
+        monkeypatch.chdir(tmp_path)
+        for name in ("t", "t.txt"):
+            (tmp_path / name).write_text("x + y + s + t\n")
+        code, out, _ = run_cli(capsys, "detect-special", "--poly", "t")
+        payload = json.loads(out)
+        assert (code, payload["poly"], payload["classification"]) == (0, "t", "degenerate")
+        code, out, _ = run_cli(capsys, "detect-special", "--poly", "t.txt")
+        payload = json.loads(out)
+        assert (code, payload["poly"], payload["classification"]) == (0, "x + y + s + t",
+                                                                     "special")
+
     def test_value_starting_with_a_dash_as_a_separate_word(self, capsys):
         # the same JSON but for the stage timings
         payloads = []

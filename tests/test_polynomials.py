@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -340,3 +341,94 @@ class TestTryDivide:
 
     def test_inexact(self):
         assert try_divide(P("x*y + 1"), P("x + 2")) is None
+
+
+# -- the coefficient representation -------------------------------------------
+#
+# A plain dict-of-Fraction reference for each operation, written here and
+# sharing no code with `Polynomial`.
+
+
+def _ref(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref(out)
+
+
+def _ref_partial(a, i):
+    return _ref({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]})
+
+
+def _ref_specialize(a, bound):
+    # bound: {variable index: value}
+    out = {}
+    for e, c in a.items():
+        for i, value in bound.items():
+            c *= Fraction(value) ** e[i]
+        rest = tuple(k for i, k in enumerate(e) if i not in bound)
+        out[rest] = out.get(rest, Fraction(0)) + c
+    return _ref(out)
+
+
+def _random_terms(rng, nvars):
+    # an int coefficient, or p/q, which is integral about one time in three
+    def coefficient():
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
+
+    return {tuple(rng.randint(0, 3) for _ in range(nvars)): coefficient()
+            for _ in range(rng.randint(1, 6))}
+
+
+class TestCoefficientRepresentation:
+    def assert_stored(self, p, reference):
+        # equal to the reference, and each coefficient an int exactly when
+        # it is integral
+        assert p.terms == reference
+        for c in p.terms.values():
+            assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
+
+    def test_operations_match_a_fraction_reference(self):
+        rng = random.Random(20261021)
+        for _ in range(80):
+            variables = V4[:rng.randint(2, 4)]
+            a_terms, b_terms = (_random_terms(rng, len(variables)) for _ in range(2))
+            a, b = Polynomial(variables, a_terms), Polynomial(variables, b_terms)
+            ra, rb = _ref(a_terms), _ref(b_terms)
+            self.assert_stored(a, ra)
+            self.assert_stored(a + b, _ref_add(ra, rb))
+            self.assert_stored(a * b, _ref_mul(ra, rb))
+            for i, name in enumerate(variables):
+                self.assert_stored(a.partial(name), _ref_partial(ra, i))
+            for value in (rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
+                bound = {i: value for i in rng.sample(range(len(variables)), rng.randint(1, 2))}
+                names = {variables[i]: v for i, v in bound.items()}
+                self.assert_stored(a.specialize(names), _ref_specialize(ra, bound))
+            if not b.is_zero:
+                self.assert_stored(try_divide(a * b, b), ra)
+            point = [rng.randint(-3, 3) for _ in variables]
+            value = a.evaluate(point)
+            assert type(value) is Fraction
+            assert value == _ref_specialize(ra, dict(enumerate(point))).get((), 0)
+
+    def test_constructor_decides_the_type(self):
+        p = Polynomial(V2, {(1, 0): 0.5, (0, 1): 2.0, (1, 1): Fraction(6, 3), (2, 0): 0})
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): 2, (1, 1): 2}
+        assert [type(c) for c in p.terms.values()] == [Fraction, int, int]
+        assert type(Polynomial.zero(V2).evaluate((1, 2))) is Fraction
+        assert type(P("1/2*x + 1/2*y", V2).specialize({"x": 1, "y": 1}).terms[()]) is int

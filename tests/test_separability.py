@@ -278,6 +278,16 @@ class TestSquarefreeGuard:
         assert certify(P(G)) == {"h1": False, "h2": False, "h3": False}
         assert certify(P(f"{G}^2")) == {"h1": True, "h2": True, "h3": True}
 
+    def test_variables_of_degree_below_two_run_no_guard(self, monkeypatch):
+        # a repeated factor G^2 with G in v gives F degree at least 2 in v, so
+        # F of degree 1 in every variable is decided without one gcd
+        def no_gcd(a, b):
+            raise AssertionError(f"the guard ran gcd({a}, {b})")
+
+        monkeypatch.setattr(separability, "gcd", no_gcd)
+        assert classify(P("x*y - s*t")).classification == "special"
+        assert classify(P("t - (x + y*s)")).classification == "non-special"
+
     @pytest.mark.parametrize("text", [*CERTIFIED, "x^2 - (y - 2)*s*t", "y^2 - 4*x - s + t"])
     def test_squarefree_input_keeps_its_verdict(self, text):
         # at y = 2 the specialization of x^2 - (y - 2)*s*t in x is x^2, so
@@ -414,10 +424,12 @@ def test_detector_bench_record_is_reproduced():
     rows = record["runs"]["change"]["rows"]
     polys = [row for row in rows if "n" not in row]
     oracle = [row for row in rows if "n" in row]
-    assert [row["input"] for row in polys] == list(bench.workloads.VERDICTS)
+    assert [row["input"] for row in polys] == [*bench.workloads.VERDICTS, *bench.CURVES]
     assert [row["n"] for row in oracle] == list(bench.ORACLE_NS)
     for row in polys:
-        assert bench.result(classify(P(row["input"])).to_json()) == bench.result(row), row["input"]
+        name = row["input"]
+        poly = bench.circle_polynomial(bench.CURVES[name]) if name in bench.CURVES else P(name)
+        assert bench.result(classify(poly).to_json()) == bench.result(row), name
     for row in oracle:
         assert coplanar_index_oracle(row["n"]) == row["count"], row["n"]
 
