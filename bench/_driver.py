@@ -54,15 +54,24 @@ COLD_REPEAT = 21
 def repeat(call, key=lambda out: out) -> tuple[list, list[float]]:
     """The outputs and seconds of REPEAT timed calls; exits unless `key` of
     every output agrees."""
-    outputs, seconds = [], []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        outputs.append(call())
-        seconds.append(time.perf_counter() - start)
-    keys = [key(out) for out in outputs]
-    if any(k != keys[0] for k in keys):
-        sys.exit(f"results differ between repeats: {keys}")
-    return outputs, seconds
+    return alternate([(call, key)])[0]
+
+
+def alternate(calls: list[tuple]) -> list[tuple[list, list[float]]]:
+    """`repeat` for several (call, key) pairs at once: the calls take turns,
+    and which goes first flips from one repeat to the next, so a process
+    that slows as it runs favours none of them."""
+    done = [([], []) for _ in calls]
+    for i in range(REPEAT):
+        for j in sorted(range(len(calls)), reverse=bool(i % 2)):
+            start = time.perf_counter()
+            done[j][0].append(calls[j][0]())
+            done[j][1].append(time.perf_counter() - start)
+    for (_, key), (outputs, _) in zip(calls, done):
+        keys = [key(out) for out in outputs]
+        if any(k != keys[0] for k in keys):
+            sys.exit(f"results differ between repeats: {keys}")
+    return done
 
 
 def total(rows: list[dict], key: str = "seconds") -> float:

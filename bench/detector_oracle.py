@@ -3,9 +3,10 @@
 Runs `classify` and its certificate `certify` in process on the eight
 polynomials of the `incidences-numeric` benchmark (`perfbench/workloads.py`
 `VERDICTS`) and on two curve polynomials whose certificate does real work,
-and times one cold `detect-special` job per polynomial, from interpreter
-start to exit; runs `coplanar_index_oracle` in process at the sizes of that
-benchmark's `fit-exponent --experiment elliptic-oracle` job.
+the two calls taking turns (`_driver.alternate`), and times one cold
+`detect-special` job per polynomial, from interpreter start to exit; runs
+`coplanar_index_oracle` in process at the sizes of that benchmark's
+`fit-exponent --experiment elliptic-oracle` job.
 
 The curve polynomials are those of the four-point circles on y = x^4 + x
 (degree 7, 127 terms) and y = x^5 (degree 10, 256 terms): four points
@@ -98,8 +99,9 @@ def worker(name: str) -> dict:
         counts, seconds = _driver.repeat(lambda: coplanar_index_oracle(n))
         return {"n": n, "count": counts[0], "seconds": seconds}
     poly = circle_polynomial(CURVES[name]) if name in CURVES else parse_poly(name, VARS)
-    verdicts, seconds = _driver.repeat(lambda: classify(poly), lambda v: result(v.to_json()))
-    certificates, certify_seconds = _driver.repeat(lambda: certify(poly))
+    (verdicts, seconds), (certificates, certify_seconds) = _driver.alternate(
+        [(lambda: classify(poly), lambda v: result(v.to_json())),
+         (lambda: certify(poly), lambda c: c)])
     verdict = result(verdicts[0].to_json())
     if certificates[0] != verdict["certificate"]:
         sys.exit(f"classify reports another certificate for {name}: {verdict['certificate']}")

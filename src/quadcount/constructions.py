@@ -102,8 +102,8 @@ def ap_grid(kind: str, n: int) -> ApGrid:
         raise ValueError("n must be >= 1")
     if kind == "additive":
         poly = parse_poly("x + y + s + t", VARS)
-        abc = [Fraction(i) for i in range(1, n + 1)]
-        d = [Fraction(-m) for m in range(3 * n, 2, -1)]
+        abc = range(1, n + 1)
+        d = range(-3 * n, -2)
     elif kind == "multiplicative":
         poly = parse_poly("x*y*s*t - 1", VARS)
         abc = [Fraction(2) ** i for i in range(1, n + 1)]

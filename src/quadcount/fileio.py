@@ -42,9 +42,7 @@ def parse_value(text: str) -> Fraction | float:
 
 
 def format_value(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     return format(float(value), ".17g")
 

@@ -54,7 +54,7 @@ from itertools import repeat
 from math import comb, gcd
 from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
-from .polynomials import Frozen, clear_denominators
+from .polynomials import Frozen, clear_denominators, exact
 
 __all__ = [
     "TORSION_COPLANAR_TOL",
@@ -90,8 +90,8 @@ _FORK_MIN_STEPS = 20_000
 
 
 class _PointSet(Frozen):
-    """Finite list of distinct points, exact (Fraction) or finite float
-    coordinates; a repeated point raises ValueError.
+    """Finite list of distinct points, `exact` or finite float coordinates;
+    a repeated point raises ValueError.
 
     A `Frozen` record, equal when the class, points and kind are equal."""
 
@@ -112,7 +112,7 @@ class _PointSet(Frozen):
             if len(p) != cls.dimension:
                 raise ValueError(f"expected {cls.dimension} coordinates, got {len(p)}")
         if all(isinstance(v, _EXACT_TYPES) for p in pts for v in p):
-            return cls(tuple(tuple(Fraction(v) for v in p) for p in pts), "exact")
+            return cls(tuple(tuple(map(exact, p)) for p in pts), "exact")
         try:
             floats = tuple(tuple(float(v) for v in p) for p in pts)
         except OverflowError as exc:
@@ -129,14 +129,14 @@ class _PointSet(Frozen):
 
 
 class PointSet3(_PointSet):
-    """Finite list of 3D points, exact (Fraction) or float coordinates."""
+    """Finite list of 3D points, `exact` or float coordinates."""
 
     __slots__ = ()
     dimension = 3
 
 
 class PointSet2(_PointSet):
-    """Finite list of 2D points, exact (Fraction) or float coordinates."""
+    """Finite list of 2D points, `exact` or float coordinates."""
 
     __slots__ = ()
     dimension = 2

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import constructions, geometry, zerocount
@@ -133,7 +132,7 @@ class _GridConfig(NamedTuple):
 
 def _nonspecial_grid(n: int) -> _GridConfig:
     poly = parse_poly("t - (x + y*s)", VARS)
-    values = [Fraction(i) for i in range(1, n + 1)]
+    values = range(1, n + 1)
     sets = zerocount.GridSets.from_values(values, values, values, values)
     return _GridConfig(poly, sets)
 

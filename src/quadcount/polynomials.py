@@ -1,11 +1,10 @@
 """Sparse multivariate polynomials over the rationals.
 
-Coefficients are exact, an `int` when integral and else a `Fraction`, so
-integer polynomials compute on ints.  A polynomial keeps an ordered tuple of
-variable names plus a dict mapping exponent tuples to nonzero coefficients.
-Terms are printed in graded-lexicographic order (total degree first, then
-the declared variable order), which makes parse -> print -> parse a fixed
-point.
+Coefficients are `exact` values, so integer polynomials compute on ints.  A
+polynomial keeps an ordered tuple of variable names plus a dict mapping
+exponent tuples to nonzero coefficients.  Terms are printed in
+graded-lexicographic order (total degree first, then the declared variable
+order), which makes parse -> print -> parse a fixed point.
 
 The accepted text grammar:
 
@@ -31,6 +30,7 @@ __all__ = [
     "Polynomial",
     "parse_poly",
     "clear_denominators",
+    "exact",
     "gcd",
     "try_divide",
 ]
@@ -89,8 +89,7 @@ def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
 
 class Polynomial(Frozen):
     """Sparse polynomial: a `Frozen` record of `vars`, the variable names, and
-    `terms`, a dict from exponent tuples to nonzero coefficients, an `int` when
-    integral and else a `Fraction`, that must not change (the hash is cached)."""
+    `terms`, exponent tuples to nonzero `exact` coefficients (never mutated)."""
 
     __slots__ = ("vars", "terms", "_hash")
     _fields = ("vars", "terms")
@@ -105,9 +104,9 @@ class Polynomial(Frozen):
                 raise ValueError(f"exponent vector {exp} does not match {nvars} variables")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = Fraction(coeff)
+            c = exact(coeff)
             if c:
-                clean[exp] = c.numerator if c.denominator == 1 else c
+                clean[exp] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -251,10 +250,10 @@ class Polynomial(Frozen):
         """
         for name in bindings:
             self._var_index(name)
-        bound = {self._var_index(n): Fraction(v) for n, v in bindings.items()}
+        bound = {self._var_index(n): exact(v) for n, v in bindings.items()}
         keep = [i for i in range(len(self.vars)) if i not in bound]
         out: dict[Exponent, Fraction | int] = {}
-        powers: dict[tuple[int, int], Fraction] = {}
+        powers: dict[tuple[int, int], Fraction | int] = {}
         for exp, coeff in self.terms.items():
             c = coeff
             for i, v in bound.items():
@@ -316,6 +315,15 @@ class Polynomial(Frozen):
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.vars)!r}, {str(self)!r})"
+
+
+def exact(value) -> Fraction | int:
+    """The one exact form of a value: a plain `int` as is, else `Fraction(value)`
+    (a float converts exactly), or its numerator when the denominator is 1."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
@@ -482,7 +490,7 @@ def _divide(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
         diff = tuple(a - b for a, b in zip(r_lead, g_lead))
         if any(d < 0 for d in diff):
             break
-        c = Fraction(rem[r_lead], g_lc)
+        c = exact(Fraction(rem[r_lead], g_lc))
         quo[diff] = quo.get(diff, 0) + c
         for exp, coeff in g.terms.items():
             e = tuple(a + b for a, b in zip(diff, exp))

@@ -63,7 +63,7 @@ class PopularScan(NamedTuple):
 
     components: list[tuple[Polynomial, int]]
     popular: list[tuple[Polynomial, int]]
-    degenerate_params: list[tuple[Fraction, Fraction]]
+    degenerate_params: list[tuple[Fraction | int, Fraction | int]]
     threshold: int
 
 
@@ -110,9 +110,8 @@ def popular_components(
     _require_surface(poly)
     vc, vd = poly.vars[2], poly.vars[3]
     slices: list[Polynomial] = []
-    degenerate: list[tuple[Fraction, Fraction]] = []
+    degenerate: list[tuple[Fraction | int, Fraction | int]] = []
     for c, d in params:
-        c, d = Fraction(c), Fraction(d)
         sl = poly.specialize({vc: c, vd: d})
         if sl.is_zero:
             degenerate.append((c, d))

@@ -27,14 +27,14 @@ from itertools import compress
 from operator import add, not_
 from typing import NamedTuple, Sequence
 
-from .polynomials import Frozen, Polynomial, clear_denominators
+from .polynomials import Frozen, Polynomial, clear_denominators, exact
 from .stages import Stages
 
 __all__ = ["GridSets", "ZeroCountReport", "count_naive", "count_fiber"]
 
 
 class GridSets(Frozen):
-    """Four finite sets of exact rationals, bound to a polynomial's variables
+    """Four finite sets of `exact` values, bound to a polynomial's variables
     in declared order.  Sizes may differ; values within a set are distinct.
 
     A `Frozen` record: equal when the sets are equal.
@@ -43,7 +43,7 @@ class GridSets(Frozen):
     __slots__ = ("sets",)
     _fields = ("sets",)
 
-    def __init__(self, sets: tuple[tuple[Fraction, ...], ...]) -> None:
+    def __init__(self, sets: tuple[tuple[Fraction | int, ...], ...]) -> None:
         if len(sets) != 4:
             raise ValueError(f"expected 4 sets, got {len(sets)}")
         for i, values in enumerate(sets):
@@ -53,7 +53,7 @@ class GridSets(Frozen):
 
     @classmethod
     def from_values(cls, a: Sequence, b: Sequence, c: Sequence, d: Sequence) -> GridSets:
-        return cls(tuple(tuple(Fraction(v) for v in vs) for vs in (a, b, c, d)))
+        return cls(tuple(tuple(map(exact, vs)) for vs in (a, b, c, d)))
 
     @property
     def sizes(self) -> tuple[int, int, int, int]:

@@ -9,6 +9,7 @@ from quadcount.polynomials import (
     PolyParseError,
     Polynomial,
     clear_denominators,
+    exact,
     gcd,
     parse_poly,
     try_divide,
@@ -432,3 +433,29 @@ class TestCoefficientRepresentation:
         assert [type(c) for c in p.terms.values()] == [Fraction, int, int]
         assert type(Polynomial.zero(V2).evaluate((1, 2))) is Fraction
         assert type(P("1/2*x + 1/2*y", V2).specialize({"x": 1, "y": 1}).terms[()]) is int
+
+
+class TestExact:
+    def test_an_int_comes_back_as_the_same_object(self):
+        big = 10 ** 40 + 1
+        assert exact(big) is big
+
+    @pytest.mark.parametrize("value,expected", [
+        (True, 1),
+        (Fraction(6, 3), 2),
+        (Fraction(-1, 2), Fraction(-1, 2)),
+        (0.5, Fraction(1, 2)),
+        (2.0, 2),
+    ], ids=["bool", "integral-fraction", "fraction", "half", "integral-float"])
+    def test_int_exactly_when_integral(self, value, expected):
+        out = exact(value)
+        assert out == expected and type(out) is type(expected)
+
+    @pytest.mark.parametrize("value,error", [
+        ("1/0", ZeroDivisionError),
+        ("one half", ValueError),
+        (float("nan"), ValueError),
+    ], ids=["zero-denominator", "text", "nan"])
+    def test_fraction_errors_propagate(self, value, error):
+        with pytest.raises(error):
+            exact(value)

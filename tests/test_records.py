@@ -4,13 +4,17 @@ and the package's exports."""
 
 import contextlib
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 import quadcount
 from quadcount import constructions, geometry, harness, polynomials, separability, zerocount
-from quadcount.constructions import ANGLE_TOL, IDENTITY, CurvePoint, EllipticConfig, make_curve
+from quadcount.constructions import (
+    ANGLE_TOL, IDENTITY, CurvePoint, EllipticConfig, ap_grid, make_curve, moment_curve_points,
+)
+from quadcount.fileio import points_from_csv, sets_from_csv
 from quadcount.geometry import CountReport, PointSet2, PointSet3
 from quadcount.harness import ExperimentSeries, SeriesRow
 from quadcount.polynomials import VARS, Polynomial, parse_poly
@@ -48,9 +52,52 @@ class TestGridSets:
 
     def test_repr(self):
         assert repr(GridSets.from_values([1], [2], [3], [4])) == (
-            "GridSets(sets=((Fraction(1, 1),), (Fraction(2, 1),), "
-            "(Fraction(3, 1),), (Fraction(4, 1),)))"
+            "GridSets(sets=((1,), (2,), (3,), (4,)))"
         )
+
+
+def test_containers_store_an_int_exactly_when_integral():
+    rng = random.Random(34)
+
+    def draws(n):
+        # distinct values, integral and not, given as ints, Fractions and floats
+        out = {}
+        while len(out) < n:
+            v = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                            rng.randint(-18, 18) / 2])
+            out.setdefault(Fraction(v), v)
+        return list(out.values())
+
+    def text(v):
+        return f"{v.numerator}/{v.denominator}" if rng.random() < 0.5 else str(v)
+
+    stored = []
+    for _ in range(20):
+        sets = [draws(rng.randint(1, 5)) for _ in range(4)]
+        stored += GridSets.from_values(*sets).sets
+        exact_sets = [[Fraction(v) for v in vs] for vs in sets]
+        csv = "".join(f"{label}: {','.join(map(text, vs))}\n"
+                      for label, vs in zip("ABCD", exact_sets))
+        stored += sets_from_csv(csv).sets
+        for cls in (PointSet2, PointSet3):
+            rows = list(dict.fromkeys(
+                tuple(rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+                      for _ in range(cls.dimension))
+                for _ in range(rng.randint(1, 6))))
+            for points in (cls.from_rows(rows),
+                           points_from_csv("\n".join(",".join(text(Fraction(v)) for v in row)
+                                                      for row in rows))):
+                assert points.kind == "exact"
+                stored += points.points
+    for n in (1, 4):
+        for spacing in (1, Fraction(1, 2), Fraction(2), 3):
+            stored += moment_curve_points(n, spacing).points
+        for kind in ("additive", "multiplicative"):
+            stored += ap_grid(kind, n).sets.sets
+    values = [v for group in stored for v in group]
+    assert len(values) > 500
+    for v in values:
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
 
 
 class TestPolynomial:
