@@ -42,7 +42,7 @@ print(f"  multiplicative n=3: expected {grid.expected}  counted "
 
 # A degenerate fiber: where the slice vanishes identically, the whole
 # candidate set counts at once.
-degen = parse_poly("s*x + t*y", VARS)
-dsets = GridSets.from_values([0, 1], [1], [0, 2], [0])
-report = count_fiber(degen, dsets, solve_var="x")
+degen = parse_poly("s*t + x*y", VARS)
+dsets = GridSets.from_values([0], [1], [0, 2], [0, 1])
+report = count_fiber(degen, dsets)
 print(f"\nF = {degen}: {report.count} zeros, {report.degenerate_fibers} degenerate fiber(s)")

@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import constructions, fileio, geometry, harness, separability, zerocount
 from .polynomials import VARS, parse_poly
@@ -79,16 +78,9 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-
-
 # every option takes exactly one value, but argparse reads a separate value
-# that starts with "-" ("-1/2", "-x+y+s+t") as an option: `_run` joins such a
-# word to the flag before it, as "--b=-1/2", unless either is a help flag
+# that starts with "-" ("-x+y+s+t") as an option: `_run` joins such a word to
+# the flag before it, as "--poly=-x+y+s+t", unless either is a help flag
 _HELP = ("-h", "--help")
 
 
@@ -131,8 +123,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("count-zeros", "count zeros of a 4-variable polynomial on A x B x C x D"):
         p.add_argument("--poly", required=True, help="polynomial in x, y, s, t, or a file of it")
         p.add_argument("--sets", required=True, help="CSV file with lines A:...,B:...,C:...,D:...")
-        p.add_argument("--method", choices=("naive", "fiber"), default="fiber")
-        p.add_argument("--solve-var", default=None, help="variable solved per fiber (fiber method only)")
+        p.add_argument("--method", choices=("naive", "fiber"), default="fiber",
+                       help="both fiber over x, y, s; fiber solves t, naive evaluates it")
         common(p)
 
     if p := add("detect-special", "classify a polynomial as special / non-special / degenerate"):
@@ -143,12 +135,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--kind", required=True,
                        choices=("ap-additive", "ap-multiplicative", "elliptic", "moment"))
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--a", type=_parse_fraction, default=Fraction(1),
-                       help="curve coefficient a (elliptic)")
-        p.add_argument("--b", type=_parse_fraction, default=Fraction(1),
-                       help="curve coefficient b (elliptic)")
-        p.add_argument("--spacing", type=_parse_fraction, default=Fraction(1),
-                       help="moment curve step")
         common(p, ("json", "csv"))
 
     for name, help_text in (
@@ -177,13 +163,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_count_zeros(args) -> dict:
-    if args.method == "naive" and args.solve_var is not None:
-        raise DomainError("count", "--solve-var applies to --method fiber only")
     poly, sets = _load_poly(args.poly), _load_sets(args.sets)
-    if args.method == "naive":
-        report = zerocount.count_naive(poly, sets)
-    else:
-        report = zerocount.count_fiber(poly, sets, args.solve_var)
+    count = zerocount.count_naive if args.method == "naive" else zerocount.count_fiber
+    report = count(poly, sets)
     return {"poly": str(poly), **report.to_json()}
 
 
@@ -203,7 +185,7 @@ def _cmd_construct(args) -> dict:
                     + fileio.sets_to_csv(grid.sets),
         }
     if kind == "elliptic":
-        cfg = constructions.make_curve(args.a, args.b)
+        cfg = constructions.make_curve()
         points = constructions.torsion_points(cfg, args.n)[1:]
         embedded = constructions.embed_quartic(cfg, points)
         return {
@@ -211,7 +193,7 @@ def _cmd_construct(args) -> dict:
             "points": [list(p) for p in embedded.points],
             "_csv": fileio.points_to_csv(embedded),
         }
-    points = constructions.moment_curve_points(args.n, args.spacing)
+    points = constructions.moment_curve_points(args.n)
     return {**out, "points": [[str(v) for v in p] for p in points.points],
             "_csv": fileio.points_to_csv(points)}
 

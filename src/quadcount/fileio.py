@@ -4,7 +4,8 @@ Grid sets CSV: one line per set, `A: v1,v2,...` through `D:`, values given
 as integers, decimals, or `p/q`; `#` lines are comments.  Point CSV: one
 `x,y[,z]` row per point; integer or `p/q` values make the file exact, any
 decimal or scientific value makes it float (emitted with 17 significant
-digits so it round-trips).
+digits so it round-trips).  Both read an integer as an `int` and any other
+exact value as a `Fraction`, the form `polynomials.exact` stores.
 """
 
 from __future__ import annotations
@@ -26,19 +27,25 @@ __all__ = [
 _SET_LABELS = ("A", "B", "C", "D")
 
 
-def parse_value(text: str) -> Fraction | float:
-    """Exact Fraction for integer or p/q text, float for decimal text."""
+def parse_value(text: str) -> int | Fraction | float:
+    """int for integer text, Fraction for p/q text, float for decimal text."""
     text = text.strip()
     if not text:
         raise ValueError("empty value")
     try:
         if "." in text or "e" in text.lower():
             return float(text)
-        return Fraction(text)
+        return _exact_value(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
         raise ValueError(f"invalid value {text!r}") from None
+
+
+def _exact_value(text: str) -> int | Fraction:
+    # int(text) only for plain digits: int also takes "1_0", which Fraction
+    # refuses on Python 3.10, so that text stays on the Fraction path
+    return int(text) if text.lstrip("+-").isdigit() else Fraction(text)
 
 
 def format_value(value) -> str:
@@ -48,7 +55,7 @@ def format_value(value) -> str:
 
 
 def sets_from_csv(text: str) -> GridSets:
-    found: dict[str, list[Fraction]] = {}
+    found: dict[str, list[int | Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -62,8 +69,8 @@ def sets_from_csv(text: str) -> GridSets:
         found[label] = values = []
         try:
             for part in filter(None, map(str.strip, rest.split(","))):
-                # Fraction parses integers, p/q, and decimal notation exactly
-                values.append(Fraction(part))
+                # integer text as an int; Fraction parses p/q and decimals exactly
+                values.append(_exact_value(part))
         except ZeroDivisionError:
             raise ValueError(f"line {lineno}: zero denominator in {line!r}") from None
         except ValueError:

@@ -3,11 +3,11 @@
 Two routes to the same number.  `count_naive` builds, for every (a, b, c),
 the coefficient vector of F in the last variable, tallies equal vectors, and
 evaluates each distinct vector at every d: no root is ever solved for.
-`count_fiber` fixes three coordinates and solves the remaining univariate
-slice exactly (degree 1 by division, degree 2 by an integer square root of
-the discriminant) against a hashed candidate set, scanning the candidates
-only from degree 3 up.  The two share no counting code and must agree
-exactly; the naive route is the ground truth.
+`count_fiber` fixes the same (a, b, c) and solves the univariate slice in
+the last variable exactly (degree 1 by division, degree 2 by an integer
+square root of the discriminant) against a hash of D, scanning D only from
+degree 3 up.  The two share no counting code and must agree exactly; the
+naive route is the ground truth.
 
 Both routes first clear denominators.  Set i is scaled by the lcm L_i of its
 denominators, and F is replaced by G(X) = m * F(X_1/L_1, ..., X_4/L_4), where
@@ -65,12 +65,13 @@ class ZeroCountReport(NamedTuple):
     power tables (naive) or the coefficient profile (fiber), and counting;
     the JSON reports None as {}.
 
-    `degenerate_fibers` counts the fibers whose slice in the solved variable
-    (the last one, for a naive report) vanishes identically.  A fiber report
-    also gives `slice_degrees`, the number of fibers whose trimmed slice has
-    degree k at index k, and a naive report `distinct_fibers`, the number of
-    distinct coefficient vectors it evaluated.  The JSON leaves out
-    whichever is None."""
+    `degenerate_fibers` counts the (a, b, c) fibers of A x B x C whose slice
+    in the last variable vanishes identically; both routes see the same
+    fibers, so they report the same number.  A fiber report also gives
+    `slice_degrees`, the number of fibers whose trimmed slice has degree k
+    at index k, and a naive report `distinct_fibers`, the number of distinct
+    coefficient vectors it evaluated.  The JSON leaves out whichever is
+    None."""
 
     count: int
     method: str
@@ -169,39 +170,31 @@ def _bind(terms: list[tuple[int, ...]], value: int) -> list[tuple[int, ...]]:
     return [(k, *rest) for rest, k in out.items() if k]
 
 
-def count_fiber(
-    poly: Polynomial, sets: GridSets, solve_var: str | None = None
-) -> ZeroCountReport:
-    """Same count as `count_naive`, solving one coordinate per fiber.
+def count_fiber(poly: Polynomial, sets: GridSets) -> ZeroCountReport:
+    """Same count as `count_naive`, solving the last variable per fiber.
 
-    The coefficients of F in the solved variable are bound to the first two
-    loop coordinates term by term, then evaluated as whole columns over the
-    third.  Each slice is trimmed of vanishing top coefficients.  Degree-1
-    slices are solved by exact division; a degree-2 slice has integer roots
-    only when its discriminant is a perfect square, and then they are
+    Each (a, b, c) of A x B x C is one fiber, the same fibers `count_naive`
+    tallies.  The coefficients of F in the last variable are bound to a and
+    b term by term, then evaluated as whole columns over C.  Each slice is
+    trimmed of vanishing top coefficients.  Degree-1 slices are solved by
+    exact division; a degree-2 slice has integer roots only when its
+    discriminant is a perfect square, and then they are
     (-c1 +- isqrt(disc)) / (2 c2), a double root counted once.  The roots are
-    looked up in a hash of the candidate set.  Slices of degree 3 and up scan
-    the candidates by Horner, and identically vanishing slices contribute
-    the whole candidate set.
+    looked up in a hash of D.  Slices of degree 3 and up scan D by Horner,
+    and identically vanishing slices contribute the whole of D.
     """
-    if solve_var is None:
-        solve_var = poly.vars[-1]
-    if solve_var not in poly.vars:
-        raise ValueError(f"undeclared variable {solve_var!r}")
     start = time.perf_counter()
     stages = Stages()
     with stages.timed("clear_denominators"):
         g, int_sets = _cleared(poly, sets)
-    solve_idx = g.vars.index(solve_var)
-    s1, s2, s3 = (int_sets[i] for i in range(4) if i != solve_idx)
-    solve_values = int_sets[solve_idx]
+    s1, s2, s3, solve_values = int_sets
     candidates = set(solve_values)
     with stages.timed("profile"):
-        # profile[k]: the (coeff, e1, e2, e3) terms of the coefficient of solve_var^k
+        # profile[k]: the (coeff, e1, e2, e3) terms of the coefficient of t^k
         profile = [
-            [(c, *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(solve_var)
+            [(c, *exp) for exp, c in p.terms.items()] for p in g.coefficients_in(g.vars[-1])
         ]
-        # c_columns[e] = every value of the third loop coordinate ** e
+        # c_columns[e] = every c ** e
         c_degree = max((term[-1] for terms in profile for term in terms), default=0)
         c_columns = [[c ** e for c in s3] for e in range(c_degree + 1)]
     top = len(profile) - 1

@@ -12,21 +12,41 @@ from quadcount.zerocount import GridSets
 V4 = ("x", "y", "s", "t")
 
 
-def random_grid_instance(rng):
-    """Small random polynomial plus four random candidate sets."""
+def random_grid_instance(rng, denominators=None):
+    """Small random polynomial plus four random candidate sets.  Given
+    `denominators`, each coefficient and value is divided by one of them
+    (values that then coincide are kept once); without, the draws are those
+    of integer instances."""
+    def scaled(value):
+        return value if denominators is None else Fraction(value, int(rng.choice(denominators)))
+
     terms = {}
     for _ in range(int(rng.integers(2, 6))):
         exp = tuple(int(e) for e in rng.integers(0, 2, size=4))
-        terms[exp] = Fraction(int(rng.integers(-4, 5)))
+        terms[exp] = scaled(Fraction(int(rng.integers(-4, 5))))
     poly = Polynomial(V4, terms)
     sizes = rng.integers(1, 9, size=4)
     sets = GridSets.from_values(
         *(
-            rng.choice(np.arange(-6, 7), size=size, replace=False).tolist()
+            list(dict.fromkeys(map(scaled, rng.choice(np.arange(-6, 7), size=size,
+                                                      replace=False).tolist())))
             for size in sizes
         )
     )
     return poly, sets
+
+
+def permuted(poly, sets, order):
+    """F and its grid with variable `order[i]` and its set moved to place i;
+    the names stay x, y, s, t.  Both counters give the same count."""
+    terms = {tuple(exp[i] for i in order): c for exp, c in poly.terms.items()}
+    return Polynomial(poly.vars, terms), GridSets(tuple(sets.sets[i] for i in order))
+
+
+def solved_last(poly, sets, index):
+    """`permuted` with variable `index` moved to last place, the place that
+    `count_fiber` solves, and the others kept in order."""
+    return permuted(poly, sets, [i for i in range(4) if i != index] + [index])
 
 
 def random_mixed_point_instance(rng):

@@ -14,6 +14,7 @@ import _ratio_oracle
 from _ratio_oracle import DegenerateSurfaceError, ratio_test
 from quadcount.cli import _build_parser, main
 from quadcount.fileio import (
+    parse_value,
     points_from_csv,
     points_to_csv,
     sets_from_csv,
@@ -63,6 +64,49 @@ class TestFileFormats:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             points_from_csv("1,2\n1,2,3\n")
+
+    @pytest.mark.parametrize("text,value", [
+        ("12", 12), ("-7", -7), ("+3", 3), ("007", 7), ("-0", 0),
+        ("1/2", Fraction(1, 2)), ("4/2", Fraction(2)), ("-3/6", Fraction(-1, 2)),
+        ("0.5", 0.5), ("3e-1", 0.3),
+    ])
+    def test_values_read_as_int_fraction_or_float(self, text, value):
+        # integer text is an int, p/q text a Fraction and decimal text a
+        # float, in both readers (a sets file reads decimals exactly)
+        assert parse_value(text) == value
+        assert type(parse_value(text)) is type(value)
+        got = sets_from_csv(f"A: {text}\nB: 1\nC: 1\nD: 1\n").sets[0][0]
+        assert got == (Fraction(text) if type(value) is float else value)
+        assert type(got) is (int if got.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize("text,message", [
+        ("+-5", "invalid value '+-5'"), ("--5", "invalid value '--5'"), ("+", "invalid value '+'"),
+        ("abc", "invalid value 'abc'"), ("12a", "invalid value '12a'"), ("1 2", "invalid value '1 2'"),
+        ("\u00b2", "invalid value '\u00b2'"),
+    ])
+    def test_bad_value_messages(self, text, message):
+        # "\u00b2" passes str.isdigit but is no integer, for int or Fraction
+        with pytest.raises(ValueError) as exc:
+            parse_value(text)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            sets_from_csv(f"A: {text}\nB: 1\nC: 1\nD: 1\n")
+        assert str(exc.value) == f"line 1: {message}"
+
+    def test_underscore_digits_follow_fraction(self):
+        # int("1_0") is 10, but Fraction("1_0") is refused before Python
+        # 3.11: both readers take the text exactly where Fraction does
+        sets_text = "A: 1_0\nB: 1\nC: 1\nD: 1\n"
+        try:
+            expected = Fraction("1_0")
+        except ValueError:
+            with pytest.raises(ValueError, match="^invalid value '1_0'$"):
+                parse_value("1_0")
+            with pytest.raises(ValueError, match="^line 1: invalid value '1_0'$"):
+                sets_from_csv(sets_text)
+        else:
+            assert parse_value("1_0") == expected
+            assert sets_from_csv(sets_text).sets[0] == (expected,)
 
 
 @pytest.fixture()
@@ -140,21 +184,6 @@ class TestCountZerosCommand:
         with pytest.raises(SystemExit) as exc:
             main(["count-zeros", "--poly", "x", "--sets", sets_file, "--bogus"])
         assert exc.value.code == 2
-
-    def test_solve_var(self, capsys, sets_file):
-        argv = ["count-zeros", "--poly", "x+y+s+t", "--sets", sets_file]
-        code, out, _ = run_cli(capsys, *argv, "--solve-var", "x")
-        assert (code, json.loads(out)["count"]) == (0, 27)
-        code, out, err = run_cli(capsys, *argv, "--solve-var", "q")
-        assert (code, out) == (1, "")
-        assert err == "error:count: undeclared variable 'q'\n"
-
-    def test_solve_var_with_naive_method_is_refused(self, capsys, sets_file):
-        # the naive route solves for no variable; it once ignored the flag
-        code, out, err = run_cli(capsys, "count-zeros", "--poly", "x+y+s+t", "--sets", sets_file,
-                                 "--method", "naive", "--solve-var", "x")
-        assert (code, out) == (1, "")
-        assert err == "error:count: --solve-var applies to --method fiber only\n"
 
     def test_zero_denominator_in_sets_is_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "sets.csv"
@@ -320,34 +349,17 @@ class TestConstructCommand:
 
     def test_moment_exact_csv(self, capsys):
         code, out, _ = run_cli(
-            capsys, "construct", "--kind", "moment", "--n", "4",
-            "--spacing", "1/2", "--out", "csv",
+            capsys, "construct", "--kind", "moment", "--n", "4", "--out", "csv",
         )
         points = points_from_csv(out)
         assert points.kind == "exact"
-        assert points.points[0] == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
-
-    @pytest.mark.parametrize("flag, value", [("--a", "-3/2"), ("--b", "-1/2"),
-                                             ("--spacing", "-1/3")])
-    def test_negative_fraction_as_a_separate_value(self, capsys, flag, value):
-        kind = "moment" if flag == "--spacing" else "elliptic"
-        runs = [run_cli(capsys, "construct", "--kind", kind, "--n", "4", *words)
-                for words in ([flag, value], [f"{flag}={value}"])]
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 0 and json.loads(runs[0][1])["command"] == "construct"
+        assert points.points[0] == (1, 1, 1)
+        assert points.points[-1] == (4, 16, 64)
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_construction_checks_its_own_n(self, capsys, n):
         code, out, err = run_cli(capsys, "construct", "--kind", "moment", "--n", n)
         assert (code, out, err) == (1, "", "error:construct: n must be >= 1\n")
-
-    def test_singular_curve_is_domain_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "construct", "--kind", "elliptic", "--n", "4",
-            "--a", "-3", "--b", "2",
-        )
-        assert code == 1
-        assert err.startswith("error:construct:")
 
 
 class TestGeometryCommands:
@@ -552,10 +564,15 @@ class TestParser:
         *((command, ["--config", "f"]) for command in COMMANDS),
         ("count-zeros", ["--vars", "x,y,s,t"]),
         ("detect-special", ["--vars", "x,y,s,t"]),
+        ("count-zeros", ["--solve-var", "x"]),
+        ("construct", ["--a", "1"]),
+        ("construct", ["--b", "1"]),
+        ("construct", ["--spacing", "1"]),
     ])
     def test_removed_options_are_usage_errors(self, capsys, command, option):
-        # every value is set by its own flag; there is no config file and
-        # --poly is always read over x, y, s, t
+        # every value is set by its own flag; there is no config file,
+        # --poly is always read over x, y, s, t, count-zeros always solves
+        # t, and construct always builds y^2 = x^3 + x + 1 and t = 1..n
         with pytest.raises(SystemExit) as exc:
             main([command, *VALID_ARGS[command], *option])
         assert exc.value.code == 2

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _generators import permuted, solved_last
 from _generators import random_grid_instance as random_instance
 from quadcount.fileio import sets_from_csv
 from quadcount.polynomials import Polynomial, parse_poly
@@ -95,7 +96,7 @@ class TestDistinctFibers:
         poly = P("x*t - y*t - x + s")
         values = range(1, 19)
         sets = grid(values, values, values, values)
-        naive, fiber = count_naive(poly, sets), count_fiber(poly, sets, solve_var="t")
+        naive, fiber = count_naive(poly, sets), count_fiber(poly, sets)
         assert (naive.count, naive.degenerate_fibers) == (fiber.count, fiber.degenerate_fibers)
         assert (naive.count, naive.degenerate_fibers) == (1156, 18)
 
@@ -139,14 +140,15 @@ class TestCountFiber:
         assert count_fiber(P("x+y+s+t"), sets).count == 0
 
     def test_degenerate_fibers_count_full_lines(self):
-        # at s = 0, t = 0 the slice of s*x + t*y vanishes identically in x
-        sets = grid([0, 1], [1], [1, 2], [3])
-        report = count_fiber(P("s*x + t*y"), sets, solve_var="x")
-        assert report.count == brute_force(P("s*x + t*y"), sets)
-        assert report.degenerate_fibers == 0  # s=0 requires t=0 too; not hit here
-        sets0 = grid([0, 1], [1], [0, 2], [0])
-        report0 = count_fiber(P("s*x + t*y"), sets0, solve_var="x")
-        assert report0.count == brute_force(P("s*x + t*y"), sets0)
+        # at y = 0, s = 0 the slice of y*t + s*x vanishes identically in t
+        poly = P("y*t + s*x")
+        sets = grid([1], [1, 2], [3], [0, 1])
+        report = count_fiber(poly, sets)
+        assert report.count == brute_force(poly, sets)
+        assert report.degenerate_fibers == 0  # y=0 requires s=0 too; not hit here
+        sets0 = grid([1], [0, 2], [0], [0, 1])
+        report0 = count_fiber(poly, sets0)
+        assert report0.count == brute_force(poly, sets0)
         assert report0.degenerate_fibers == 1
 
     def test_quadratic_fiber_exact_roots(self):
@@ -213,10 +215,11 @@ class TestEquivalenceAndProperties:
         for i in range(100):
             poly, sets = random_instance(rng)
             naive = count_naive(poly, sets)
-            solve_var = V4[int(rng.integers(4))]
-            got = count_fiber(poly, sets, solve_var=solve_var)
-            assert got.count == naive.count, (i, str(poly), sets.sizes, solve_var)
-            # both routes see the same fibers when the fiber route solves for t
+            # the fiber route solves whichever variable is moved last
+            solved = int(rng.integers(4))
+            got = count_fiber(*solved_last(poly, sets, solved))
+            assert got.count == naive.count, (i, str(poly), sets.sizes, solved)
+            # both routes see the same fibers on the same grid
             assert count_fiber(poly, sets).degenerate_fibers == naive.degenerate_fibers, i
 
     def test_monotone_in_each_set(self):
@@ -239,12 +242,27 @@ class TestEquivalenceAndProperties:
         for _ in range(20):
             poly, sets = random_instance(rng)
             expected = count_naive(poly, sets).count
-            perm = rng.permutation(4)
-            renamed = Polynomial(
-                V4, {tuple(e[i] for i in perm): c for e, c in poly.terms.items()}
-            )
-            permuted_sets = GridSets(tuple(sets.sets[i] for i in perm))
-            assert count_naive(renamed, permuted_sets).count == expected
+            assert count_naive(*permuted(poly, sets, rng.permutation(4))).count == expected
+
+
+class TestOneFiberFrame:
+    """Both routes fiber over (a, b, c) in A x B x C and treat D alone, so
+    permuting x, y, s with A, B, C changes no reported field."""
+
+    def test_permuting_x_y_s_keeps_every_report_field(self):
+        rng = np.random.default_rng(20261022)
+        for i in range(50):
+            poly, sets = random_instance(rng, (1, 2, 3) if i % 2 else None)
+            fiber, naive = count_fiber(poly, sets), count_naive(poly, sets)
+            assert (fiber.count, fiber.degenerate_fibers) == \
+                (naive.count, naive.degenerate_fibers), (i, str(poly))
+            order = [*rng.permutation(3).tolist(), 3]
+            moved = permuted(poly, sets, order)
+            fiber2, naive2 = count_fiber(*moved), count_naive(*moved)
+            assert (fiber2.count, fiber2.degenerate_fibers, fiber2.slice_degrees) == \
+                (fiber.count, fiber.degenerate_fibers, fiber.slice_degrees), (i, order)
+            assert (naive2.count, naive2.degenerate_fibers, naive2.distinct_fibers) == \
+                (naive.count, naive.degenerate_fibers, naive.distinct_fibers), (i, order)
 
 
 class TestRationalGrids:
@@ -252,13 +270,14 @@ class TestRationalGrids:
     denominators, and must agree with the Fraction brute force."""
 
     def check_all_routes(self, poly, sets):
+        # the fiber route solves each variable in turn, moved last
         expected = brute_force(poly, sets)
         assert count_naive(poly, sets).count == expected
-        for solve_var in V4:
-            report = count_fiber(poly, sets, solve_var=solve_var)
-            assert report.count == expected, solve_var
+        for solved in range(4):
+            report = count_fiber(*solved_last(poly, sets, solved))
+            assert report.count == expected, V4[solved]
             # every fiber has a slice degree or is degenerate
-            fibers = math.prod(n for v, n in zip(V4, sets.sizes) if v != solve_var)
+            fibers = math.prod(n for i, n in enumerate(sets.sizes) if i != solved)
             assert sum(report.slice_degrees) + report.degenerate_fibers == fibers
         return expected
 
@@ -296,7 +315,8 @@ class TestRationalGrids:
         assert self.check_all_routes(poly, sets) > 0
 
     def test_vanishing_fibers(self):
-        # solving for x, the slice (2/3*s)*x - 1/4*t*y vanishes at s = 0, t*y = 0
+        # with x moved last, the slice (2/3*s)*x - 1/4*t*y in x vanishes at
+        # s = 0, t*y = 0
         poly = P("2/3*s*x - 1/4*t*y")
         sets = grid(
             [Fraction(3, 8), Fraction(-1, 2), 0, Fraction(9, 4)],
@@ -305,7 +325,7 @@ class TestRationalGrids:
             [0, Fraction(1, 7), Fraction(2, 3)],
         )
         expected = self.check_all_routes(poly, sets)
-        report = count_fiber(poly, sets, solve_var="x")
+        report = count_fiber(*solved_last(poly, sets, 0))
         # s = 0 with y = 0 (3 values of t) or t = 0 (2 more values of y)
         assert report.degenerate_fibers == 5
         assert report.count == expected
