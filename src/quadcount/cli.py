@@ -1,16 +1,17 @@
 """Command-line entry point.
 
 Subcommands: count-zeros, detect-special, construct, count-coplanar,
-count-collinear, count-circles, fit-exponent.  Output is JSON; `--out csv`
-exists only on construct and fit-exponent, which have a CSV format of their
-own.  Exit codes: 0 success, 1 domain error (reported as `error:<code>:
-message` on stderr), 2 usage error.  A bad --poly, sets file or points file
-is reported as `parse`, `sets` or `points`, an unreadable file as `io`, and
-any other ValueError or RuntimeError under the command's code in
-`_HANDLERS`.  No subcommand draws at random: the detector's verdict is
-exact, and a polynomial with a repeated factor is a domain error.  Each
-option is set by its own flag alone and takes one value, which may start
-with "-" also as a separate word; --poly is read over x, y, s, t.
+count-collinear, count-circles, fit-exponent.  Output is JSON; `--out`
+exists only on construct and fit-exponent, whose `--out csv` writes a CSV
+format of their own.  Exit codes: 0 success, 1 domain error (reported as
+`error:<code>: message` on stderr), 2 usage error.  A bad --poly, sets file
+or points file is reported as `parse`, `sets` or `points`, an unreadable
+file as `io`, and any other ValueError or RuntimeError under the command's
+code in `_HANDLERS`.  No subcommand draws at random: the detector's verdict
+is exact, and a polynomial with a repeated factor is a domain error.  Each
+option is set by its own flag alone, never by an abbreviation, and takes
+one value, which may start with "-" also as a separate word; --poly is read
+over x, y, s, t.
 
 `main()` with no arguments is the program (the `quadcount` console script,
 `python -m quadcount.cli`): once the job's output is written and flushed it
@@ -70,7 +71,7 @@ def _load_points(path: str, dimension: int):
 
 def _emit(payload: dict, args) -> None:
     csv = payload.pop("_csv", None)
-    text = csv if args.out == "csv" else json.dumps(payload, indent=2) + "\n"
+    text = csv if getattr(args, "out", None) == "csv" else json.dumps(payload, indent=2) + "\n"
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -114,10 +115,13 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        return sub.add_parser(name, help=help_text) if command in (None, name) else None
+        # no abbreviated options: "--out" must not stand for "--out-path"
+        return (sub.add_parser(name, help=help_text, allow_abbrev=False)
+                if command in (None, name) else None)
 
-    def common(p, formats=("json",)):
-        p.add_argument("--out", choices=formats, default="json", help="output format")
+    def common(p, csv=False):
+        if csv:
+            p.add_argument("--out", choices=("json", "csv"), default="json", help="output format")
         p.add_argument("--out-path", default=None, help="write output to a file instead of stdout")
 
     if p := add("count-zeros", "count zeros of a 4-variable polynomial on A x B x C x D"):
@@ -135,7 +139,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--kind", required=True,
                        choices=("ap-additive", "ap-multiplicative", "elliptic", "moment"))
         p.add_argument("--n", type=int, required=True)
-        common(p, ("json", "csv"))
+        common(p, csv=True)
 
     for name, help_text in (
         ("count-coplanar", "count coplanar 4-subsets of a 3D point set"),
@@ -153,7 +157,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("fit-exponent", "run a growth experiment and estimate its exponent"):
         p.add_argument("--experiment", required=True, choices=sorted(harness.EXPERIMENTS))
         p.add_argument("--ns", type=_parse_ns, required=True, help="comma list, e.g. 16,32,64,128")
-        common(p, ("json", "csv"))
+        common(p, csv=True)
     return parser
 
 

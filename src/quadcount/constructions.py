@@ -5,9 +5,9 @@ x + y + s + t (and of its multiplicative twin x*y*s*t - 1): the first three
 sets index an arithmetic (resp. geometric) progression and the fourth
 absorbs every triple sum (resp. product).
 
-The space-curve construction uses the smooth cubic y^2 = x^3 + a*x + b with
-one real component, whose real points form a circle group.  Mapping a point
-to its normalized arc parameter
+The space-curve construction uses a smooth cubic y^2 = x^3 + a*x + b with
+one real component (`make_curve`'s y^2 = x^3 + x + 1), whose real points
+form a circle group.  Mapping a point to its normalized arc parameter
 
     theta(P) = (1/Omega) * integral_x(P)^inf dt / sqrt(t^3 + a*t + b)
 
@@ -146,14 +146,14 @@ def _cubic(cfg: EllipticConfig, x: float) -> float:
     return x * x * x + float(cfg.a) * x + float(cfg.b)
 
 
-def make_curve(a=Fraction(1), b=Fraction(1)) -> EllipticConfig:
-    """Validate the curve; compute its real root and its real period."""
-    a, b = Fraction(a), Fraction(b)
+def make_curve() -> EllipticConfig:
+    """The curve y^2 = x^3 + x + 1, with its real root and its real period.
+
+    Its discriminant 4a^3 + 27b^2 = 31 is positive, so the curve is smooth
+    and has one real component.
+    """
+    a = b = Fraction(1)
     disc = 4 * a ** 3 + 27 * b ** 2
-    if disc == 0:
-        raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
-    if disc < 0:
-        raise ValueError("curve has two real components; a single component is required")
     af, bf = float(a), float(b)
     # Cardano: e0 = u + v with u^3, v^3 = -b/2 -+ sqrt(disc/108) and u*v = -a/3;
     # take u from the root of larger magnitude so that no cancellation occurs
@@ -395,13 +395,8 @@ def _span(a: int, b: int) -> int:
     return (a + b) * (b - a + 1) // 2
 
 
-def moment_curve_points(n: int, spacing: Fraction | int = 1) -> PointSet3:
-    """Exact points (t, t^2, t^3) for t = spacing, 2*spacing, ..., n*spacing."""
+def moment_curve_points(n: int) -> PointSet3:
+    """Exact int points (t, t^2, t^3) on the moment curve for t = 1..n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    spacing = Fraction(spacing)
-    rows = []
-    for i in range(1, n + 1):
-        t = i * spacing
-        rows.append((t, t * t, t * t * t))
-    return PointSet3.from_rows(rows)
+    return PointSet3.from_rows([(t, t * t, t * t * t) for t in range(1, n + 1)])

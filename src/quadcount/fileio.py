@@ -2,10 +2,12 @@
 
 Grid sets CSV: one line per set, `A: v1,v2,...` through `D:`, values given
 as integers, decimals, or `p/q`; `#` lines are comments.  Point CSV: one
-`x,y[,z]` row per point; integer or `p/q` values make the file exact, any
-decimal or scientific value makes it float (emitted with 17 significant
-digits so it round-trips).  Both read an integer as an `int` and any other
-exact value as a `Fraction`, the form `polynomials.exact` stores.
+`x,y` or `x,y,z` row per point, as many columns as the reader asks for;
+integer or `p/q` values make the file exact, any decimal or scientific value
+makes it float (emitted with 17 significant digits so it round-trips).  Both
+read an integer as an `int` and any other exact value as a `Fraction`, the
+form `polynomials.exact` stores.  No value takes `_` digit separators, which
+Python's own number parsers accept or refuse by version.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ def parse_value(text: str) -> int | Fraction | float:
     if not text:
         raise ValueError("empty value")
     try:
-        if "." in text or "e" in text.lower():
+        # text with "_" goes to _exact_value, which refuses it
+        if "_" not in text and ("." in text or "e" in text.lower()):
             return float(text)
         return _exact_value(text)
     except ZeroDivisionError:
@@ -43,8 +46,10 @@ def parse_value(text: str) -> int | Fraction | float:
 
 
 def _exact_value(text: str) -> int | Fraction:
-    # int(text) only for plain digits: int also takes "1_0", which Fraction
-    # refuses on Python 3.10, so that text stays on the Fraction path
+    # int and float take "1_0", and Fraction does from Python 3.11 on: refuse
+    # "_" here, so that every version reads the same values
+    if "_" in text:
+        raise ValueError(text)
     return int(text) if text.lstrip("+-").isdigit() else Fraction(text)
 
 
@@ -88,10 +93,9 @@ def sets_to_csv(sets: GridSets) -> str:
     return "\n".join(lines) + "\n"
 
 
-def points_from_csv(text: str, dimension: int | None = None):
-    """Parse point rows; returns PointSet2 or PointSet3 by column count."""
+def points_from_csv(text: str, dimension: int) -> PointSet2 | PointSet3:
+    """Parse rows of `dimension` (2 or 3) values into a PointSet2 or PointSet3."""
     rows = []
-    width = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -100,20 +104,12 @@ def points_from_csv(text: str, dimension: int | None = None):
             values = [parse_value(p) for p in line.split(",")]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(f"line {lineno}: expected {width} columns, got {len(values)}")
+        if len(values) != dimension:
+            raise ValueError(f"line {lineno}: expected {dimension} columns, got {len(values)}")
         rows.append(values)
     if not rows:
         raise ValueError("no points found")
-    if dimension is not None and width != dimension:
-        raise ValueError(f"expected {dimension}-column points, got {width}")
-    if width == 2:
-        return PointSet2.from_rows(rows)
-    if width == 3:
-        return PointSet3.from_rows(rows)
-    raise ValueError(f"expected 2 or 3 columns, got {width}")
+    return (PointSet2 if dimension == 2 else PointSet3).from_rows(rows)
 
 
 def points_to_csv(points: PointSet2 | PointSet3) -> str:

@@ -20,7 +20,7 @@ from quadcount.fileio import (
     sets_from_csv,
     sets_to_csv,
 )
-from quadcount.geometry import PointSet3
+from quadcount.geometry import PointSet2, PointSet3
 
 
 SETS_CSV = """\
@@ -50,20 +50,24 @@ class TestFileFormats:
 
     def test_exact_points_round_trip(self):
         text = "1/2,2,9/4\n1,1,1\n"
-        points = points_from_csv(text)
+        points = points_from_csv(text, 3)
         assert isinstance(points, PointSet3)
         assert points.kind == "exact"
-        assert points_from_csv(points_to_csv(points)) == points
+        assert points_from_csv(points_to_csv(points), 3) == points
 
     def test_float_points_detected_and_round_trip(self):
         text = "0.5,2.0,2.25\n1.0,1.0,1.0\n"
-        points = points_from_csv(text)
+        points = points_from_csv(text, 3)
         assert points.kind == "float"
-        assert points_from_csv(points_to_csv(points)) == points
+        assert points_from_csv(points_to_csv(points), 3) == points
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            points_from_csv("1,2\n1,2,3\n")
+        # each row must have the dimension the caller asks for
+        with pytest.raises(ValueError, match="^line 2: expected 2 columns, got 3$"):
+            points_from_csv("1,2\n1,2,3\n", 2)
+        with pytest.raises(ValueError, match="^line 1: expected 3 columns, got 2$"):
+            points_from_csv("1,2\n1,2,3\n", 3)
+        assert isinstance(points_from_csv("1,2\n", 2), PointSet2)
 
     @pytest.mark.parametrize("text,value", [
         ("12", 12), ("-7", -7), ("+3", 3), ("007", 7), ("-0", 0),
@@ -93,20 +97,19 @@ class TestFileFormats:
             sets_from_csv(f"A: {text}\nB: 1\nC: 1\nD: 1\n")
         assert str(exc.value) == f"line 1: {message}"
 
-    def test_underscore_digits_follow_fraction(self):
-        # int("1_0") is 10, but Fraction("1_0") is refused before Python
-        # 3.11: both readers take the text exactly where Fraction does
-        sets_text = "A: 1_0\nB: 1\nC: 1\nD: 1\n"
-        try:
-            expected = Fraction("1_0")
-        except ValueError:
-            with pytest.raises(ValueError, match="^invalid value '1_0'$"):
-                parse_value("1_0")
-            with pytest.raises(ValueError, match="^line 1: invalid value '1_0'$"):
-                sets_from_csv(sets_text)
-        else:
-            assert parse_value("1_0") == expected
-            assert sets_from_csv(sets_text).sets[0] == (expected,)
+    @pytest.mark.parametrize("text", ["1_0", "1_0/3", "2.5_0", "1e1_0"])
+    def test_underscore_digits_are_refused(self, text):
+        # int and float take "_" separators, and Fraction does from Python
+        # 3.11 on: neither format allows them, on any version
+        with pytest.raises(ValueError) as exc:
+            parse_value(text)
+        assert str(exc.value) == f"invalid value {text!r}"
+        with pytest.raises(ValueError) as exc:
+            sets_from_csv(f"A: 1\nB: 1\nC: 1\nD: 2,{text}\n")
+        assert str(exc.value) == f"line 4: invalid value {text!r}"
+        with pytest.raises(ValueError) as exc:
+            points_from_csv(f"0,0\n1,{text}\n", 2)
+        assert str(exc.value) == f"line 2: invalid value {text!r}"
 
 
 @pytest.fixture()
@@ -343,7 +346,7 @@ class TestConstructCommand:
             capsys, "construct", "--kind", "elliptic", "--n", "6", "--out", "csv",
         )
         assert code == 0
-        points = points_from_csv(out)
+        points = points_from_csv(out, 3)
         assert points.kind == "float"
         assert len(points) == 5
 
@@ -351,7 +354,7 @@ class TestConstructCommand:
         code, out, _ = run_cli(
             capsys, "construct", "--kind", "moment", "--n", "4", "--out", "csv",
         )
-        points = points_from_csv(out)
+        points = points_from_csv(out, 3)
         assert points.kind == "exact"
         assert points.points[0] == (1, 1, 1)
         assert points.points[-1] == (4, 16, 64)
@@ -423,7 +426,9 @@ class TestGeometryCommands:
         ("count-coplanar", "0.0,0.0,0.0\n1.0,1e400,0.0\n", "float coordinates must be finite"),
         ("count-coplanar", "0,0,0\n1,abc,0\n", "line 2: invalid value 'abc'"),
         ("count-circles", "0,0\n1.5,2.x\n", "line 2: invalid value '2.x'"),
-    ], ids=["exact-3d", "exact-2d", "float-overflow", "bad-literal", "bad-decimal"])
+        ("count-collinear", "0,0,0\n1,2,3\n", "line 1: expected 2 columns, got 3"),
+    ], ids=["exact-3d", "exact-2d", "float-overflow", "bad-literal", "bad-decimal",
+            "wrong-dimension"])
     def test_bad_point_value_is_a_domain_error(self, capsys, tmp_path, command, rows, message):
         path = tmp_path / "pts.csv"
         path.write_text(rows)
@@ -568,11 +573,14 @@ class TestParser:
         ("construct", ["--a", "1"]),
         ("construct", ["--b", "1"]),
         ("construct", ["--spacing", "1"]),
+        *((command, ["--out", "json"]) for command in COMMANDS
+          if command not in ("construct", "fit-exponent")),
     ])
     def test_removed_options_are_usage_errors(self, capsys, command, option):
         # every value is set by its own flag; there is no config file,
         # --poly is always read over x, y, s, t, count-zeros always solves
-        # t, and construct always builds y^2 = x^3 + x + 1 and t = 1..n
+        # t, construct always builds y^2 = x^3 + x + 1 and t = 1..n, and
+        # only construct and fit-exponent choose an output format
         with pytest.raises(SystemExit) as exc:
             main([command, *VALID_ARGS[command], *option])
         assert exc.value.code == 2
@@ -585,7 +593,14 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([command, *VALID_ARGS[command], "--out", "csv"])
         assert exc.value.code == 2
-        assert "argument --out: invalid choice: 'csv'" in capsys.readouterr().err
+        assert "unrecognized arguments: --out csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_option_has_a_single_choice(self, command):
+        # an option whose one legal value is its default sets nothing
+        single = [action.option_strings for action in subparsers(_build_parser())[command]._actions
+                  if action.choices is not None and len(action.choices) < 2]
+        assert single == []
 
     def test_readme_commands_parse(self):
         # every quadcount line of README's Command line block is a valid call

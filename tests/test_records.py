@@ -86,12 +86,14 @@ def test_containers_store_an_int_exactly_when_integral():
                 for _ in range(rng.randint(1, 6))))
             for points in (cls.from_rows(rows),
                            points_from_csv("\n".join(",".join(text(Fraction(v)) for v in row)
-                                                      for row in rows))):
+                                                      for row in rows), cls.dimension)):
                 assert points.kind == "exact"
                 stored += points.points
     for n in (1, 4):
-        for spacing in (1, Fraction(1, 2), Fraction(2), 3):
-            stored += moment_curve_points(n, spacing).points
+        stored += moment_curve_points(n).points
+        for spacing in (Fraction(1, 2), Fraction(2), 3):
+            stored += PointSet3.from_rows((t, t * t, t * t * t)
+                                          for t in (i * spacing for i in range(1, n + 1))).points
         for kind in ("additive", "multiplicative"):
             stored += ap_grid(kind, n).sets.sets
     values = [v for group in stored for v in group]
@@ -170,7 +172,7 @@ class TestCurveRecords:
 
     def test_elliptic_config(self):
         cfg = make_curve()
-        assert_value_record(cfg, make_curve(), make_curve(Fraction(2)), "period")
+        assert_value_record(cfg, make_curve(), cfg._replace(b=Fraction(2)), "period")
         assert ANGLE_TOL == 1e-9
         assert cfg == EllipticConfig(cfg.a, cfg.b, cfg.period, cfg.root)
 
